@@ -9,7 +9,7 @@ value is always the exact sum of the children's values.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations, product
+from itertools import combinations
 from typing import MutableMapping
 
 from .errors import InternalError
@@ -17,8 +17,9 @@ from .model import (
     Clause,
     PairState,
     clause_classes,
-    clause_satisfied,
     clause_vars,
+    side_solutions,
+    true_positions,
 )
 from .poly import ONE, ZERO
 from .simplify import (
@@ -263,14 +264,9 @@ def eliminate_semiisolated_1(st: PairState, si: SemiIsolated) -> PairState:
 
     def grouped(clauses, s):
         groups: dict[int | None, list[dict[int, int]]] = {}
-        touch = [clauses[k] for k in touching]
-        for bits in product((0, 1), repeat=len(domain)):
+        for bits in side_solutions([clauses[k] for k in touching], s, domain):
             values = dict(zip(domain, bits))
-            if any(values[v] != s[v] for v in domain if v in s):
-                continue
-            if all(clause_satisfied(cl, values) for cl in touch):
-                key = values[xvar] if xvar is not None else None
-                groups.setdefault(key, []).append(values)
+            groups.setdefault(values.get(xvar), []).append(values)
         return groups
 
     g1 = grouped(st.phi1, st.s1)
@@ -340,24 +336,6 @@ def branch_semiisolated_2(
     return _finish_children(st, children, [5] * len(children), counts, debug)
 
 
-def _true_position_values(clause: Clause, pos: int) -> dict[int, int] | None:
-    """Variable values making exactly the literal at `pos` true. None when
-    the clause's own structure rules the position out."""
-    values: dict[int, int] = {}
-    for t, lit in enumerate(clause):
-        want = 1 if t == pos else 0
-        if lit < 2:
-            if lit != want:
-                return None
-            continue
-        v, g = lit >> 1, lit & 1
-        val = want ^ g
-        if values.get(v, val) != val:
-            return None
-        values[v] = val
-    return values
-
-
 def branch_semiisolated_3(
     st: PairState, si: SemiIsolated, counts: Counts = None, debug: bool = False
 ) -> list[PairState | None]:
@@ -380,13 +358,11 @@ def branch_semiisolated_3(
     rest = frozenset(si.J - jpair)
     inner = frozenset(si.I - {evar})
     children = []
-    for p1 in range(3):
-        vals1 = _true_position_values(c1, p1)
-        if vals1 is None or any(st.s1.get(v, vals1[v]) != vals1[v] for v in trio):
+    for vals1 in true_positions(c1, st.s1):
+        if vals1 is None:
             continue
-        for p2 in range(3):
-            vals2 = _true_position_values(c2, p2)
-            if vals2 is None or any(st.s2.get(v, vals2[v]) != vals2[v] for v in trio):
+        for vals2 in true_positions(c2, st.s2):
+            if vals2 is None:
                 continue
             child = st
             for v in trio:
@@ -417,15 +393,12 @@ def branch_four_neighbour(
         children.append(assign_value(st, pivot, i0, j0))
         floors.append(4)
 
+    pos1 = true_positions(c1, st.s1)
+    pos2 = true_positions(c2, st.s2)
     for p1, p2 in [(ppos, ppos), (ppos, others[0]), (ppos, others[1]),
                    (others[0], ppos), (others[1], ppos)]:
-        vals1 = _true_position_values(c1, p1)
-        vals2 = _true_position_values(c2, p2)
+        vals1, vals2 = pos1[p1], pos2[p2]
         if vals1 is None or vals2 is None:
-            continue
-        if any(st.s1.get(v, vals1[v]) != vals1[v] for v in trio):
-            continue
-        if any(st.s2.get(v, vals2[v]) != vals2[v] for v in trio):
             continue
         child = st
         for v in trio:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from .errors import InternalError, LimitError, ParseError
 from .instances import default_clause_count, generate, parse, render
@@ -124,49 +123,6 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-REFERENCE_BASE = 1.3298
-
-
-def _cmd_bench(args) -> int:
-    rows = []
-    for n in range(args.nmin, args.nmax + 1, args.step):
-        for trial in range(args.trials):
-            seed = args.seed + trial
-            instance = generate(n, default_clause_count(n), seed=seed, planted=True)
-            started = time.perf_counter()
-            report = solve(instance.formula, SolveOptions(seed=args.seed))
-            elapsed = time.perf_counter() - started
-            rows.append(
-                (
-                    n,
-                    instance.m,
-                    seed,
-                    elapsed,
-                    report.stats.leaves,
-                    report.stats.nodes,
-                    REFERENCE_BASE ** n,
-                )
-            )
-    header = ("n", "m", "seed", "seconds", "leaves", "nodes", "ref_1.3298^n")
-    if args.csv:
-        print(",".join(header))
-        for row in rows:
-            print(
-                f"{row[0]},{row[1]},{row[2]},{row[3]:.6f},{row[4]},{row[5]},{row[6]:.6g}"
-            )
-    else:
-        print(
-            f"{'n':>4} {'m':>4} {'seed':>6} {'seconds':>10} "
-            f"{'leaves':>10} {'nodes':>10} {'ref_1.3298^n':>14}"
-        )
-        for row in rows:
-            print(
-                f"{row[0]:>4} {row[1]:>4} {row[2]:>6} {row[3]:>10.4f} "
-                f"{row[4]:>10} {row[5]:>10} {row[6]:>14.6g}"
-            )
-    return EXIT_OK
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="x3hd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -201,15 +157,6 @@ def _build_parser() -> _Parser:
                        help="plant a hidden solution")
     p_gen.add_argument("-o", "--output", default=None)
     p_gen.set_defaults(func=_cmd_gen)
-
-    p_bench = sub.add_parser("bench", help="timing sweep over planted instances")
-    p_bench.add_argument("--nmin", type=int, required=True)
-    p_bench.add_argument("--nmax", type=int, required=True)
-    p_bench.add_argument("--step", type=int, default=1)
-    p_bench.add_argument("--trials", type=int, default=1)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--csv", action="store_true")
-    p_bench.set_defaults(func=_cmd_bench)
 
     return parser
 

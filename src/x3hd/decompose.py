@@ -10,7 +10,7 @@ from itertools import product
 from typing import MutableMapping
 
 from .errors import InternalError
-from .model import PairState, clause_classes, clause_vars
+from .model import PairState, clause_classes, clause_vars, side_solutions
 from .poly import ONE, ZERO, HDPoly
 from .simplify import simplify_fixpoint
 from .branching import assign_value, value_combos
@@ -208,65 +208,15 @@ def branch_cut_variables(
     return children
 
 
-def _side_solutions(clauses, s: dict[int, int], variables: list[int]) -> list[tuple[int, ...]]:
-    """Satisfying assignments over `variables` by choosing, clause by
-    clause, which literal is the true one. Choices are mutually exclusive,
-    so each satisfying assignment is produced exactly once."""
-    position = {v: idx for idx, v in enumerate(variables)}
-    out: list[tuple[int, ...]] = []
-
-    def recurse(cidx: int, values: dict[int, int]):
-        if cidx == len(clauses):
-            out.append(tuple(values[v] for v in variables))
-            return
-        clause = clauses[cidx]
-        for pos in range(len(clause)):
-            derived: dict[int, int] = {}
-            ok = True
-            for t, lit in enumerate(clause):
-                want = 1 if t == pos else 0
-                if lit < 2:
-                    if lit != want:
-                        ok = False
-                        break
-                    continue
-                v, g = lit >> 1, lit & 1
-                val = want ^ g
-                if v in values:
-                    if values[v] != val:
-                        ok = False
-                        break
-                elif derived.get(v, val) != val:
-                    ok = False
-                    break
-                else:
-                    derived[v] = val
-            if not ok:
-                continue
-            values.update(derived)
-            recurse(cidx + 1, values)
-            for v in derived:
-                del values[v]
-
-    seed = dict(s)
-    for v in list(seed):
-        if v not in position:
-            del seed[v]
-    recurse(0, seed)
-    # assignments must cover every variable of the block; clauses do that
-    # because each choice fixes all variables of its clause
-    return out
-
-
 def brute_force_base(st: PairState) -> HDPoly:
     """Exact evaluation of a small state: enumerate per-side satisfying
     assignments, then sum the weight products over all ordered pairs."""
     occ = sorted(st.occurring())
     free = sorted(st.V - set(occ))
-    sols1 = _side_solutions(st.phi1, st.s1, occ)
+    sols1 = side_solutions(st.phi1, st.s1, occ)
     if not sols1:
         return ZERO
-    sols2 = _side_solutions(st.phi2, st.s2, occ)
+    sols2 = side_solutions(st.phi2, st.s2, occ)
     if not sols2:
         return ZERO
 

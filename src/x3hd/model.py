@@ -10,38 +10,13 @@ literal into the constant b ^ (lit & 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from itertools import product
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalError
 from .poly import ONE, U, HDPoly
 
 Clause = tuple[int, ...]
-
-CONST_FALSE = 0
-CONST_TRUE = 1
-
-
-def make_lit(var: int, negated: bool = False) -> int:
-    if var < 1:
-        raise ValueError(f"variable ids start at 1, got {var}")
-    return 2 * var + (1 if negated else 0)
-
-
-def const_lit(value: int) -> int:
-    return 1 if value else 0
-
-
-def is_const(lit: int) -> bool:
-    return lit < 2
-
-
-def lit_var(lit: int) -> int:
-    """Variable id of a literal, 0 for constants."""
-    return lit >> 1
-
-
-def negate_lit(lit: int) -> int:
-    return lit ^ 1
 
 
 def from_dimacs(k: int) -> int:
@@ -54,18 +29,6 @@ def to_dimacs(lit: int) -> int:
     if lit < 2:
         raise ValueError("constants have no signed form")
     return -(lit >> 1) if lit & 1 else lit >> 1
-
-
-def lit_text(lit: int) -> str:
-    if lit < 2:
-        return str(lit)
-    return f"~x{lit >> 1}" if lit & 1 else f"x{lit >> 1}"
-
-
-def eval_lit(lit: int, values: Mapping[int, int]) -> int:
-    if lit < 2:
-        return lit
-    return values[lit >> 1] ^ (lit & 1)
 
 
 def clause_vars(clause: Clause) -> set[int]:
@@ -83,6 +46,67 @@ def clause_satisfied(clause: Clause, values: Mapping[int, int]) -> bool:
         if count > 1:
             return False
     return count == 1
+
+
+def true_positions(clause: Clause, fixed: Mapping[int, int]) -> list[dict[int, int] | None]:
+    """Per literal position, the values of the clause's variables that make
+    exactly that literal true and agree with `fixed`; None where the clause
+    itself or `fixed` rules the position out.
+
+    A satisfying assignment has exactly one true literal, so the entries
+    that are not None are the clause's local solutions, each given once.
+    An all-constant clause yields {} for its true position: test entries
+    with `is not None`, never for truth.
+    """
+    out: list[dict[int, int] | None] = []
+    for pos in range(len(clause)):
+        values: dict[int, int] | None = {}
+        for t, lit in enumerate(clause):
+            want = 1 if t == pos else 0
+            if lit < 2:
+                if lit != want:
+                    values = None
+                    break
+                continue
+            v = lit >> 1
+            val = want ^ (lit & 1)
+            if fixed.get(v, val) != val or values.get(v, val) != val:
+                values = None
+                break
+            values[v] = val
+        out.append(values)
+    return out
+
+
+def side_solutions(
+    clauses: Sequence[Clause], fixed: Mapping[int, int], variables: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """Assignments to `variables` (as tuples in that order) that satisfy
+    every clause and agree with `fixed`, built clause by clause from
+    `true_positions`. Each is produced once. `variables` must cover the
+    clauses' variables; those in no clause take every value `fixed` allows.
+    """
+    leaves: list[dict[int, int]] = []
+
+    def extend(cidx: int, values: dict[int, int]) -> None:
+        if cidx == len(clauses):
+            leaves.append(values)
+            return
+        for derived in true_positions(clauses[cidx], values):
+            if derived is not None:
+                extend(cidx + 1, values | derived)
+
+    extend(0, dict(fixed))
+    if not leaves:
+        return []
+    # every leaf assigns the same variables: `fixed` plus all clause variables
+    free = [v for v in variables if v not in leaves[0]]
+    rows = []
+    for values in leaves:
+        for bits in product((0, 1), repeat=len(free)):
+            values.update(zip(free, bits))
+            rows.append(tuple(values[v] for v in variables))
+    return rows
 
 
 @dataclass(frozen=True)

@@ -13,17 +13,10 @@ sharing exactly two variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
 from typing import MutableMapping
 
 from .errors import InternalError
-from .model import (
-    Clause,
-    PairState,
-    check_structure,
-    clause_satisfied,
-    clause_vars,
-)
+from .model import Clause, PairState, check_structure, clause_vars, true_positions
 
 
 def _substitute_const(clauses: tuple[Clause, ...], var: int, value: int) -> tuple[Clause, ...]:
@@ -51,23 +44,12 @@ def _drop_clauses(st: PairState, indices: set[int]) -> PairState:
     return replace(st, phi1=phi1, phi2=phi2)
 
 
-def _clause_satisfiable(clause: Clause, s: dict[int, int]) -> bool:
-    variables = sorted(clause_vars(clause))
-    free = [v for v in variables if v not in s]
-    fixed = {v: s[v] for v in variables if v in s}
-    for bits in product((0, 1), repeat=len(free)):
-        values = fixed | dict(zip(free, bits))
-        if clause_satisfied(clause, values):
-            return True
-    return False
-
-
 def detect_unsat(st: PairState) -> bool:
     """True iff some clause cannot be satisfied by any assignment that is
     consistent with the corresponding side's forced values."""
     for clauses, s in ((st.phi1, st.s1), (st.phi2, st.s2)):
         for clause in clauses:
-            if not _clause_satisfiable(clause, s):
+            if all(values is None for values in true_positions(clause, s)):
                 return True
     return False
 
@@ -142,17 +124,14 @@ def _classify_side(clause: Clause):
     """Satisfying set of one small clause, summarised as one of
     'unsat', 'drop', 'force' (forced: var -> value) or 'link' (pol)."""
     variables = sorted(clause_vars(clause))
-    sat = []
-    for bits in product((0, 1), repeat=len(variables)):
-        if clause_satisfied(clause, dict(zip(variables, bits))):
-            sat.append(bits)
+    sat = [values for values in true_positions(clause, {}) if values is not None]
     if not sat:
         return "unsat", {}, None
     if not variables:
         return "drop", {}, None
     forced = {}
-    for idx, v in enumerate(variables):
-        seen = {bits[idx] for bits in sat}
+    for v in variables:
+        seen = {values[v] for values in sat}
         if len(seen) == 1:
             forced[v] = seen.pop()
     if len(forced) == len(variables):
@@ -164,7 +143,7 @@ def _classify_side(clause: Clause):
     # two free coupled variables: the satisfying set is a diagonal
     if len(sat) != 2:
         raise InternalError(f"unexpected satisfying set for {clause}")
-    return "link", {}, sat[0][0] ^ sat[0][1]
+    return "link", {}, sat[0][variables[0]] ^ sat[0][variables[1]]
 
 
 def normalize_small_clause(c1: Clause, c2: Clause) -> SmallClauseAction:

@@ -183,14 +183,16 @@ def _node(st: PairState, opts: SolveOptions, stats: SolveStats, depth: int) -> t
 
 def mhd(st: PairState, opts: SolveOptions | None = None) -> tuple[HDPoly, SolveStats]:
     """Evaluate a recursion state exactly; returns the polynomial together
-    with the search statistics."""
+    with the search statistics. The recursion limit is raised for the
+    search and restored on return."""
     opts = opts or SolveOptions()
     stats = SolveStats()
     limit = sys.getrecursionlimit()
-    if limit < 20000:
-        sys.setrecursionlimit(20000)
-    poly, leaves = _node(st, opts, stats, 0)
-    stats.leaves = leaves
+    sys.setrecursionlimit(max(limit, 20000))
+    try:
+        poly, stats.leaves = _node(st, opts, stats, 0)
+    finally:
+        sys.setrecursionlimit(limit)
     return poly, stats
 
 

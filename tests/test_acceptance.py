@@ -188,17 +188,8 @@ def test_criterion_6_performance_smoke():
         times.append(elapsed)
         assert elapsed < 60.0
         assert report.stats.leaves <= 4 ** report.stats.branched_vars
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = main(["bench", "--nmin", "40", "--nmax", "40", "--trials", "1",
-                     "--seed", "0", "--csv"])
-    assert code == 0
-    lines = out.getvalue().strip().splitlines()
-    assert lines[0].endswith("ref_1.3298^n")
-    reference = float(lines[1].split(",")[-1])
-    assert reference == pytest.approx(1.3298 ** 40, rel=1e-4)  # printed at 6 digits
     _ok(6, f"n=40 planted instances solve in {max(times):.2f}s worst case; "
-           f"leaf budget and reference column verified")
+           f"leaf budget verified")
 
 
 def test_criterion_7_structural_floors(rule_sweep):

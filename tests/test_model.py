@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +15,9 @@ from x3hd.model import (
     dissimilar_classes,
     from_dimacs,
     initial_state,
+    side_solutions,
     to_dimacs,
+    true_positions,
 )
 from x3hd.poly import ONE, U
 
@@ -32,6 +37,62 @@ def test_clause_satisfied_exactly_one():
     assert not clause_satisfied(cl, {1: 1, 2: 1, 3: 1})
     assert not clause_satisfied(cl, {1: 0, 2: 0, 3: 1})
     assert clause_satisfied(clause("T", 1), {1: 0})
+
+
+# every literal over variables 1 and 2, plus the constants F (0) and T (1)
+SMALL_LITS = (0, 1, 2, 3, 4, 5)
+SMALL_CLAUSES = [cl for k in (1, 2, 3) for cl in product(SMALL_LITS, repeat=k)]
+PARTIAL_MAPS = [
+    {v: b for v, b in zip((1, 2), bits) if b is not None}
+    for bits in product((None, 0, 1), repeat=2)
+]
+
+
+def _assignments(variables, fixed):
+    for bits in product((0, 1), repeat=len(variables)):
+        values = dict(zip(variables, bits))
+        if all(fixed.get(v, b) == b for v, b in values.items()):
+            yield values
+
+
+def test_true_positions_are_the_satisfying_assignments():
+    for cl in SMALL_CLAUSES:
+        variables = sorted({lit >> 1 for lit in cl if lit >= 2})
+        for fixed in PARTIAL_MAPS:
+            positions = true_positions(cl, fixed)
+            assert len(positions) == len(cl)
+            found = []
+            for pos, values in enumerate(positions):
+                if values is None:
+                    continue
+                assert sorted(values) == variables
+                lit = cl[pos]
+                assert (lit if lit < 2 else values[lit >> 1] ^ (lit & 1)) == 1
+                found.append(tuple(values[v] for v in variables))
+            expected = [
+                tuple(values[v] for v in variables)
+                for values in _assignments(variables, fixed)
+                if clause_satisfied(cl, values)
+            ]
+            assert sorted(found) == expected, (cl, fixed)
+
+
+def test_side_solutions_match_brute_force():
+    rng = random.Random(5)
+    variables = [1, 2, 3]  # variable 3 occurs in no clause
+    fixed_maps = [
+        {v: b for v, b in zip(variables, bits) if b is not None}
+        for bits in product((None, 0, 1), repeat=3)
+    ]
+    for _ in range(3000):
+        clauses = rng.sample(SMALL_CLAUSES, rng.choice((2, 3)))
+        fixed = rng.choice(fixed_maps)
+        expected = [
+            tuple(values[v] for v in variables)
+            for values in _assignments(variables, fixed)
+            if all(clause_satisfied(cl, values) for cl in clauses)
+        ]
+        assert sorted(side_solutions(clauses, fixed, variables)) == expected
 
 
 @pytest.mark.parametrize(

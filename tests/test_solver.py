@@ -1,4 +1,5 @@
 import random
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,6 +144,17 @@ def test_deep_recursion_is_safe():
     report = solve(f)
     assert report.solutions == 2
     assert report.max_hd == 200
+
+
+def test_solve_restores_recursion_limit():
+    # start below the solver's own limit, which an earlier solve may have left
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1500)
+    try:
+        solve(Formula.from_dimacs([[1, 2, 3], [1, 4, 5]], 5))
+        assert sys.getrecursionlimit() == 1500
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 @settings(max_examples=30)

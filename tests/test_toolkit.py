@@ -185,17 +185,6 @@ def test_cli_gen_stdout_deterministic():
     assert out1 == out2
 
 
-def test_cli_bench_reports_reference_column():
-    code, out, _ = run_cli(
-        ["bench", "--nmin", "9", "--nmax", "12", "--step", "3", "--trials", "2",
-         "--seed", "0", "--csv"]
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "n,m,seed,seconds,leaves,nodes,ref_1.3298^n"
-    assert len(lines) == 1 + 2 * 2
-
-
 def test_cli_usage_errors_exit_one():
     code, _, _ = run_cli(["solve"])
     assert code == 1
