@@ -12,7 +12,7 @@ from typing import MutableMapping
 from .errors import InternalError
 from .model import PairState, clause_classes, clause_vars, side_solutions
 from .poly import ONE, ZERO, HDPoly
-from .simplify import simplify_fixpoint
+from .simplify import fold_free, simplify_fixpoint
 from .branching import assign_value, value_combos
 
 Counts = MutableMapping[str, int] | None
@@ -211,8 +211,10 @@ def branch_cut_variables(
 def brute_force_base(st: PairState) -> HDPoly:
     """Exact evaluation of a small state: enumerate per-side satisfying
     assignments, then sum the weight products over all ordered pairs."""
-    occ = sorted(st.occurring())
-    free = sorted(st.V - set(occ))
+    occ = st.occurring()
+    if len(occ) < len(st.V):
+        st = fold_free(st, st.V - occ)
+    occ = sorted(occ)
     sols1 = side_solutions(st.phi1, st.s1, occ)
     if not sols1:
         return ZERO
@@ -262,10 +264,4 @@ def brute_force_base(st: PairState) -> HDPoly:
                 accum[deg] = accum.get(deg, 0) + coeff
             else:
                 spill = spill + poly * HDPoly.monomial(coeff, deg)
-    total = HDPoly(accum) + spill
-    for v in free:
-        ivals = (st.s1[v],) if v in st.s1 else (0, 1)
-        jvals = (st.s2[v],) if v in st.s2 else (0, 1)
-        factor = sum(st.weights[v][2 * i + j] for i in ivals for j in jvals)
-        total = total * factor
-    return st.p_main * total
+    return st.p_main * (HDPoly(accum) + spill)

@@ -78,6 +78,32 @@ def true_positions(clause: Clause, fixed: Mapping[int, int]) -> list[dict[int, i
     return out
 
 
+def clause_unsatisfiable(clause: Clause, fixed: Mapping[int, int]) -> bool:
+    """True iff no assignment that agrees with `fixed` makes exactly one
+    literal of `clause` true.
+
+    With the free variables distinct this is closed form: each free literal
+    can be set either way, so the clause is unsatisfiable iff more than one
+    literal is pinned true, or none is and no free literal is left. A clause
+    that repeats a free variable defers to `true_positions`.
+    """
+    pinned = 0
+    free = []
+    for lit in clause:
+        if lit < 2:
+            pinned += lit
+            continue
+        v = lit >> 1
+        val = fixed.get(v)
+        if val is not None:
+            pinned += val ^ (lit & 1)
+        elif v in free:
+            return all(values is None for values in true_positions(clause, fixed))
+        else:
+            free.append(v)
+    return pinned > 1 or (pinned == 0 and not free)
+
+
 def side_solutions(
     clauses: Sequence[Clause], fixed: Mapping[int, int], variables: Sequence[int]
 ) -> list[tuple[int, ...]]:

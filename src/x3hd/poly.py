@@ -7,6 +7,8 @@ never rounded or truncated. Counts grow up to 4^n, hence no fixed-width type.
 
 from __future__ import annotations
 
+from math import comb
+
 
 class HDPoly:
     """Immutable sparse polynomial with nonnegative integer coefficients.
@@ -99,6 +101,26 @@ class HDPoly:
                 d = d1 + d2
                 out[d] = out.get(d, 0) + c1 * c2
         return HDPoly(out)
+
+    def __pow__(self, k: int) -> "HDPoly":
+        """self**k for k >= 0. A polynomial of at most two terms expands by
+        the binomial theorem; a longer one is multiplied out k - 1 times."""
+        if k < 0:
+            raise ValueError(f"negative exponent {k}")
+        if k == 0:
+            return HDPoly.one()
+        items = list(self._coeffs.items())
+        if len(items) > 2:
+            out = self
+            for _ in range(k - 1):
+                out = out * self
+            return out
+        if len(items) < 2:
+            return HDPoly({deg * k: coeff**k for deg, coeff in items})
+        (d1, a), (d2, b) = items
+        return HDPoly({
+            d1 * i + d2 * (k - i): comb(k, i) * a**i * b ** (k - i) for i in range(k + 1)
+        })
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HDPoly):

@@ -8,6 +8,10 @@ Priority inside the fixpoint: unsatisfiable clause detection, duplicate
 clause removal, elimination of variables determined on both sides (or in
 no clause), small-clause normalisation, then resolution of clause pairs
 sharing exactly two variables.
+
+The unsat check is closed form per clause (`model.clause_unsatisfiable`).
+Variables in no clause fold into p_main in one step, equal factors raised
+to a power at once. Each iteration computes the clause variable sets once.
 """
 
 from __future__ import annotations
@@ -16,7 +20,15 @@ from dataclasses import dataclass, replace
 from typing import MutableMapping
 
 from .errors import InternalError
-from .model import Clause, PairState, check_structure, clause_vars, true_positions
+from .model import (
+    Clause,
+    PairState,
+    check_structure,
+    clause_unsatisfiable,
+    clause_vars,
+    true_positions,
+)
+from .poly import HDPoly
 
 
 def _substitute_const(clauses: tuple[Clause, ...], var: int, value: int) -> tuple[Clause, ...]:
@@ -47,11 +59,20 @@ def _drop_clauses(st: PairState, indices: set[int]) -> PairState:
 def detect_unsat(st: PairState) -> bool:
     """True iff some clause cannot be satisfied by any assignment that is
     consistent with the corresponding side's forced values."""
-    for clauses, s in ((st.phi1, st.s1), (st.phi2, st.s2)):
-        for clause in clauses:
-            if all(values is None for values in true_positions(clause, s)):
-                return True
-    return False
+    return (any(clause_unsatisfiable(cl, st.s1) for cl in st.phi1)
+            or any(clause_unsatisfiable(cl, st.s2) for cl in st.phi2))
+
+
+def _weight_sum(st: PairState, x: int) -> HDPoly:
+    """Sum of x's weight entries over the value pairs its forced values allow."""
+    i = st.s1.get(x)
+    j = st.s2.get(x)
+    table = st.weights[x]
+    return sum(
+        table[2 * a + b]
+        for a in ((i,) if i is not None else (0, 1))
+        for b in ((j,) if j is not None else (0, 1))
+    )
 
 
 def eliminate_determined(st: PairState, x: int) -> PairState:
@@ -61,12 +82,7 @@ def eliminate_determined(st: PairState, x: int) -> PairState:
     i = st.s1.get(x)
     j = st.s2.get(x)
     weights = dict(st.weights)
-    table = weights.pop(x)
-    factor = sum(
-        table[2 * a + b]
-        for a in ((i,) if i is not None else (0, 1))
-        for b in ((j,) if j is not None else (0, 1))
-    )
+    del weights[x]
     phi1, phi2 = st.phi1, st.phi2
     if i is not None and j is not None:
         phi1 = _substitute_const(phi1, x, i)
@@ -74,7 +90,24 @@ def eliminate_determined(st: PairState, x: int) -> PairState:
     s1 = {k: v for k, v in st.s1.items() if k != x}
     s2 = {k: v for k, v in st.s2.items() if k != x}
     return replace(st, phi1=phi1, phi2=phi2, s1=s1, s2=s2,
-                   V=st.V - {x}, p_main=st.p_main * factor, weights=weights)
+                   V=st.V - {x}, p_main=st.p_main * _weight_sum(st, x), weights=weights)
+
+
+def fold_free(st: PairState, free: frozenset[int]) -> PairState:
+    """Fold every variable of `free`, none of which occurs in a clause, into
+    p_main at once: the same factors as `eliminate_determined` one by one,
+    with equal factors grouped and raised to their multiplicity."""
+    groups: dict[HDPoly, int] = {}
+    for x in free:
+        factor = _weight_sum(st, x)
+        groups[factor] = groups.get(factor, 0) + 1
+    p_main = st.p_main
+    for factor, k in groups.items():
+        p_main = p_main * factor**k
+    weights = {v: table for v, table in st.weights.items() if v not in free}
+    s1 = {k: v for k, v in st.s1.items() if k not in free}
+    s2 = {k: v for k, v in st.s2.items() if k not in free}
+    return replace(st, s1=s1, s2=s2, V=st.V - free, p_main=p_main, weights=weights)
 
 
 def link_variables(st: PairState, keep: int, drop: int, pol1: int, pol2: int) -> PairState | None:
@@ -262,9 +295,9 @@ def simplify_fixpoint(
     so the loop terminates. Returns None when the state evaluates to zero.
     """
 
-    def bump(key: str) -> None:
+    def bump(key: str, n: int = 1) -> None:
         if counts is not None:
-            counts[key] = counts.get(key, 0) + 1
+            counts[key] = counts.get(key, 0) + n
 
     while True:
         if detect_unsat(st):
@@ -275,20 +308,26 @@ def simplify_fixpoint(
             st = _drop_clauses(st, dups)
             bump("dedup")
             continue
-        occ = st.occurring()
-        target = next(
-            (v for v in sorted(st.V) if (v in st.s1 and v in st.s2) or v not in occ),
-            None,
+        varsets = [clause_vars(cl) for cl in st.phi1]
+        occ = set().union(*varsets)
+        target = min(
+            (v for v in st.V if v not in occ or (v in st.s1 and v in st.s2)), default=None
         )
         if target is not None:
-            st = eliminate_determined(st, target)
-            bump("case1_ii")
+            if target in occ:
+                st = eliminate_determined(st, target)
+                bump("case1_ii")
+            else:
+                # folding leaves the clauses unchanged, so folding one such
+                # variable per iteration would fire the same rules in between:
+                # fold them all now and count each one
+                free = st.V - occ
+                st = fold_free(st, free)
+                bump("case1_ii", len(free))
             if debug:
                 check_structure(st)
             continue
-        small = next(
-            (k for k, cl in enumerate(st.phi1) if len(clause_vars(cl)) <= 2), None
-        )
+        small = next((k for k, vs in enumerate(varsets) if len(vs) <= 2), None)
         if small is not None:
             bump("case1_iii")
             action = normalize_small_clause(st.phi1[small], st.phi2[small])
@@ -300,7 +339,6 @@ def simplify_fixpoint(
                 check_structure(st)
             continue
         pair = None
-        varsets = [clause_vars(cl) for cl in st.phi1]
         for a in range(len(varsets)):
             for b in range(a + 1, len(varsets)):
                 if len(varsets[a] & varsets[b]) == 2:

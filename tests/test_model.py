@@ -12,6 +12,7 @@ from x3hd.model import (
     are_similar,
     check_state,
     clause_satisfied,
+    clause_unsatisfiable,
     dissimilar_classes,
     from_dimacs,
     initial_state,
@@ -39,13 +40,15 @@ def test_clause_satisfied_exactly_one():
     assert clause_satisfied(clause("T", 1), {1: 0})
 
 
-# every literal over variables 1 and 2, plus the constants F (0) and T (1)
-SMALL_LITS = (0, 1, 2, 3, 4, 5)
-SMALL_CLAUSES = [cl for k in (1, 2, 3) for cl in product(SMALL_LITS, repeat=k)]
+# every clause of arity 1..3 over the constants F (0) and T (1) and every
+# literal of variables 1, 2 and 3, with every partial map over those variables
+ALL_CLAUSES = [cl for k in (1, 2, 3) for cl in product(range(8), repeat=k)]
 PARTIAL_MAPS = [
-    {v: b for v, b in zip((1, 2), bits) if b is not None}
-    for bits in product((None, 0, 1), repeat=2)
+    {v: b for v, b in zip((1, 2, 3), bits) if b is not None}
+    for bits in product((None, 0, 1), repeat=3)
 ]
+# the clauses over variables 1 and 2 only
+SMALL_CLAUSES = [cl for cl in ALL_CLAUSES if max(cl) < 6]
 
 
 def _assignments(variables, fixed):
@@ -56,7 +59,7 @@ def _assignments(variables, fixed):
 
 
 def test_true_positions_are_the_satisfying_assignments():
-    for cl in SMALL_CLAUSES:
+    for cl in ALL_CLAUSES:
         variables = sorted({lit >> 1 for lit in cl if lit >= 2})
         for fixed in PARTIAL_MAPS:
             positions = true_positions(cl, fixed)
@@ -75,6 +78,7 @@ def test_true_positions_are_the_satisfying_assignments():
                 if clause_satisfied(cl, values)
             ]
             assert sorted(found) == expected, (cl, fixed)
+            assert clause_unsatisfiable(cl, fixed) is (not found), (cl, fixed)
 
 
 def test_side_solutions_match_brute_force():

@@ -107,3 +107,12 @@ def test_sum_builtin_works(ps):
     for p in ps:
         expected = expected + p
     assert total == expected
+
+
+@given(polys, st.integers(min_value=0, max_value=6))
+def test_power_equals_repeated_product(a, k):
+    # covers the binomial path (two terms) and the multiplied-out one (more)
+    expected = ONE
+    for _ in range(k):
+        expected = expected * a
+    assert a**k == expected

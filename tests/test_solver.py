@@ -1,5 +1,6 @@
 import random
 import sys
+from math import comb
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,6 +156,39 @@ def test_solve_restores_recursion_limit():
         assert sys.getrecursionlimit() == 1500
     finally:
         sys.setrecursionlimit(saved)
+
+
+def test_free_variables_fold_in_closed_form():
+    # 1997 variables in no clause: each contributes 2 + 2u, folded in one step
+    report = solve(Formula.from_dimacs([[1, 2, 3]], 2000))
+    free = HDPoly({d: 2**1997 * comb(1997, d) for d in range(1998)})
+    assert report.poly == HDPoly({0: 3, 2: 6}) * free
+    assert report.stats.rules["case1_ii"] == 1997
+
+
+# Summed search counts over a seeded random sample. They pin the search tree:
+# a change that only lowers the cost per node keeps every one of them.
+SEARCH_COUNTS = {
+    "nodes": 573, "leaves": 411,
+    "case1_i": 91, "dedup": 175, "case1_ii": 3164, "case1_iii": 2371,
+    "case1_iv": 322, "case1_v": 10, "case1_vi1": 0, "case1_vi2": 0,
+    "case1_vi3": 0, "case1_vii": 17, "prop3_fallback": 0, "case2_split": 0,
+    "component_split": 63, "base": 280,
+}
+
+
+def test_search_counts_are_pinned():
+    rng = random.Random(2024)
+    totals = dict.fromkeys(SEARCH_COUNTS, 0)
+    for seed in range(300):
+        n = rng.randint(6, 30)
+        m = rng.randint(1, n)
+        stats = solve(generate(n, m, seed=seed, planted=seed % 2 == 0).formula).stats
+        totals["nodes"] += stats.nodes
+        totals["leaves"] += stats.leaves
+        for key, value in stats.rules.items():
+            totals[key] += value
+    assert totals == SEARCH_COUNTS
 
 
 @settings(max_examples=30)
