@@ -8,14 +8,7 @@ distance between two solutions and its constant term the solution count.
 
 from .errors import InternalError, LimitError, ParseError
 from .instances import Instance, default_clause_count, generate, parse, render
-from .model import (
-    Formula,
-    PairState,
-    are_neighbours,
-    are_similar,
-    dissimilar_classes,
-    initial_state,
-)
+from .model import Formula, PairState, initial_state
 from .oracle import enumerate_solutions, hd_oracle, state_eval
 from .poly import HDPoly
 from .solver import SolveOptions, SolveReport, SolveStats, mhd, solve
@@ -31,10 +24,7 @@ __all__ = [
     "SolveOptions",
     "SolveReport",
     "SolveStats",
-    "are_neighbours",
-    "are_similar",
     "default_clause_count",
-    "dissimilar_classes",
     "enumerate_solutions",
     "generate",
     "hd_oracle",

@@ -19,27 +19,23 @@ from .model import (
     clause_classes,
     clause_vars,
     side_solutions,
+    substitute,
     true_positions,
 )
 from .poly import ONE, ZERO
-from .simplify import (
-    _substitute_const,
-    eliminate_determined,
-    simplify_fixpoint,
-)
+from .simplify import drop_clauses, eliminate_determined, simplify_fixpoint
 
 Counts = MutableMapping[str, int] | None
 
 
 def assign_value(st: PairState, x: int, i: int, j: int) -> PairState:
-    """Fix variable x to i in phi1 and j in phi2: scale p_main by the
+    """Fix variable x to i on side 0 and j on side 1: scale p_main by the
     matching weight entry, substitute the constants, drop x."""
     weights = dict(st.weights)
     factor = weights.pop(x)[2 * i + j]
     return replace(
         st,
-        phi1=_substitute_const(st.phi1, x, i),
-        phi2=_substitute_const(st.phi2, x, j),
+        clauses=substitute(st.clauses, x, 0, i, j),
         s1={k: v for k, v in st.s1.items() if k != x},
         s2={k: v for k, v in st.s2.items() if k != x},
         V=st.V - {x},
@@ -49,7 +45,7 @@ def assign_value(st: PairState, x: int, i: int, j: int) -> PairState:
 
 
 def value_combos(st: PairState, x: int) -> list[tuple[int, int]]:
-    """The (phi1, phi2) value pairs for x consistent with s1/s2, in the
+    """The (side 0, side 1) value pairs for x consistent with s1/s2, in the
     fixed order (0,0), (0,1), (1,0), (1,1)."""
     ivals = (st.s1[x],) if x in st.s1 else (0, 1)
     jvals = (st.s2[x],) if x in st.s2 else (0, 1)
@@ -65,7 +61,7 @@ def _finish_children(
 ) -> list[PairState | None]:
     out: list[PairState | None] = []
     for pos, child in enumerate(children):
-        simplified = simplify_fixpoint(child, counts, debug)
+        simplified = simplify_fixpoint(child, counts)
         if debug and simplified is not None and floors is not None:
             removed = len(parent.V) - len(simplified.V)
             if removed < floors[pos]:
@@ -89,7 +85,7 @@ def _class_info(clauses: tuple[Clause, ...]):
 def pick_high_degree_var(st: PairState) -> int | None:
     """A variable occurring in at least four dissimilar clause classes,
     preferring the highest class count, then the smallest id."""
-    _, _, var_to_classes = _class_info(st.phi1)
+    _, _, var_to_classes = _class_info(st.clauses)
     candidates = [v for v, ks in var_to_classes.items() if len(ks) >= 4]
     if not candidates:
         return None
@@ -133,29 +129,30 @@ def _touching_indices(clauses: tuple[Clause, ...], block: frozenset[int]) -> tup
 
 def _extract_semiisolated(st: PairState, block: frozenset[int]) -> SemiIsolated:
     boundary = set()
-    for cl in st.phi1:
+    for cl in st.clauses:
         vs = clause_vars(cl)
         outside = vs - block
         if outside:
             boundary |= vs & block
     I = frozenset(block - boundary)
     J = frozenset(boundary)
-    for k in _touching_indices(st.phi1, I):
-        if not clause_vars(st.phi1[k]) <= block:
+    touching = _touching_indices(st.clauses, I)
+    for k in touching:
+        if not clause_vars(st.clauses[k]) <= block:
             raise InternalError("semiisolated block leaks outside its boundary")
-    return SemiIsolated(I, J, _touching_indices(st.phi1, I))
+    return SemiIsolated(I, J, touching)
 
 
 def _match_pattern(st: PairState, classes, class_vars, var_to_classes, k: int):
     """One step of the constructive search around a class with >= 4
     dissimilar neighbours: either a branchable pattern, or the context
     (block, a, b, next-class) for the semiisolated fallback."""
-    clauses = st.phi1
+    clauses = st.clauses
     rep = classes[k][0]
     order = []
-    for lit in clauses[rep]:
-        if lit >= 2 and lit >> 1 not in order:
-            order.append(lit >> 1)
+    for p in clauses[rep]:
+        if p >= 4 and p >> 2 not in order:
+            order.append(p >> 2)
     if len(order) != 3:
         raise InternalError("pattern search on a degenerate clause")
     pivot = next((v for v in order if len(var_to_classes[v] - {k}) >= 2), None)
@@ -196,7 +193,7 @@ def _match_pattern(st: PairState, classes, class_vars, var_to_classes, k: int):
 
 
 def _generic_pattern(st: PairState, classes, class_vars, var_to_classes, k: int) -> SevenNeighbourPattern:
-    clauses = st.phi1
+    clauses = st.clauses
     rep = classes[k][0]
     neigh = sorted(
         {q for v in class_vars[k] for q in var_to_classes[v]} - {k}
@@ -214,9 +211,9 @@ def find_config(st: PairState):
     """Decide how to handle a clause with >= 4 dissimilar neighbour
     classes: a branchable pattern, or a small semiisolated block to
     eliminate. None when no clause qualifies (the decomposition case)."""
-    if not st.phi1:
+    if not st.clauses:
         return None
-    classes, class_vars, var_to_classes = _class_info(st.phi1)
+    classes, class_vars, var_to_classes = _class_info(st.clauses)
 
     def neighbour_count(k: int) -> int:
         return len({q for v in class_vars[k] for q in var_to_classes[v]} - {k})
@@ -233,7 +230,7 @@ def find_config(st: PairState):
         block, a, b, n1_cls = found
         has_outside = any(
             {a, b} & clause_vars(cl) and clause_vars(cl) - block
-            for cl in st.phi1
+            for cl in st.clauses
         )
         if not has_outside:
             si = _extract_semiisolated(st, block)
@@ -258,19 +255,19 @@ def eliminate_semiisolated_1(st: PairState, si: SemiIsolated) -> PairState:
     if len(J) > 1:
         raise InternalError("single-boundary elimination needs |J| <= 1")
     xvar = J[0] if J else None
-    touching = [k for k, cl in enumerate(st.phi1) if clause_vars(cl) & I]
+    touching = [k for k, cl in enumerate(st.clauses) if clause_vars(cl) & I]
     domain = sorted(I | set(J))
     ivars = sorted(I)
 
-    def grouped(clauses, s):
+    def grouped(s, side):
         groups: dict[int | None, list[dict[int, int]]] = {}
-        for bits in side_solutions([clauses[k] for k in touching], s, domain):
+        for bits in side_solutions([st.clauses[k] for k in touching], s, domain, side):
             values = dict(zip(domain, bits))
             groups.setdefault(values.get(xvar), []).append(values)
         return groups
 
-    g1 = grouped(st.phi1, st.s1)
-    g2 = grouped(st.phi2, st.s2)
+    g1 = grouped(st.s1, 0)
+    g2 = grouped(st.s2, 1)
 
     def block_sum(list1, list2):
         acc = ZERO
@@ -294,11 +291,8 @@ def eliminate_semiisolated_1(st: PairState, si: SemiIsolated) -> PairState:
         p_main = p_main * block_sum(g1.get(None, []), g2.get(None, []))
     for v in ivars:
         weights.pop(v)
-    drop = set(touching)
     st = replace(
-        st,
-        phi1=tuple(cl for idx, cl in enumerate(st.phi1) if idx not in drop),
-        phi2=tuple(cl for idx, cl in enumerate(st.phi2) if idx not in drop),
+        drop_clauses(st, set(touching)),
         s1={k: v for k, v in st.s1.items() if k not in I},
         s2={k: v for k, v in st.s2.items() if k not in I},
         V=st.V - I,
@@ -318,7 +312,7 @@ def branch_semiisolated_2(
     block = si.I | si.J
     x = cidx = None
     for v in sorted(si.J):
-        for kdx, cl in enumerate(st.phi1):
+        for kdx, cl in enumerate(st.clauses):
             vs = clause_vars(cl)
             if v in vs and vs - block:
                 x, cidx = v, kdx
@@ -344,24 +338,24 @@ def branch_semiisolated_3(
     cidx = next(
         (
             k
-            for k, cl in enumerate(st.phi1)
+            for k, cl in enumerate(st.clauses)
             if len(clause_vars(cl) & si.J) == 2 and len(clause_vars(cl) & si.I) == 1
         ),
         None,
     )
     if cidx is None:
         raise InternalError("no clause joins two boundary variables with the block")
-    c1, c2 = st.phi1[cidx], st.phi2[cidx]
-    trio = sorted(clause_vars(c1))
-    jpair = clause_vars(c1) & si.J
-    evar = (clause_vars(c1) & si.I).pop()
+    c = st.clauses[cidx]
+    trio = sorted(clause_vars(c))
+    jpair = clause_vars(c) & si.J
+    evar = (clause_vars(c) & si.I).pop()
     rest = frozenset(si.J - jpair)
     inner = frozenset(si.I - {evar})
     children = []
-    for vals1 in true_positions(c1, st.s1):
+    for vals1 in true_positions(c, st.s1, 0):
         if vals1 is None:
             continue
-        for vals2 in true_positions(c2, st.s2):
+        for vals2 in true_positions(c, st.s2, 1):
             if vals2 is None:
                 continue
             child = st
@@ -378,23 +372,24 @@ def branch_four_neighbour(
     """Six-way (or fewer) split on a clause with four dissimilar neighbour
     classes: one child makes the pivot literal false on both sides, the
     other five make it true on at least one side."""
-    c1, c2 = st.phi1[pattern.clause], st.phi2[pattern.clause]
+    c = st.clauses[pattern.clause]
     pivot = pattern.pivot
-    ppos = next(t for t, lit in enumerate(c1) if lit >= 2 and lit >> 1 == pivot)
-    others = [t for t in range(len(c1)) if t != ppos]
-    trio = sorted(clause_vars(c1))
+    ppos = next(t for t, p in enumerate(c) if p >> 2 == pivot)
+    others = [t for t in range(len(c)) if t != ppos]
+    trio = sorted(clause_vars(c))
     generic = pattern.shape == "generic"
     children: list[PairState] = []
     floors: list[int] = []
 
-    i0 = c1[ppos] & 1
-    j0 = c2[ppos] & 1
+    # the pivot literal is false where the pivot's value equals its sign
+    i0 = c[ppos] & 1
+    j0 = (c[ppos] >> 1) & 1
     if st.s1.get(pivot, i0) == i0 and st.s2.get(pivot, j0) == j0:
         children.append(assign_value(st, pivot, i0, j0))
         floors.append(4)
 
-    pos1 = true_positions(c1, st.s1)
-    pos2 = true_positions(c2, st.s2)
+    pos1 = true_positions(c, st.s1, 0)
+    pos2 = true_positions(c, st.s2, 1)
     for p1, p2 in [(ppos, ppos), (ppos, others[0]), (ppos, others[1]),
                    (others[0], ppos), (others[1], ppos)]:
         vals1, vals2 = pos1[p1], pos2[p2]

@@ -33,8 +33,8 @@ class ClauseGraph:
 
 
 def build_clause_graph(st: PairState, debug: bool = False) -> ClauseGraph:
-    classes = clause_classes(st.phi1)
-    vertex_vars = [frozenset(clause_vars(st.phi1[members[0]])) for members in classes]
+    classes = clause_classes(st.clauses)
+    vertex_vars = [frozenset(clause_vars(st.clauses[members[0]])) for members in classes]
     edge_vars: dict[tuple[int, int], frozenset[int]] = {}
     adjacency: list[set[int]] = [set() for _ in classes]
     for a in range(len(classes)):
@@ -66,11 +66,11 @@ def connected_components(st: PairState) -> list[PairState]:
     connectivity. Sub-states start with p_main = 1; the caller multiplies
     the sub-results with the parent's p_main. Variables in no clause stay
     with the parent."""
-    n = len(st.phi1)
+    n = len(st.clauses)
     if n == 0:
         return []
     var_to_clauses: dict[int, list[int]] = {}
-    for idx, cl in enumerate(st.phi1):
+    for idx, cl in enumerate(st.clauses):
         for v in clause_vars(cl):
             var_to_clauses.setdefault(v, []).append(idx)
     comp_of = [-1] * n
@@ -82,7 +82,7 @@ def connected_components(st: PairState) -> list[PairState]:
         comp_of[root] = comp
         while stack:
             cur = stack.pop()
-            for v in clause_vars(st.phi1[cur]):
+            for v in clause_vars(st.clauses[cur]):
                 for nxt in var_to_clauses[v]:
                     if comp_of[nxt] == -1:
                         comp_of[nxt] = comp
@@ -91,11 +91,10 @@ def connected_components(st: PairState) -> list[PairState]:
     out = []
     for c in range(comp):
         indices = [idx for idx in range(n) if comp_of[idx] == c]
-        variables = frozenset().union(*(clause_vars(st.phi1[idx]) for idx in indices))
+        variables = frozenset().union(*(clause_vars(st.clauses[idx]) for idx in indices))
         out.append(
             PairState(
-                phi1=tuple(st.phi1[idx] for idx in indices),
-                phi2=tuple(st.phi2[idx] for idx in indices),
+                clauses=tuple(st.clauses[idx] for idx in indices),
                 s1={v: st.s1[v] for v in sorted(variables) if v in st.s1},
                 s2={v: st.s2[v] for v in sorted(variables) if v in st.s2},
                 V=variables,
@@ -190,7 +189,7 @@ def balanced_bisection(g: ClauseGraph, seed: int = 0) -> Bisection:
 
 
 def branch_cut_variables(
-    st: PairState, bis: Bisection, counts: Counts = None, debug: bool = False
+    st: PairState, bis: Bisection, counts: Counts = None
 ) -> list[PairState | None]:
     """Branch on every value combination of the cut variables; after
     simplification each child's clause set falls apart into the two
@@ -204,7 +203,7 @@ def branch_cut_variables(
         child = st
         for v, (i, j) in zip(cut, combo):
             child = assign_value(child, v, i, j)
-        children.append(simplify_fixpoint(child, counts, debug))
+        children.append(simplify_fixpoint(child, counts))
     return children
 
 
@@ -215,10 +214,10 @@ def brute_force_base(st: PairState) -> HDPoly:
     if len(occ) < len(st.V):
         st = fold_free(st, st.V - occ)
     occ = sorted(occ)
-    sols1 = side_solutions(st.phi1, st.s1, occ)
+    sols1 = side_solutions(st.clauses, st.s1, occ, 0)
     if not sols1:
         return ZERO
-    sols2 = side_solutions(st.phi2, st.s2, occ)
+    sols2 = side_solutions(st.clauses, st.s2, occ, 1)
     if not sols2:
         return ZERO
 

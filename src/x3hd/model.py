@@ -1,10 +1,17 @@
 """Formula representation, clause predicates and the paired recursion state.
 
-Literal encoding: a literal is a plain int. 0 and 1 are the Boolean
+Formula literals: a literal is a plain int. 0 and 1 are the Boolean
 constants; for a variable v >= 1 the literal 2*v is v itself and 2*v+1 is
-its negation. With this encoding `lit ^ 1` negates any literal, including
-the constants (negating 1 gives 0), and substituting v := b turns the
-literal into the constant b ^ (lit & 1).
+its negation. `Formula`, the parser and the oracle use this encoding.
+
+Pair literals: the recursion state holds one clause list for both
+formulas phi(x) and phi(y), which share their clause structure and differ
+only in signs and constants. A pair literal is 4*v + 2*b2 + b1, where v is
+the variable (0 for a constant, so 0..3 are the four constant pairs) and
+b1/b2 are its sign, or its constant value, on side 0 (phi(x)) and side 1
+(phi(y)). On side `side` the literal reads `(p >> side) & 1`: the constant
+itself when v = 0, otherwise the sign, true exactly when value(v) differs
+from it.
 """
 
 from __future__ import annotations
@@ -31,12 +38,9 @@ def to_dimacs(lit: int) -> int:
     return -(lit >> 1) if lit & 1 else lit >> 1
 
 
-def clause_vars(clause: Clause) -> set[int]:
-    return {lit >> 1 for lit in clause if lit >= 2}
-
-
 def clause_satisfied(clause: Clause, values: Mapping[int, int]) -> bool:
-    """Exactly-one semantics: precisely one literal evaluates true."""
+    """Exactly-one semantics on a formula clause: precisely one literal
+    evaluates true."""
     count = 0
     for lit in clause:
         if lit < 2:
@@ -48,10 +52,32 @@ def clause_satisfied(clause: Clause, values: Mapping[int, int]) -> bool:
     return count == 1
 
 
-def true_positions(clause: Clause, fixed: Mapping[int, int]) -> list[dict[int, int] | None]:
+def clause_vars(clause: Clause) -> set[int]:
+    """The variables of a pair clause."""
+    return {p >> 2 for p in clause if p >= 4}
+
+
+def substitute(
+    clauses: tuple[Clause, ...], old: int, new: int, i: int, j: int
+) -> tuple[Clause, ...]:
+    """Replace variable `old` by `new`, where value(old) = value(new) ^ i on
+    side 0 and ^ j on side 1. With new = 0 this sets old to the constant
+    pair (i, j)."""
+    lo, hi = 4 * old, 4 * old + 3
+    base, flip = 4 * new, 2 * j + i
+    return tuple(
+        tuple(base + (p & 3 ^ flip) if lo <= p <= hi else p for p in cl)
+        if any(lo <= p <= hi for p in cl) else cl
+        for cl in clauses
+    )
+
+
+def true_positions(
+    clause: Clause, fixed: Mapping[int, int], side: int
+) -> list[dict[int, int] | None]:
     """Per literal position, the values of the clause's variables that make
-    exactly that literal true and agree with `fixed`; None where the clause
-    itself or `fixed` rules the position out.
+    exactly that literal true on `side` and agree with `fixed`; None where
+    the clause itself or `fixed` rules the position out.
 
     A satisfying assignment has exactly one true literal, so the entries
     that are not None are the clause's local solutions, each given once.
@@ -61,15 +87,16 @@ def true_positions(clause: Clause, fixed: Mapping[int, int]) -> list[dict[int, i
     out: list[dict[int, int] | None] = []
     for pos in range(len(clause)):
         values: dict[int, int] | None = {}
-        for t, lit in enumerate(clause):
+        for t, p in enumerate(clause):
             want = 1 if t == pos else 0
-            if lit < 2:
-                if lit != want:
+            b = (p >> side) & 1
+            if p < 4:
+                if b != want:
                     values = None
                     break
                 continue
-            v = lit >> 1
-            val = want ^ (lit & 1)
+            v = p >> 2
+            val = want ^ b
             if fixed.get(v, val) != val or values.get(v, val) != val:
                 values = None
                 break
@@ -78,9 +105,9 @@ def true_positions(clause: Clause, fixed: Mapping[int, int]) -> list[dict[int, i
     return out
 
 
-def clause_unsatisfiable(clause: Clause, fixed: Mapping[int, int]) -> bool:
+def clause_unsatisfiable(clause: Clause, fixed: Mapping[int, int], side: int) -> bool:
     """True iff no assignment that agrees with `fixed` makes exactly one
-    literal of `clause` true.
+    literal of `clause` true on `side`.
 
     With the free variables distinct this is closed form: each free literal
     can be set either way, so the clause is unsatisfiable iff more than one
@@ -89,27 +116,28 @@ def clause_unsatisfiable(clause: Clause, fixed: Mapping[int, int]) -> bool:
     """
     pinned = 0
     free = []
-    for lit in clause:
-        if lit < 2:
-            pinned += lit
+    for p in clause:
+        b = (p >> side) & 1
+        if p < 4:
+            pinned += b
             continue
-        v = lit >> 1
+        v = p >> 2
         val = fixed.get(v)
         if val is not None:
-            pinned += val ^ (lit & 1)
+            pinned += val ^ b
         elif v in free:
-            return all(values is None for values in true_positions(clause, fixed))
+            return all(values is None for values in true_positions(clause, fixed, side))
         else:
             free.append(v)
     return pinned > 1 or (pinned == 0 and not free)
 
 
 def side_solutions(
-    clauses: Sequence[Clause], fixed: Mapping[int, int], variables: Sequence[int]
+    clauses: Sequence[Clause], fixed: Mapping[int, int], variables: Sequence[int], side: int
 ) -> list[tuple[int, ...]]:
     """Assignments to `variables` (as tuples in that order) that satisfy
-    every clause and agree with `fixed`, built clause by clause from
-    `true_positions`. Each is produced once. `variables` must cover the
+    every clause on `side` and agree with `fixed`, built clause by clause
+    from `true_positions`. Each is produced once. `variables` must cover the
     clauses' variables; those in no clause take every value `fixed` allows.
     """
     leaves: list[dict[int, int]] = []
@@ -118,7 +146,7 @@ def side_solutions(
         if cidx == len(clauses):
             leaves.append(values)
             return
-        for derived in true_positions(clauses[cidx], values):
+        for derived in true_positions(clauses[cidx], values, side):
             if derived is not None:
                 extend(cidx + 1, values | derived)
 
@@ -158,30 +186,20 @@ class Formula:
 
 
 def similarity_key(clause: Clause):
-    """Clauses are similar iff negating literals maps one onto the other:
-    equivalently, same variable multiset and same number of constants."""
-    return (tuple(sorted(lit >> 1 for lit in clause if lit >= 2)),
-            sum(1 for lit in clause if lit < 2))
-
-
-def are_similar(c1: Clause, c2: Clause) -> bool:
-    return similarity_key(c1) == similarity_key(c2)
-
-
-def are_neighbours(c1: Clause, c2: Clause) -> bool:
-    return bool(clause_vars(c1) & clause_vars(c2))
+    """Pair clauses are similar iff negating literals maps one onto the
+    other: equivalently, same variable multiset and same number of
+    constants."""
+    return (tuple(sorted(p >> 2 for p in clause if p >= 4)),
+            sum(1 for p in clause if p < 4))
 
 
 def clause_classes(clauses: Iterable[Clause]) -> list[list[int]]:
-    """Partition clause indices into similarity classes, by first occurrence."""
+    """Partition pair clause indices into similarity classes, by first
+    occurrence."""
     order: dict = {}
     for idx, clause in enumerate(clauses):
         order.setdefault(similarity_key(clause), []).append(idx)
     return list(order.values())
-
-
-def dissimilar_classes(f: Formula) -> list[list[int]]:
-    return clause_classes(f.clauses)
 
 
 # Per-variable weight tables, indexed by 2*i + j for the value pair (i, j)
@@ -197,17 +215,16 @@ def pristine_weights(variables: Iterable[int]) -> dict[int, WeightTable]:
 
 @dataclass(eq=False)
 class PairState:
-    """One node of the search: two structure-locked formulas plus bookkeeping.
+    """One node of the search: the clauses of both formulas as pair
+    literals, plus bookkeeping.
 
-    phi1 and phi2 always have the same clause count and, position by
-    position, reference the same variable (or are both constants). s1/s2
-    hold values forced on one side only; a variable determined on both
-    sides is eliminated. Treat instances as immutable snapshots: rewrites
-    build new states and never mutate the dicts in place.
+    s1/s2 hold values forced on side 0 (phi(x)) or side 1 (phi(y)) only; a
+    variable determined on both sides is eliminated. Treat instances as
+    immutable snapshots: rewrites build new states and never mutate the
+    dicts in place.
     """
 
-    phi1: tuple[Clause, ...]
-    phi2: tuple[Clause, ...]
+    clauses: tuple[Clause, ...]
     s1: dict[int, int]
     s2: dict[int, int]
     V: frozenset[int]
@@ -215,14 +232,13 @@ class PairState:
     weights: dict[int, WeightTable] = field(repr=False)
 
     def occurring(self) -> set[int]:
-        return {v for cl in self.phi1 for v in clause_vars(cl)}
+        return {v for cl in self.clauses for v in clause_vars(cl)}
 
 
 def initial_state(f: Formula) -> PairState:
     variables = frozenset(range(1, f.n_vars + 1))
     return PairState(
-        phi1=f.clauses,
-        phi2=f.clauses,
+        clauses=tuple(tuple(4 * (lit >> 1) + 3 * (lit & 1) for lit in cl) for cl in f.clauses),
         s1={},
         s2={},
         V=variables,
@@ -231,21 +247,8 @@ def initial_state(f: Formula) -> PairState:
     )
 
 
-def check_structure(st: PairState) -> None:
-    """Assert the structure lock between phi1 and phi2."""
-    if len(st.phi1) != len(st.phi2):
-        raise InternalError("structure lock: clause counts differ")
-    for idx, (c1, c2) in enumerate(zip(st.phi1, st.phi2)):
-        if len(c1) != len(c2):
-            raise InternalError(f"structure lock: arity differs at clause {idx}")
-        for l1, l2 in zip(c1, c2):
-            if (l1 < 2) != (l2 < 2) or (l1 >= 2 and l1 >> 1 != l2 >> 1):
-                raise InternalError(f"structure lock: misaligned literal in clause {idx}")
-
-
 def check_state(st: PairState) -> None:
     """Full debug validation of a PairState."""
-    check_structure(st)
     occ = st.occurring()
     if not occ <= st.V:
         raise InternalError(f"clause variables {occ - st.V} missing from V")

@@ -130,15 +130,20 @@ def state_eval(st: PairState, limit: int | None = DEFAULT_STATE_LIMIT) -> HDPoly
         p_main * sum over satisfying pairs (b1, b2) on V of
                  prod over x in V of weights[x][b1(x), b2(x)]
 
-    where b1/b2 must satisfy phi1/phi2 and agree with s1/s2.
+    where b1/b2 must satisfy side 0/side 1 of the pair clauses and agree
+    with s1/s2. Each side is read back as formula clauses, so the check
+    goes through `clause_satisfied` and none of the solver's predicates.
     """
     if limit is not None and len(st.V) > limit:
         raise LimitError(f"state evaluation over {len(st.V)} variables exceeds limit {limit}")
-    occ = {v for cl in st.phi1 for v in clause_vars(cl)}
-    occ |= {v for cl in st.phi2 for v in clause_vars(cl)}
+    occ = {v for cl in st.clauses for v in clause_vars(cl)}
     core = sorted(occ)
-    sats1 = _satisfying_assignments(st.phi1, st.s1, core)
-    sats2 = _satisfying_assignments(st.phi2, st.s2, core)
+    sats1, sats2 = (
+        _satisfying_assignments(
+            [tuple(2 * (p >> 2) + ((p >> side) & 1) for p in cl) for cl in st.clauses], s, core
+        )
+        for side, s in enumerate((st.s1, st.s2))
+    )
     total = ZERO
     for b1 in sats1:
         for b2 in sats2:

@@ -23,44 +23,26 @@ from .errors import InternalError
 from .model import (
     Clause,
     PairState,
-    check_structure,
     clause_unsatisfiable,
     clause_vars,
+    substitute,
     true_positions,
 )
 from .poly import HDPoly
 
 
-def _substitute_const(clauses: tuple[Clause, ...], var: int, value: int) -> tuple[Clause, ...]:
-    lo, hi = 2 * var, 2 * var + 1
-    return tuple(
-        tuple((value ^ (lit & 1)) if lo <= lit <= hi else lit for lit in cl)
-        if any(lo <= lit <= hi for lit in cl) else cl
-        for cl in clauses
-    )
-
-
-def _substitute_var(clauses: tuple[Clause, ...], old: int, new: int, pol: int) -> tuple[Clause, ...]:
-    # value(old) = value(new) ^ pol, so literal (old, g) becomes (new, g ^ pol)
-    lo, hi = 2 * old, 2 * old + 1
-    return tuple(
-        tuple((2 * new + ((lit & 1) ^ pol)) if lo <= lit <= hi else lit for lit in cl)
-        if any(lo <= lit <= hi for lit in cl) else cl
-        for cl in clauses
-    )
-
-
-def _drop_clauses(st: PairState, indices: set[int]) -> PairState:
-    phi1 = tuple(cl for idx, cl in enumerate(st.phi1) if idx not in indices)
-    phi2 = tuple(cl for idx, cl in enumerate(st.phi2) if idx not in indices)
-    return replace(st, phi1=phi1, phi2=phi2)
+def drop_clauses(st: PairState, indices: set[int]) -> PairState:
+    """The state without the clauses at `indices`."""
+    clauses = tuple(cl for idx, cl in enumerate(st.clauses) if idx not in indices)
+    return replace(st, clauses=clauses)
 
 
 def detect_unsat(st: PairState) -> bool:
-    """True iff some clause cannot be satisfied by any assignment that is
-    consistent with the corresponding side's forced values."""
-    return (any(clause_unsatisfiable(cl, st.s1) for cl in st.phi1)
-            or any(clause_unsatisfiable(cl, st.s2) for cl in st.phi2))
+    """True iff some clause cannot be satisfied on some side by any
+    assignment that is consistent with that side's forced values."""
+    s1, s2 = st.s1, st.s2
+    return any(clause_unsatisfiable(cl, s1, 0) or clause_unsatisfiable(cl, s2, 1)
+               for cl in st.clauses)
 
 
 def _weight_sum(st: PairState, x: int) -> HDPoly:
@@ -83,13 +65,12 @@ def eliminate_determined(st: PairState, x: int) -> PairState:
     j = st.s2.get(x)
     weights = dict(st.weights)
     del weights[x]
-    phi1, phi2 = st.phi1, st.phi2
+    clauses = st.clauses
     if i is not None and j is not None:
-        phi1 = _substitute_const(phi1, x, i)
-        phi2 = _substitute_const(phi2, x, j)
+        clauses = substitute(clauses, x, 0, i, j)
     s1 = {k: v for k, v in st.s1.items() if k != x}
     s2 = {k: v for k, v in st.s2.items() if k != x}
-    return replace(st, phi1=phi1, phi2=phi2, s1=s1, s2=s2,
+    return replace(st, clauses=clauses, s1=s1, s2=s2,
                    V=st.V - {x}, p_main=st.p_main * _weight_sum(st, x), weights=weights)
 
 
@@ -133,18 +114,17 @@ def link_variables(st: PairState, keep: int, drop: int, pol1: int, pol2: int) ->
             s[keep] = implied
     return replace(
         st,
-        phi1=_substitute_var(st.phi1, drop, keep, pol1),
-        phi2=_substitute_var(st.phi2, drop, keep, pol2),
+        clauses=substitute(st.clauses, drop, keep, pol1, pol2),
         s1=s1, s2=s2, V=st.V - {drop}, weights=weights,
     )
 
 
 @dataclass(frozen=True)
 class SmallClauseAction:
-    """Joint effect of a clause pair with at most two distinct variables.
+    """Joint effect of a pair clause with at most two distinct variables.
 
-    The clause is always dropped from both formulas unless unsat. Forces
-    are (side, variable, value) records; the link, when present, carries a
+    The clause is always dropped unless unsat. Forces are (side, variable,
+    value) records with side 0 or 1; the link, when present, carries a
     per-side polarity (value(drop) = value(keep) ^ pol).
     """
 
@@ -153,11 +133,11 @@ class SmallClauseAction:
     link: tuple[int, int, int, int] | None = None
 
 
-def _classify_side(clause: Clause):
-    """Satisfying set of one small clause, summarised as one of
+def _classify_side(clause: Clause, side: int):
+    """Satisfying set of one small clause on `side`, summarised as one of
     'unsat', 'drop', 'force' (forced: var -> value) or 'link' (pol)."""
     variables = sorted(clause_vars(clause))
-    sat = [values for values in true_positions(clause, {}) if values is not None]
+    sat = [values for values in true_positions(clause, {}, side) if values is not None]
     if not sat:
         return "unsat", {}, None
     if not variables:
@@ -179,55 +159,57 @@ def _classify_side(clause: Clause):
     return "link", {}, sat[0][variables[0]] ^ sat[0][variables[1]]
 
 
-def normalize_small_clause(c1: Clause, c2: Clause) -> SmallClauseAction:
-    """Classify an aligned clause pair with <= 2 distinct variables into
-    the joint action to apply to both formulas."""
-    kind1, forced1, pol1 = _classify_side(c1)
-    kind2, forced2, pol2 = _classify_side(c2)
-    if kind1 == "unsat" or kind2 == "unsat":
+def normalize_small_clause(clause: Clause) -> SmallClauseAction:
+    """Classify a pair clause with <= 2 distinct variables into the joint
+    action to apply to both sides."""
+    sides = [_classify_side(clause, side) for side in (0, 1)]
+    if any(kind == "unsat" for kind, _, _ in sides):
         return SmallClauseAction(True)
-    forces = tuple((1, v, val) for v, val in sorted(forced1.items()))
-    forces += tuple((2, v, val) for v, val in sorted(forced2.items()))
-    link = None
-    if kind1 == "link" or kind2 == "link":
-        variables = sorted(clause_vars(c1))
-        if len(variables) != 2 or clause_vars(c2) != set(variables):
-            raise InternalError("link action on misaligned clause pair")
-        keep, drop = variables
-        pols = []
-        for kind, forced, pol in ((kind1, forced1, pol1), (kind2, forced2, pol2)):
-            if kind == "link":
-                pols.append(pol)
-            elif len(forced) == 2:
-                # a fully forced side is consistent with the link that
-                # passes through its single satisfying point
-                pols.append(forced[keep] ^ forced[drop])
-            else:
-                raise InternalError("link paired with a partially free side")
-        link = (keep, drop, pols[0], pols[1])
-    return SmallClauseAction(False, forces, link)
+    forces = tuple(
+        (side, v, val)
+        for side, (_, forced, _) in enumerate(sides)
+        for v, val in sorted(forced.items())
+    )
+    if all(kind != "link" for kind, _, _ in sides):
+        return SmallClauseAction(False, forces)
+    keep, drop = sorted(clause_vars(clause))
+    pols = []
+    for kind, forced, pol in sides:
+        if kind == "link":
+            pols.append(pol)
+        elif len(forced) == 2:
+            # a fully forced side is consistent with the link that
+            # passes through its single satisfying point
+            pols.append(forced[keep] ^ forced[drop])
+        else:
+            raise InternalError("link paired with a partially free side")
+    return SmallClauseAction(False, forces, (keep, drop, pols[0], pols[1]))
+
+
+def _force(st: PairState, forces) -> PairState | None:
+    """Record (side, variable, value) forces; None on a contradiction."""
+    assigned = (dict(st.s1), dict(st.s2))
+    for side, var, val in forces:
+        s = assigned[side]
+        if s.get(var, val) != val:
+            return None
+        s[var] = val
+    return replace(st, s1=assigned[0], s2=assigned[1])
 
 
 def apply_small_clause(st: PairState, idx: int, action: SmallClauseAction) -> PairState | None:
     if action.unsat:
         return None
-    st = _drop_clauses(st, {idx})
-    s1, s2 = dict(st.s1), dict(st.s2)
-    for side, var, val in action.forces:
-        s = s1 if side == 1 else s2
-        if s.get(var, val) != val:
-            return None
-        s[var] = val
-    st = replace(st, s1=s1, s2=s2)
-    if action.link is not None:
+    st = _force(drop_clauses(st, {idx}), action.forces)
+    if st is not None and action.link is not None:
         return link_variables(st, *action.link)
     return st
 
 
-def _sign_of(clause: Clause, var: int) -> int:
-    for lit in clause:
-        if lit >= 2 and lit >> 1 == var:
-            return lit & 1
+def _sign_of(clause: Clause, var: int, side: int) -> int:
+    for p in clause:
+        if p >> 2 == var:
+            return (p >> side) & 1
     raise InternalError(f"variable {var} not in clause")
 
 
@@ -235,8 +217,9 @@ def resolve_shared_pair(st: PairState, i: int, j: int) -> PairState | None:
     """Resolve two clauses (3 distinct variables each) sharing exactly two
     variables: the two non-shared variables are always linked, and the
     polarity pattern of the shared literals may force values first."""
-    vi = clause_vars(st.phi1[i])
-    vj = clause_vars(st.phi1[j])
+    ci, cj = st.clauses[i], st.clauses[j]
+    vi = clause_vars(ci)
+    vj = clause_vars(cj)
     shared = sorted(vi & vj)
     if len(shared) != 2 or len(vi) != 3 or len(vj) != 3:
         raise InternalError("shared-pair resolution needs 3-variable clauses sharing 2")
@@ -244,10 +227,10 @@ def resolve_shared_pair(st: PairState, i: int, j: int) -> PairState | None:
     z = (vj - set(shared)).pop()
     forces: list[tuple[int, int, int]] = []
     pols = []
-    for side, (ci, cj) in ((1, (st.phi1[i], st.phi1[j])), (2, (st.phi2[i], st.phi2[j]))):
-        flips = [_sign_of(ci, v) != _sign_of(cj, v) for v in shared]
-        gw = _sign_of(ci, w)
-        gz = _sign_of(cj, z)
+    for side in (0, 1):
+        flips = [_sign_of(ci, v, side) != _sign_of(cj, v, side) for v in shared]
+        gw = _sign_of(ci, w, side)
+        gz = _sign_of(cj, z, side)
         if flips[0] and flips[1]:
             # both shared literals flipped: the two extra literals must be false
             rel = 0
@@ -259,35 +242,31 @@ def resolve_shared_pair(st: PairState, i: int, j: int) -> PairState | None:
             # one flipped: the unflipped shared literal must be false
             rel = 1
             u = shared[0] if not flips[0] else shared[1]
-            forces.append((side, u, _sign_of(ci, u)))
+            forces.append((side, u, _sign_of(ci, u, side)))
         pols.append(gw ^ gz ^ rel)
-    s1, s2 = dict(st.s1), dict(st.s2)
-    for side, var, val in forces:
-        s = s1 if side == 1 else s2
-        if s.get(var, val) != val:
-            return None
-        s[var] = val
-    st = replace(st, s1=s1, s2=s2)
+    st = _force(st, forces)
+    if st is None:
+        return None
     keep, drop = (w, z) if w < z else (z, w)
     return link_variables(st, keep, drop, pols[0], pols[1])
 
 
 def _first_duplicates(st: PairState) -> set[int]:
-    seen: dict = {}
+    """Indices of clauses equal, up to literal order, to an earlier one."""
+    seen: set = set()
     dups: set[int] = set()
-    for idx in range(len(st.phi1)):
-        key = (tuple(sorted(st.phi1[idx])), tuple(sorted(st.phi2[idx])))
+    for idx, cl in enumerate(st.clauses):
+        key = tuple(sorted(cl))
         if key in seen:
             dups.add(idx)
         else:
-            seen[key] = idx
+            seen.add(key)
     return dups
 
 
 def simplify_fixpoint(
     st: PairState,
     counts: MutableMapping[str, int] | None = None,
-    debug: bool = False,
 ) -> PairState | None:
     """Apply the non-branching rules in priority order until none fires.
 
@@ -305,10 +284,10 @@ def simplify_fixpoint(
             return None
         dups = _first_duplicates(st)
         if dups:
-            st = _drop_clauses(st, dups)
+            st = drop_clauses(st, dups)
             bump("dedup")
             continue
-        varsets = [clause_vars(cl) for cl in st.phi1]
+        varsets = [clause_vars(cl) for cl in st.clauses]
         occ = set().union(*varsets)
         target = min(
             (v for v in st.V if v not in occ or (v in st.s1 and v in st.s2)), default=None
@@ -324,19 +303,14 @@ def simplify_fixpoint(
                 free = st.V - occ
                 st = fold_free(st, free)
                 bump("case1_ii", len(free))
-            if debug:
-                check_structure(st)
             continue
         small = next((k for k, vs in enumerate(varsets) if len(vs) <= 2), None)
         if small is not None:
             bump("case1_iii")
-            action = normalize_small_clause(st.phi1[small], st.phi2[small])
-            nxt = apply_small_clause(st, small, action)
+            nxt = apply_small_clause(st, small, normalize_small_clause(st.clauses[small]))
             if nxt is None:
                 return None
             st = nxt
-            if debug:
-                check_structure(st)
             continue
         pair = None
         for a in range(len(varsets)):
@@ -352,7 +326,5 @@ def simplify_fixpoint(
             if nxt is None:
                 return None
             st = nxt
-            if debug:
-                check_structure(st)
             continue
         return st

@@ -106,7 +106,7 @@ def _node(st: PairState, opts: SolveOptions, stats: SolveStats, depth: int) -> t
     stats.nodes += 1
     if depth > stats.max_depth:
         stats.max_depth = depth
-    simplified = simplify_fixpoint(st, stats.rules, opts.debug)
+    simplified = simplify_fixpoint(st, stats.rules)
     if simplified is None:
         return ZERO, 1
     st = simplified
@@ -176,7 +176,7 @@ def _node(st: PairState, opts: SolveOptions, stats: SolveStats, depth: int) -> t
     bisection = balanced_bisection(graph, opts.seed)
     stats.branched_vars += len(bisection.cut_vars)
     return _sum_children(
-        branch_cut_variables(st, bisection, stats.rules, opts.debug),
+        branch_cut_variables(st, bisection, stats.rules),
         opts, stats, depth,
     )
 

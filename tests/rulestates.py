@@ -28,7 +28,7 @@ from x3hd.decompose import (
     build_clause_graph,
     connected_components,
 )
-from x3hd.model import PairState, check_state, clause_vars, from_dimacs, pristine_weights
+from x3hd.model import PairState, check_state, from_dimacs, pristine_weights
 from x3hd.poly import ONE, HDPoly
 from x3hd.simplify import (
     apply_small_clause,
@@ -51,15 +51,38 @@ def clause(*tokens) -> tuple[int, ...]:
     return tuple(lit(t) for t in tokens)
 
 
+def formula_vars(cl) -> set[int]:
+    """The variables of a clause in the formula encoding."""
+    return {l >> 1 for l in cl if l >= 2}
+
+
+def pair_clause(c1, c2=None) -> tuple[int, ...]:
+    """The pair clause whose side 0 is the formula clause c1 and whose
+    side 1 is c2 (c1 when omitted); the sides must align position by
+    position on the same variable, or on constants."""
+    c2 = c1 if c2 is None else c2
+    if len(c1) != len(c2):
+        raise ValueError(f"sides {c1} and {c2} differ in arity")
+    out = []
+    for l1, l2 in zip(c1, c2):
+        if (l1 < 2) != (l2 < 2) or (l1 >= 2 and l1 >> 1 != l2 >> 1):
+            raise ValueError(f"sides {c1} and {c2} are misaligned")
+        out.append(4 * (l1 >> 1) + 2 * (l2 & 1) + (l1 & 1))
+    return tuple(out)
+
+
 def mkstate(phi1, phi2=None, extra_vars=(), s1=None, s2=None) -> PairState:
-    phi1 = tuple(tuple(cl) for cl in phi1)
-    phi2 = tuple(tuple(cl) for cl in phi2) if phi2 is not None else phi1
+    """A state over the formula-encoded sides phi1 and phi2 (phi1 when
+    omitted), with pristine weights."""
+    phi2 = phi1 if phi2 is None else phi2
+    if len(phi1) != len(phi2):
+        raise ValueError("the sides differ in clause count")
+    clauses = tuple(pair_clause(tuple(c1), tuple(c2)) for c1, c2 in zip(phi1, phi2))
     variables = set(extra_vars)
-    for cl in phi1 + phi2:
-        variables |= clause_vars(cl)
+    for cl in phi1:
+        variables |= formula_vars(cl)
     st = PairState(
-        phi1=phi1,
-        phi2=phi2,
+        clauses=clauses,
         s1=dict(s1 or {}),
         s2=dict(s2 or {}),
         V=frozenset(variables),
@@ -86,7 +109,7 @@ def build_paired(base, rng, extra_vars=()):
     """Encode a clause list, rename variables by a random permutation and
     draw independent literal signs for the two sides."""
     encoded = [clause(*cl) for cl in base]
-    variables = sorted(set().union(*(clause_vars(c) for c in encoded)) | set(extra_vars))
+    variables = sorted(set().union(*(formula_vars(c) for c in encoded)) | set(extra_vars))
     perm = list(range(1, len(variables) + 1))
     rng.shuffle(perm)
     mapping = dict(zip(variables, perm))
@@ -174,11 +197,10 @@ def case1_i(seed: int) -> RuleCase:
 def case1_i_conflict(seed: int) -> RuleCase:
     rng = random.Random(seed)
     st, mapping = build_paired([[1, 2, 3], [4, 5, 6]], rng)
-    cl = st.phi1[0]
-    lits = [l for l in cl if l >= 2][:2]
+    lits = [p for p in st.clauses[0] if p >= 4][:2]
     s1 = dict(st.s1)
-    for l in lits:
-        s1[l >> 1] = 1 ^ (l & 1)  # both literals true: exactly-one impossible
+    for p in lits:
+        s1[p >> 2] = 1 ^ (p & 1)  # both literals true on side 0: exactly-one impossible
     st = replace(st, s1=s1)
     st = fuzz_weights(st, rng)
     assert detect_unsat(st)
@@ -229,7 +251,7 @@ def case1_iii(seed: int) -> RuleCase:
     st = fuzz_one_sided_values(st, rng)
     if detect_unsat(st):
         return RuleCase("case1_i", st, [], "sum")
-    action = normalize_small_clause(st.phi1[0], st.phi2[0])
+    action = normalize_small_clause(st.clauses[0])
     child = apply_small_clause(st, 0, action)
     return RuleCase("case1_iii", st, [child] if child is not None else [], "sum")
 

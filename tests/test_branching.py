@@ -27,7 +27,7 @@ def test_assign_value_scales_and_substitutes():
     st = mkstate([clause(1, 2, 3)])
     child = assign_value(st, 1, 0, 1)
     assert child.p_main == U
-    assert child.phi1[0][0] == 0 and child.phi2[0][0] == 1
+    assert child.clauses[0][0] == 2  # false on side 0, true on side 1
     assert 1 not in child.V and 1 not in child.weights
 
 
@@ -112,7 +112,7 @@ def test_semiisolated_elimination_keeps_connected_boundary():
     si = SemiIsolated(I=frozenset({2, 3}), J=frozenset({1}))
     out = eliminate_semiisolated_1(st, si)
     assert out.V == frozenset({1, 4, 5})
-    assert len(out.phi1) == 1
+    assert len(out.clauses) == 1
     assert state_eval(out) == state_eval(st)
     # the boundary variable's table now carries the block sums
     assert out.weights[1][0] == HDPoly({0: 2, 2: 2})

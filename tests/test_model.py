@@ -1,19 +1,19 @@
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rulestates import clause, mkstate
+from rulestates import clause, mkstate, pair_clause
 from x3hd.model import (
     Formula,
-    are_neighbours,
-    are_similar,
     check_state,
+    clause_classes,
     clause_satisfied,
     clause_unsatisfiable,
-    dissimilar_classes,
+    clause_vars,
     from_dimacs,
     initial_state,
     side_solutions,
@@ -40,15 +40,21 @@ def test_clause_satisfied_exactly_one():
     assert clause_satisfied(clause("T", 1), {1: 0})
 
 
-# every clause of arity 1..3 over the constants F (0) and T (1) and every
-# literal of variables 1, 2 and 3, with every partial map over those variables
-ALL_CLAUSES = [cl for k in (1, 2, 3) for cl in product(range(8), repeat=k)]
+# every pair clause of arity 1..3 over the constant pairs (0..3) and the
+# variables 1, 2 and 3 with independent signs per side, with every partial
+# map over those variables
+PAIR_CLAUSES = [cl for k in (1, 2, 3) for cl in product(range(16), repeat=k)]
 PARTIAL_MAPS = [
     {v: b for v, b in zip((1, 2, 3), bits) if b is not None}
     for bits in product((None, 0, 1), repeat=3)
 ]
-# the clauses over variables 1 and 2 only
-SMALL_CLAUSES = [cl for cl in ALL_CLAUSES if max(cl) < 6]
+# the pair clauses over variables 1 and 2 only
+SMALL_CLAUSES = [cl for cl in PAIR_CLAUSES if max(cl) < 12]
+
+
+def side_of(cl, side):
+    """The formula clause that pair clause `cl` reads as on `side`."""
+    return tuple(2 * (p >> 2) + ((p >> side) & 1) for p in cl)
 
 
 def _assignments(variables, fixed):
@@ -59,44 +65,53 @@ def _assignments(variables, fixed):
 
 
 def test_true_positions_are_the_satisfying_assignments():
-    for cl in ALL_CLAUSES:
-        variables = sorted({lit >> 1 for lit in cl if lit >= 2})
-        for fixed in PARTIAL_MAPS:
-            positions = true_positions(cl, fixed)
-            assert len(positions) == len(cl)
-            found = []
-            for pos, values in enumerate(positions):
-                if values is None:
-                    continue
-                assert sorted(values) == variables
-                lit = cl[pos]
-                assert (lit if lit < 2 else values[lit >> 1] ^ (lit & 1)) == 1
-                found.append(tuple(values[v] for v in variables))
-            expected = [
-                tuple(values[v] for v in variables)
-                for values in _assignments(variables, fixed)
-                if clause_satisfied(cl, values)
-            ]
-            assert sorted(found) == expected, (cl, fixed)
-            assert clause_unsatisfiable(cl, fixed) is (not found), (cl, fixed)
+    expected_of: dict = {}
+    for cl in PAIR_CLAUSES:
+        variables = sorted(clause_vars(cl))
+        for side in (0, 1):
+            projected = side_of(cl, side)
+            for idx, fixed in enumerate(PARTIAL_MAPS):
+                key = (projected, idx)
+                if key not in expected_of:
+                    expected_of[key] = [
+                        tuple(values[v] for v in variables)
+                        for values in _assignments(variables, fixed)
+                        if clause_satisfied(projected, values)
+                    ]
+                expected = expected_of[key]
+                positions = true_positions(cl, fixed, side)
+                assert len(positions) == len(cl)
+                found = []
+                for pos, values in enumerate(positions):
+                    if values is None:
+                        continue
+                    assert sorted(values) == variables
+                    p = cl[pos]
+                    b = (p >> side) & 1
+                    assert (b if p < 4 else values[p >> 2] ^ b) == 1
+                    found.append(tuple(values[v] for v in variables))
+                assert sorted(found) == expected, (cl, side, fixed)
+                assert clause_unsatisfiable(cl, fixed, side) is (not expected), (cl, side, fixed)
 
 
 def test_side_solutions_match_brute_force():
     rng = random.Random(5)
     variables = [1, 2, 3]  # variable 3 occurs in no clause
-    fixed_maps = [
-        {v: b for v, b in zip(variables, bits) if b is not None}
-        for bits in product((None, 0, 1), repeat=3)
-    ]
     for _ in range(3000):
         clauses = rng.sample(SMALL_CLAUSES, rng.choice((2, 3)))
-        fixed = rng.choice(fixed_maps)
-        expected = [
-            tuple(values[v] for v in variables)
-            for values in _assignments(variables, fixed)
-            if all(clause_satisfied(cl, values) for cl in clauses)
-        ]
-        assert sorted(side_solutions(clauses, fixed, variables)) == expected
+        fixed = rng.choice(PARTIAL_MAPS)
+        for side in (0, 1):
+            projected = [side_of(cl, side) for cl in clauses]
+            expected = [
+                tuple(values[v] for v in variables)
+                for values in _assignments(variables, fixed)
+                if all(clause_satisfied(cl, values) for cl in projected)
+            ]
+            assert sorted(side_solutions(clauses, fixed, variables, side)) == expected
+
+
+def similar(a, b) -> bool:
+    return len(clause_classes([a, b])) == 1
 
 
 @pytest.mark.parametrize(
@@ -110,41 +125,26 @@ def test_side_solutions_match_brute_force():
     ],
 )
 def test_are_similar(c1, c2, expected):
-    assert are_similar(c1, c2) is expected
-
-
-def test_are_neighbours():
-    assert are_neighbours(clause(1, 2, 3), clause(-1, 4, 5))
-    assert not are_neighbours(clause(1, 2, 3), clause(4, 5, 6))
-    c = clause(1, 2, 3)
-    assert are_neighbours(c, c)
+    assert similar(pair_clause(c1), pair_clause(c2)) is expected
 
 
 def test_dissimilar_classes():
     f = Formula.from_dimacs([[1, 2, 3], [-1, 2, 3]], 3)
-    assert dissimilar_classes(f) == [[0, 1]]
+    assert clause_classes(initial_state(f).clauses) == [[0, 1]]
     g = Formula.from_dimacs([[1, 2, 3], [1, 4, 5]], 5)
-    assert dissimilar_classes(g) == [[0], [1]]
-    assert dissimilar_classes(Formula((), 0)) == []
+    assert clause_classes(initial_state(g).clauses) == [[0], [1]]
+    assert clause_classes(()) == []
 
 
 def test_classmates_share_all_variables():
-    import random
-
-    from x3hd.model import clause_vars
-
     rng = random.Random(0)
     clauses = []
     for _ in range(30):
         vs = rng.sample(range(1, 6), 3)
-        clauses.append(tuple(2 * v + rng.randrange(2) for v in vs))
-    f = Formula(tuple(clauses), 5)
-    for members in dissimilar_classes(f):
-        variable_sets = {frozenset(clause_vars(f.clauses[i])) for i in members}
+        clauses.append(tuple(4 * v + rng.randrange(4) for v in vs))
+    for members in clause_classes(clauses):
+        variable_sets = {frozenset(clause_vars(clauses[i])) for i in members}
         assert len(variable_sets) == 1
-        for i in members:
-            for j in members:
-                assert are_neighbours(f.clauses[i], f.clauses[j])
 
 
 similar_vars = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3)
@@ -153,22 +153,25 @@ similar_vars = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_s
 @given(similar_vars, st.data())
 def test_similarity_is_an_equivalence(variables, data):
     def draw_clause():
+        # independent signs on the two sides
         return tuple(
-            2 * v + data.draw(st.integers(min_value=0, max_value=1)) for v in variables
+            4 * v + data.draw(st.integers(min_value=0, max_value=3)) for v in variables
         )
 
     a, b, c = draw_clause(), draw_clause(), draw_clause()
-    assert are_similar(a, a)
-    assert are_similar(a, b) == are_similar(b, a)
-    if are_similar(a, b) and are_similar(b, c):
-        assert are_similar(a, c)
+    assert similar(a, a)
+    assert similar(a, b) == similar(b, a)
+    if similar(a, b) and similar(b, c):
+        assert similar(a, c)
 
 
 def test_initial_state_worked_example():
     st0 = initial_state(EXAMPLE)
     assert len(st0.V) == 7
     assert st0.p_main == ONE
-    assert st0.phi1 == st0.phi2 == EXAMPLE.clauses
+    # 4*v + 2*b2 + b1, the same sign on both sides
+    assert st0.clauses == ((4, 8, 12), (4, 16, 20), (4, 24, 28), (8, 16, 27))
+    assert st0.clauses == tuple(pair_clause(cl) for cl in EXAMPLE.clauses)
     assert st0.weights[3] == (ONE, U, U, ONE)
     check_state(st0)
 
@@ -177,7 +180,7 @@ def test_initial_state_empty_formulas():
     assert initial_state(Formula((), 0)).V == frozenset()
     st0 = initial_state(Formula((), 2))
     assert st0.V == frozenset({1, 2})
-    assert st0.phi1 == ()
+    assert st0.clauses == ()
 
 
 def test_formula_validation():
@@ -196,9 +199,13 @@ def test_check_state_catches_misalignment():
 
     good = mkstate([clause(1, 2, 3)])
     check_state(good)
-    bad = mkstate([clause(1, 2, 3)], [clause(1, 2, -3)])
-    check_state(bad)  # same variables, different sign: fine
+    signs = mkstate([clause(1, 2, 3)], [clause(1, 2, -3)])
+    check_state(signs)  # same variables, different sign: fine
+    # a state whose sides disagree on a variable cannot be built any more;
+    # the other faults are still caught
     with pytest.raises(InternalError):
-        check_state(mkstate([clause(1, 2, 3)], [clause(1, 2)]))
+        check_state(replace(good, V=frozenset({1, 2})))
     with pytest.raises(InternalError):
-        check_state(mkstate([clause(1, 2, 3)], [clause(1, 2, 4)]))
+        check_state(replace(good, weights={v: good.weights[v] for v in (1, 2)}))
+    with pytest.raises(InternalError):
+        check_state(replace(good, s2={4: 1}))

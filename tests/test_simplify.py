@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from rulestates import FAMILIES, build_paired, clause, fuzz_weights, mkstate
+from rulestates import FAMILIES, build_paired, clause, fuzz_weights, mkstate, pair_clause
 from x3hd.model import initial_state, Formula
 from x3hd.oracle import state_eval
 from x3hd.poly import ONE, U, ZERO, HDPoly
@@ -19,7 +19,7 @@ from x3hd.simplify import (
 
 
 def classify(c1, c2=None):
-    return normalize_small_clause(c1, c2 if c2 is not None else c1)
+    return normalize_small_clause(pair_clause(c1, c2))
 
 
 def test_detect_unsat_examples():
@@ -46,14 +46,14 @@ def test_eliminate_determined_opposite_values_scales_by_u():
     st = mkstate([clause(1, 2, 3)], s1={1: 0}, s2={1: 1})
     out = eliminate_determined(st, 1)
     assert out.p_main == U
-    assert out.phi1[0][0] == 0 and out.phi2[0][0] == 1
+    assert out.clauses[0][0] == 2  # false on side 0, true on side 1
 
 
 def test_eliminate_determined_equal_values():
     st = mkstate([clause(1, 2, 3)], s1={1: 1}, s2={1: 1})
     out = eliminate_determined(st, 1)
     assert out.p_main == ONE
-    assert out.phi1[0][0] == 1 and out.phi2[0][0] == 1
+    assert out.clauses[0][0] == 3  # true on both sides
     assert 1 not in out.s1 and 1 not in out.s2
 
 
@@ -67,26 +67,26 @@ def test_small_clause_table():
     assert classify(clause(1, 1)).unsat
 
     forced = classify(clause(1, 1, 2))
-    assert forced.forces == ((1, 1, 0), (1, 2, 1), (2, 1, 0), (2, 2, 1))
+    assert forced.forces == ((0, 1, 0), (0, 2, 1), (1, 1, 0), (1, 2, 1))
 
     const_force = classify(clause("T", 1, 2))
-    assert const_force.forces == ((1, 1, 0), (1, 2, 0), (2, 1, 0), (2, 2, 0))
+    assert const_force.forces == ((0, 1, 0), (0, 2, 0), (1, 1, 0), (1, 2, 0))
 
 
 def test_small_clause_rectangle_forces_only_one_side_variable():
     action = classify(clause(1, -1, 2))
     assert action.link is None
-    assert action.forces == ((1, 2, 0), (2, 2, 0))
+    assert action.forces == ((0, 2, 0), (1, 2, 0))
 
 
 def test_cross_side_constant_flip_mixes_force_and_link():
     # (1, x, y) forces both variables; (0, x, y) links them
-    action = normalize_small_clause(clause("T", 1, 2), clause("F", 1, 2))
+    action = classify(clause("T", 1, 2), clause("F", 1, 2))
     assert action.link is not None
     keep, dropv, pol1, pol2 = action.link
     assert (keep, dropv) == (1, 2)
     assert pol2 == 1  # side 2 genuinely couples the variables
-    assert ((1, 1, 0) in action.forces) and ((1, 2, 0) in action.forces)
+    assert ((0, 1, 0) in action.forces) and ((0, 2, 0) in action.forces)
     assert pol1 == 0  # consistent with the forced point (0, 0)
 
 
@@ -103,7 +103,7 @@ def test_link_spec_polarity_example():
     # clause (x, y) on side 1 with (x, ~y) on side 2:
     # p_x[i, j] picks up p_y[1 - i, j]
     st = mkstate([clause(1, 2)], [clause(1, -2)])
-    action = normalize_small_clause(st.phi1[0], st.phi2[0])
+    action = normalize_small_clause(st.clauses[0])
     assert action.link == (1, 2, 1, 0)
     out = apply_small_clause(st, 0, action)
     assert out.weights[1] == (U, U, U, U)
@@ -129,8 +129,8 @@ def test_link_conflict_returns_zero():
     "shape1, shape2, forced, polarity",
     [
         ([1, 2, 3], [1, 2, 4], (), 0),          # w = z
-        ([1, 2, 3], [-1, -2, 4], ((1, 3, 0), (1, 4, 0)), 0),  # w = z = 0
-        ([1, 2, 3], [1, -2, 4], ((1, 1, 0),), 1),  # x = 0 and w = ~z
+        ([1, 2, 3], [-1, -2, 4], ((0, 3, 0), (0, 4, 0)), 0),  # w = z = 0
+        ([1, 2, 3], [1, -2, 4], ((0, 1, 0),), 1),  # x = 0 and w = ~z
     ],
 )
 def test_resolve_shared_pair_polarity_cases(shape1, shape2, forced, polarity):
@@ -138,13 +138,13 @@ def test_resolve_shared_pair_polarity_cases(shape1, shape2, forced, polarity):
     out = resolve_shared_pair(st, 0, 1)
     assert out is not None
     for side, var, val in forced:
-        s = out.s1 if side == 1 else out.s2
+        s = (out.s1, out.s2)[side]
         assert s.get(var) == val or var not in out.V
     # the non-shared variables were linked: 4 dropped, 3 kept
     assert out.V == frozenset({1, 2, 3})
     assert out.weights[3] == (ONE, U * U, U * U, ONE)
     # link polarity shows up in the substituted literal of the second clause
-    substituted = [l for l in out.phi1[1] if l >= 2 and l >> 1 == 3]
+    substituted = [p for p in out.clauses[1] if p >> 2 == 3]
     assert substituted and substituted[0] & 1 == polarity
     assert state_eval(st) == state_eval(out)
 
@@ -182,7 +182,7 @@ def test_fixpoint_idle_on_worked_example():
     out = simplify_fixpoint(st, counts)
     assert out is not None
     assert counts == {}
-    assert out.phi1 == st.phi1
+    assert out.clauses == st.clauses
 
 
 def test_fixpoint_removes_duplicate_clauses():
@@ -191,6 +191,28 @@ def test_fixpoint_removes_duplicate_clauses():
     out = simplify_fixpoint(st, counts)
     assert counts.get("dedup", 0) >= 1
     assert state_eval(st) == state_eval(out)
+
+    # pair clauses equal up to literal order are duplicates; a clause that
+    # differs only in its side-1 signs is not
+    st = mkstate([clause(1, -2, 3), clause(3, 1, -2), clause(1, -2, 3)],
+                 [clause(1, 2, -3), clause(-3, 1, 2), clause(1, 2, 3)])
+    counts = {}
+    out = simplify_fixpoint(st, counts)
+    assert counts == {"dedup": 1}
+    assert out.clauses == (pair_clause(clause(1, -2, 3), clause(1, 2, -3)),
+                           pair_clause(clause(1, -2, 3), clause(1, 2, 3)))
+    assert state_eval(st) == state_eval(out)
+
+    # each side alone repeats (T, F, x1), but the constant pairs differ:
+    # not duplicates, so the small-clause rule removes both instead
+    st = mkstate([clause("T", "F", 1), clause("T", "F", 1)],
+                 [clause("T", "F", 1), clause("F", "T", 1)])
+    counts = {}
+    out = simplify_fixpoint(st, counts)
+    assert "dedup" not in counts
+    assert counts["case1_iii"] == 2
+    assert out.clauses == ()
+    assert state_eval(st) == state_eval(out) == ONE
 
 
 def test_fixpoint_postconditions():
@@ -205,9 +227,9 @@ def test_fixpoint_postconditions():
             assert state_eval(st) == ZERO
             continue
         assert state_eval(st) == state_eval(out)
-        for cl in out.phi1:
+        for cl in out.clauses:
             assert len(clause_vars(cl)) == 3
-        varsets = [clause_vars(cl) for cl in out.phi1]
+        varsets = [clause_vars(cl) for cl in out.clauses]
         for a in range(len(varsets)):
             for b in range(a + 1, len(varsets)):
                 assert len(varsets[a] & varsets[b]) != 2

@@ -191,6 +191,27 @@ def test_search_counts_are_pinned():
     assert totals == SEARCH_COUNTS
 
 
+# Inputs on which a rule that neither benchmark pool fires is reached
+# through solve(); the first two are generate(13, 9, seed=2452,
+# planted=True) and generate(13, 8, seed=2874, planted=True).
+RARE_RULE_INSTANCES = [
+    ("prop3_fallback", 13, [[-7, 4, -11], [-6, -11, -5], [8, 3, 4], [3, -9, 13], [6, 3, -7],
+                            [1, -13, -11], [-11, 3, 1], [3, 2, -7], [-5, 1, -12]]),
+    ("prop3_fallback", 13, [[-7, -12, -4], [-1, 2, 3], [13, 6, -12], [3, 11, -6],
+                            [8, -4, -11], [-6, 13, 9], [-2, -6, -8], [-4, -2, 5]]),
+    ("case1_vi1", 8, [[-5, -7, -2], [3, 5, -6], [-3, 4, -2], [1, 3, 8], [8, -5, -4]]),
+    ("case1_vi1", 7, [[5, -7, -2], [-5, 4, 6], [7, -4, 3], [3, -6, -1], [-4, -1, -2]]),
+]
+
+
+def test_rare_rules_reached_through_solve():
+    for rule, n, clauses in RARE_RULE_INSTANCES:
+        f = Formula.from_dimacs(clauses, n)
+        report = solve(f)
+        assert report.stats.rules[rule] >= 1, (rule, clauses)
+        assert report.poly == hd_oracle(f), (rule, clauses)
+
+
 @settings(max_examples=30)
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=4, max_value=10))
 def test_solver_equals_oracle_property(seed, n):
