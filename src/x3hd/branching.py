@@ -19,37 +19,12 @@ from .model import (
     clause_classes,
     clause_vars,
     side_solutions,
-    substitute,
     true_positions,
 )
 from .poly import ONE, ZERO
-from .simplify import drop_clauses, eliminate_determined, simplify_fixpoint
+from .simplify import assign_value, drop_clauses, fold_free, simplify_fixpoint, value_combos
 
 Counts = MutableMapping[str, int] | None
-
-
-def assign_value(st: PairState, x: int, i: int, j: int) -> PairState:
-    """Fix variable x to i on side 0 and j on side 1: scale p_main by the
-    matching weight entry, substitute the constants, drop x."""
-    weights = dict(st.weights)
-    factor = weights.pop(x)[2 * i + j]
-    return replace(
-        st,
-        clauses=substitute(st.clauses, x, 0, i, j),
-        s1={k: v for k, v in st.s1.items() if k != x},
-        s2={k: v for k, v in st.s2.items() if k != x},
-        V=st.V - {x},
-        p_main=st.p_main * factor,
-        weights=weights,
-    )
-
-
-def value_combos(st: PairState, x: int) -> list[tuple[int, int]]:
-    """The (side 0, side 1) value pairs for x consistent with s1/s2, in the
-    fixed order (0,0), (0,1), (1,0), (1,1)."""
-    ivals = (st.s1[x],) if x in st.s1 else (0, 1)
-    jvals = (st.s2[x],) if x in st.s2 else (0, 1)
-    return [(i, j) for i in ivals for j in jvals]
 
 
 def _finish_children(
@@ -108,7 +83,6 @@ class SemiIsolated:
 
     I: frozenset[int]
     J: frozenset[int]
-    touching: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -123,10 +97,6 @@ class SevenNeighbourPattern:
     shape: str
 
 
-def _touching_indices(clauses: tuple[Clause, ...], block: frozenset[int]) -> tuple[int, ...]:
-    return tuple(k for k, cl in enumerate(clauses) if clause_vars(cl) & block)
-
-
 def _extract_semiisolated(st: PairState, block: frozenset[int]) -> SemiIsolated:
     boundary = set()
     for cl in st.clauses:
@@ -135,12 +105,11 @@ def _extract_semiisolated(st: PairState, block: frozenset[int]) -> SemiIsolated:
         if outside:
             boundary |= vs & block
     I = frozenset(block - boundary)
-    J = frozenset(boundary)
-    touching = _touching_indices(st.clauses, I)
-    for k in touching:
-        if not clause_vars(st.clauses[k]) <= block:
+    for cl in st.clauses:
+        vs = clause_vars(cl)
+        if vs & I and not vs <= block:
             raise InternalError("semiisolated block leaks outside its boundary")
-    return SemiIsolated(I, J, touching)
+    return SemiIsolated(I, frozenset(boundary))
 
 
 def _match_pattern(st: PairState, classes, class_vars, var_to_classes, k: int):
@@ -259,15 +228,16 @@ def eliminate_semiisolated_1(st: PairState, si: SemiIsolated) -> PairState:
     domain = sorted(I | set(J))
     ivars = sorted(I)
 
-    def grouped(s, side):
+    touched = [st.clauses[k] for k in touching]
+
+    def grouped(side):
         groups: dict[int | None, list[dict[int, int]]] = {}
-        for bits in side_solutions([st.clauses[k] for k in touching], s, domain, side):
+        for bits in side_solutions(touched, st.fixed[side], domain, side):
             values = dict(zip(domain, bits))
             groups.setdefault(values.get(xvar), []).append(values)
         return groups
 
-    g1 = grouped(st.s1, 0)
-    g2 = grouped(st.s2, 1)
+    g1, g2 = grouped(0), grouped(1)
 
     def block_sum(list1, list2):
         acc = ZERO
@@ -291,16 +261,17 @@ def eliminate_semiisolated_1(st: PairState, si: SemiIsolated) -> PairState:
         p_main = p_main * block_sum(g1.get(None, []), g2.get(None, []))
     for v in ivars:
         weights.pop(v)
+    f0, f1 = st.fixed
     st = replace(
         drop_clauses(st, set(touching)),
-        s1={k: v for k, v in st.s1.items() if k not in I},
-        s2={k: v for k, v in st.s2.items() if k not in I},
+        fixed=({k: v for k, v in f0.items() if k not in I},
+               {k: v for k, v in f1.items() if k not in I}),
         V=st.V - I,
         p_main=p_main,
         weights=weights,
     )
     if xvar is not None and xvar not in st.occurring():
-        st = eliminate_determined(st, xvar)
+        st = fold_free(st, frozenset({xvar}))
     return st
 
 
@@ -351,11 +322,12 @@ def branch_semiisolated_3(
     evar = (clause_vars(c) & si.I).pop()
     rest = frozenset(si.J - jpair)
     inner = frozenset(si.I - {evar})
+    pos1, pos2 = (true_positions(c, st.fixed[side], side) for side in (0, 1))
     children = []
-    for vals1 in true_positions(c, st.s1, 0):
+    for vals1 in pos1:
         if vals1 is None:
             continue
-        for vals2 in true_positions(c, st.s2, 1):
+        for vals2 in pos2:
             if vals2 is None:
                 continue
             child = st
@@ -384,12 +356,11 @@ def branch_four_neighbour(
     # the pivot literal is false where the pivot's value equals its sign
     i0 = c[ppos] & 1
     j0 = (c[ppos] >> 1) & 1
-    if st.s1.get(pivot, i0) == i0 and st.s2.get(pivot, j0) == j0:
+    if (i0, j0) in value_combos(st, pivot):
         children.append(assign_value(st, pivot, i0, j0))
         floors.append(4)
 
-    pos1 = true_positions(c, st.s1, 0)
-    pos2 = true_positions(c, st.s2, 1)
+    pos1, pos2 = (true_positions(c, st.fixed[side], side) for side in (0, 1))
     for p1, p2 in [(ppos, ppos), (ppos, others[0]), (ppos, others[1]),
                    (others[0], ppos), (others[1], ppos)]:
         vals1, vals2 = pos1[p1], pos2[p2]

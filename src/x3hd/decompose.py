@@ -12,8 +12,7 @@ from typing import MutableMapping
 from .errors import InternalError
 from .model import PairState, clause_classes, clause_vars, side_solutions
 from .poly import ONE, ZERO, HDPoly
-from .simplify import fold_free, simplify_fixpoint
-from .branching import assign_value, value_combos
+from .simplify import assign_value, fold_free, simplify_fixpoint, value_combos
 
 Counts = MutableMapping[str, int] | None
 
@@ -88,18 +87,19 @@ def connected_components(st: PairState) -> list[PairState]:
                         comp_of[nxt] = comp
                         stack.append(nxt)
         comp += 1
+    f0, f1 = st.fixed
     out = []
     for c in range(comp):
         indices = [idx for idx in range(n) if comp_of[idx] == c]
         variables = frozenset().union(*(clause_vars(st.clauses[idx]) for idx in indices))
+        order = sorted(variables)
         out.append(
             PairState(
                 clauses=tuple(st.clauses[idx] for idx in indices),
-                s1={v: st.s1[v] for v in sorted(variables) if v in st.s1},
-                s2={v: st.s2[v] for v in sorted(variables) if v in st.s2},
+                fixed=({v: f0[v] for v in order if v in f0}, {v: f1[v] for v in order if v in f1}),
                 V=variables,
                 p_main=ONE,
-                weights={v: st.weights[v] for v in sorted(variables)},
+                weights={v: st.weights[v] for v in order},
             )
         )
     return out
@@ -214,10 +214,10 @@ def brute_force_base(st: PairState) -> HDPoly:
     if len(occ) < len(st.V):
         st = fold_free(st, st.V - occ)
     occ = sorted(occ)
-    sols1 = side_solutions(st.clauses, st.s1, occ, 0)
+    sols1 = side_solutions(st.clauses, st.fixed[0], occ, 0)
     if not sols1:
         return ZERO
-    sols2 = side_solutions(st.clauses, st.s2, occ, 1)
+    sols2 = side_solutions(st.clauses, st.fixed[1], occ, 1)
     if not sols2:
         return ZERO
 

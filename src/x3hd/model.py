@@ -218,15 +218,15 @@ class PairState:
     """One node of the search: the clauses of both formulas as pair
     literals, plus bookkeeping.
 
-    s1/s2 hold values forced on side 0 (phi(x)) or side 1 (phi(y)) only; a
-    variable determined on both sides is eliminated. Treat instances as
-    immutable snapshots: rewrites build new states and never mutate the
-    dicts in place.
+    fixed[side] maps a variable to the value forced on that side, side 0
+    being phi(x) and side 1 phi(y), as in the pair literals; a variable
+    determined on both sides is eliminated. Treat instances as immutable
+    snapshots: rewrites build new states and never mutate the dicts in
+    place.
     """
 
     clauses: tuple[Clause, ...]
-    s1: dict[int, int]
-    s2: dict[int, int]
+    fixed: tuple[dict[int, int], dict[int, int]]
     V: frozenset[int]
     p_main: HDPoly
     weights: dict[int, WeightTable] = field(repr=False)
@@ -239,8 +239,7 @@ def initial_state(f: Formula) -> PairState:
     variables = frozenset(range(1, f.n_vars + 1))
     return PairState(
         clauses=tuple(tuple(4 * (lit >> 1) + 3 * (lit & 1) for lit in cl) for cl in f.clauses),
-        s1={},
-        s2={},
+        fixed=({}, {}),
         V=variables,
         p_main=ONE,
         weights=pristine_weights(sorted(variables)),
@@ -254,6 +253,6 @@ def check_state(st: PairState) -> None:
         raise InternalError(f"clause variables {occ - st.V} missing from V")
     if set(st.weights) != set(st.V):
         raise InternalError("weight table keys differ from V")
-    for s in (st.s1, st.s2):
+    for s in st.fixed:
         if not set(s) <= st.V:
             raise InternalError("assignment mentions eliminated variables")

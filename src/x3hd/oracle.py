@@ -115,8 +115,9 @@ def _satisfying_assignments(clauses, s: dict[int, int], variables: list[int]):
 
 
 def _consistent_weight_sum(st: PairState, v: int) -> HDPoly:
-    ivals = (st.s1[v],) if v in st.s1 else (0, 1)
-    jvals = (st.s2[v],) if v in st.s2 else (0, 1)
+    f0, f1 = st.fixed
+    ivals = (f0[v],) if v in f0 else (0, 1)
+    jvals = (f1[v],) if v in f1 else (0, 1)
     acc = ZERO
     for i in ivals:
         for j in jvals:
@@ -131,8 +132,9 @@ def state_eval(st: PairState, limit: int | None = DEFAULT_STATE_LIMIT) -> HDPoly
                  prod over x in V of weights[x][b1(x), b2(x)]
 
     where b1/b2 must satisfy side 0/side 1 of the pair clauses and agree
-    with s1/s2. Each side is read back as formula clauses, so the check
-    goes through `clause_satisfied` and none of the solver's predicates.
+    with fixed[0]/fixed[1]. Each side is read back as formula clauses, so
+    the check goes through `clause_satisfied` and none of the solver's
+    predicates.
     """
     if limit is not None and len(st.V) > limit:
         raise LimitError(f"state evaluation over {len(st.V)} variables exceeds limit {limit}")
@@ -142,7 +144,7 @@ def state_eval(st: PairState, limit: int | None = DEFAULT_STATE_LIMIT) -> HDPoly
         _satisfying_assignments(
             [tuple(2 * (p >> 2) + ((p >> side) & 1) for p in cl) for cl in st.clauses], s, core
         )
-        for side, s in enumerate((st.s1, st.s2))
+        for side, s in enumerate(st.fixed)
     )
     total = ZERO
     for b1 in sats1:

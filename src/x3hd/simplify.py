@@ -1,13 +1,16 @@
 """Non-branching rewrites, applied to a fixpoint in priority order.
 
-Every function here preserves the state's defining sum exactly (the
+Every rewrite here preserves the state's defining sum exactly (the
 conservation property); a return value of None means the state evaluates
-to the zero polynomial.
+to the zero polynomial. `assign_value` fixes one value pair: it is a
+rewrite when the forced values allow no other pair, and otherwise gives
+one child of a branch over `value_combos`.
 
 Priority inside the fixpoint: unsatisfiable clause detection, duplicate
-clause removal, elimination of variables determined on both sides (or in
-no clause), small-clause normalisation, then resolution of clause pairs
-sharing exactly two variables.
+clause removal, elimination of variables (case1_ii: `assign_value` for a
+variable determined on both sides, `fold_free` for those in no clause),
+small-clause normalisation, then resolution of clause pairs sharing
+exactly two variables.
 
 The unsat check is closed form per clause (`model.clause_unsatisfiable`).
 Variables in no clause fold into p_main in one step, equal factors raised
@@ -40,55 +43,54 @@ def drop_clauses(st: PairState, indices: set[int]) -> PairState:
 def detect_unsat(st: PairState) -> bool:
     """True iff some clause cannot be satisfied on some side by any
     assignment that is consistent with that side's forced values."""
-    s1, s2 = st.s1, st.s2
-    return any(clause_unsatisfiable(cl, s1, 0) or clause_unsatisfiable(cl, s2, 1)
+    f0, f1 = st.fixed
+    return any(clause_unsatisfiable(cl, f0, 0) or clause_unsatisfiable(cl, f1, 1)
                for cl in st.clauses)
 
 
-def _weight_sum(st: PairState, x: int) -> HDPoly:
-    """Sum of x's weight entries over the value pairs its forced values allow."""
-    i = st.s1.get(x)
-    j = st.s2.get(x)
-    table = st.weights[x]
-    return sum(
-        table[2 * a + b]
-        for a in ((i,) if i is not None else (0, 1))
-        for b in ((j,) if j is not None else (0, 1))
-    )
+def value_combos(st: PairState, x: int) -> list[tuple[int, int]]:
+    """The (side 0, side 1) value pairs for x consistent with its forced
+    values, in the fixed order (0,0), (0,1), (1,0), (1,1)."""
+    f0, f1 = st.fixed
+    ivals = (f0[x],) if x in f0 else (0, 1)
+    jvals = (f1[x],) if x in f1 else (0, 1)
+    return [(i, j) for i in ivals for j in jvals]
 
 
-def eliminate_determined(st: PairState, x: int) -> PairState:
-    """Fold variable x into p_main. Applies when x is determined on both
-    sides, or occurs in no clause; the weight entries consistent with the
-    forced values are summed and x leaves the state."""
-    i = st.s1.get(x)
-    j = st.s2.get(x)
+def assign_value(st: PairState, x: int, i: int, j: int) -> PairState:
+    """Fix variable x to i on side 0 and j on side 1: scale p_main by the
+    matching weight entry, substitute the constants, drop x."""
     weights = dict(st.weights)
-    del weights[x]
-    clauses = st.clauses
-    if i is not None and j is not None:
-        clauses = substitute(clauses, x, 0, i, j)
-    s1 = {k: v for k, v in st.s1.items() if k != x}
-    s2 = {k: v for k, v in st.s2.items() if k != x}
-    return replace(st, clauses=clauses, s1=s1, s2=s2,
-                   V=st.V - {x}, p_main=st.p_main * _weight_sum(st, x), weights=weights)
+    factor = weights.pop(x)[2 * i + j]
+    f0, f1 = st.fixed
+    return replace(
+        st,
+        clauses=substitute(st.clauses, x, 0, i, j),
+        fixed=({k: v for k, v in f0.items() if k != x}, {k: v for k, v in f1.items() if k != x}),
+        V=st.V - {x},
+        p_main=st.p_main * factor,
+        weights=weights,
+    )
 
 
 def fold_free(st: PairState, free: frozenset[int]) -> PairState:
     """Fold every variable of `free`, none of which occurs in a clause, into
-    p_main at once: the same factors as `eliminate_determined` one by one,
-    with equal factors grouped and raised to their multiplicity."""
+    p_main at once: each contributes the sum of its weight entries that its
+    forced values allow, equal factors grouped and raised to their
+    multiplicity."""
     groups: dict[HDPoly, int] = {}
     for x in free:
-        factor = _weight_sum(st, x)
+        table = st.weights[x]
+        factor = sum(table[2 * i + j] for i, j in value_combos(st, x))
         groups[factor] = groups.get(factor, 0) + 1
     p_main = st.p_main
     for factor, k in groups.items():
         p_main = p_main * factor**k
     weights = {v: table for v, table in st.weights.items() if v not in free}
-    s1 = {k: v for k, v in st.s1.items() if k not in free}
-    s2 = {k: v for k, v in st.s2.items() if k not in free}
-    return replace(st, s1=s1, s2=s2, V=st.V - free, p_main=p_main, weights=weights)
+    f0, f1 = st.fixed
+    fixed = ({k: v for k, v in f0.items() if k not in free},
+             {k: v for k, v in f1.items() if k not in free})
+    return replace(st, fixed=fixed, V=st.V - free, p_main=p_main, weights=weights)
 
 
 def link_variables(st: PairState, keep: int, drop: int, pol1: int, pol2: int) -> PairState | None:
@@ -105,8 +107,8 @@ def link_variables(st: PairState, keep: int, drop: int, pol1: int, pol2: int) ->
         kept[2 * i + j] * dropped[2 * (i ^ pol1) + (j ^ pol2)]
         for i in (0, 1) for j in (0, 1)
     )
-    s1, s2 = dict(st.s1), dict(st.s2)
-    for s, pol in ((s1, pol1), (s2, pol2)):
+    fixed = (dict(st.fixed[0]), dict(st.fixed[1]))
+    for s, pol in zip(fixed, (pol1, pol2)):
         if drop in s:
             implied = s.pop(drop) ^ pol
             if s.get(keep, implied) != implied:
@@ -115,7 +117,7 @@ def link_variables(st: PairState, keep: int, drop: int, pol1: int, pol2: int) ->
     return replace(
         st,
         clauses=substitute(st.clauses, drop, keep, pol1, pol2),
-        s1=s1, s2=s2, V=st.V - {drop}, weights=weights,
+        fixed=fixed, V=st.V - {drop}, weights=weights,
     )
 
 
@@ -188,13 +190,13 @@ def normalize_small_clause(clause: Clause) -> SmallClauseAction:
 
 def _force(st: PairState, forces) -> PairState | None:
     """Record (side, variable, value) forces; None on a contradiction."""
-    assigned = (dict(st.s1), dict(st.s2))
+    fixed = (dict(st.fixed[0]), dict(st.fixed[1]))
     for side, var, val in forces:
-        s = assigned[side]
+        s = fixed[side]
         if s.get(var, val) != val:
             return None
         s[var] = val
-    return replace(st, s1=assigned[0], s2=assigned[1])
+    return replace(st, fixed=fixed)
 
 
 def apply_small_clause(st: PairState, idx: int, action: SmallClauseAction) -> PairState | None:
@@ -289,12 +291,11 @@ def simplify_fixpoint(
             continue
         varsets = [clause_vars(cl) for cl in st.clauses]
         occ = set().union(*varsets)
-        target = min(
-            (v for v in st.V if v not in occ or (v in st.s1 and v in st.s2)), default=None
-        )
+        f0, f1 = st.fixed
+        target = min((v for v in st.V if v not in occ or (v in f0 and v in f1)), default=None)
         if target is not None:
             if target in occ:
-                st = eliminate_determined(st, target)
+                st = assign_value(st, target, f0[target], f1[target])
                 bump("case1_ii")
             else:
                 # folding leaves the clauses unchanged, so folding one such

@@ -32,8 +32,9 @@ from x3hd.model import PairState, check_state, from_dimacs, pristine_weights
 from x3hd.poly import ONE, HDPoly
 from x3hd.simplify import (
     apply_small_clause,
+    assign_value,
     detect_unsat,
-    eliminate_determined,
+    fold_free,
     normalize_small_clause,
     resolve_shared_pair,
 )
@@ -71,9 +72,10 @@ def pair_clause(c1, c2=None) -> tuple[int, ...]:
     return tuple(out)
 
 
-def mkstate(phi1, phi2=None, extra_vars=(), s1=None, s2=None) -> PairState:
+def mkstate(phi1, phi2=None, extra_vars=(), fixed=({}, {})) -> PairState:
     """A state over the formula-encoded sides phi1 and phi2 (phi1 when
-    omitted), with pristine weights."""
+    omitted), with the per-side forced values `fixed` and pristine
+    weights."""
     phi2 = phi1 if phi2 is None else phi2
     if len(phi1) != len(phi2):
         raise ValueError("the sides differ in clause count")
@@ -83,8 +85,7 @@ def mkstate(phi1, phi2=None, extra_vars=(), s1=None, s2=None) -> PairState:
         variables |= formula_vars(cl)
     st = PairState(
         clauses=clauses,
-        s1=dict(s1 or {}),
-        s2=dict(s2 or {}),
+        fixed=(dict(fixed[0]), dict(fixed[1])),
         V=frozenset(variables),
         p_main=ONE,
         weights=pristine_weights(sorted(variables)),
@@ -147,11 +148,9 @@ def fuzz_one_sided_values(st: PairState, rng, prob=0.25) -> PairState:
     v = rng.choice(sorted(st.V))
     side = rng.randrange(2)
     value = rng.randrange(2)
-    cand = replace(
-        st,
-        s1=dict(st.s1) | ({v: value} if side == 0 else {}),
-        s2=dict(st.s2) | ({v: value} if side == 1 else {}),
-    )
+    fixed = (dict(st.fixed[0]), dict(st.fixed[1]))
+    fixed[side][v] = value
+    cand = replace(st, fixed=fixed)
     return cand if not detect_unsat(cand) else st
 
 
@@ -198,26 +197,35 @@ def case1_i_conflict(seed: int) -> RuleCase:
     rng = random.Random(seed)
     st, mapping = build_paired([[1, 2, 3], [4, 5, 6]], rng)
     lits = [p for p in st.clauses[0] if p >= 4][:2]
-    s1 = dict(st.s1)
+    f0 = dict(st.fixed[0])
     for p in lits:
-        s1[p >> 2] = 1 ^ (p & 1)  # both literals true on side 0: exactly-one impossible
-    st = replace(st, s1=s1)
+        f0[p >> 2] = 1 ^ (p & 1)  # both literals true on side 0: exactly-one impossible
+    st = replace(st, fixed=(f0, st.fixed[1]))
     st = fuzz_weights(st, rng)
     assert detect_unsat(st)
     return RuleCase("case1_i", st, [], "sum")
 
 
 def case1_ii(seed: int) -> RuleCase:
+    """Three variants by seed: a variable in no clause, one in no clause
+    but forced on one side (its two allowed weight entries are summed),
+    and one determined on both sides."""
     rng = random.Random(seed)
     st, mapping = build_paired([[1, 2, 3], [3, 4, 5]], rng, extra_vars=(6,))
     st = fuzz_weights(st, rng)
-    if rng.random() < 0.5:
-        x = mapping[6]  # occurs in no clause
+    variant = seed % 3
+    if variant < 2:
+        x = mapping[6]
+        if variant == 1:
+            fixed = (dict(st.fixed[0]), dict(st.fixed[1]))
+            fixed[rng.randrange(2)][x] = rng.randrange(2)
+            st = replace(st, fixed=fixed)
+        child = fold_free(st, frozenset({x}))
     else:
         x = mapping[rng.randint(1, 5)]
-        st = replace(st, s1=dict(st.s1) | {x: rng.randrange(2)},
-                     s2=dict(st.s2) | {x: rng.randrange(2)})
-    child = eliminate_determined(st, x)
+        i, j = rng.randrange(2), rng.randrange(2)
+        st = replace(st, fixed=(st.fixed[0] | {x: i}, st.fixed[1] | {x: j}))
+        child = assign_value(st, x, i, j)
     return RuleCase("case1_ii", st, [child], "sum")
 
 

@@ -6,15 +6,14 @@ from rulestates import FAMILIES, build_paired, clause, mkstate
 from x3hd.branching import (
     SemiIsolated,
     SevenNeighbourPattern,
-    assign_value,
     branch_high_degree_var,
     eliminate_semiisolated_1,
     find_config,
     pick_high_degree_var,
-    value_combos,
 )
 from x3hd.oracle import state_eval
 from x3hd.poly import U, ZERO, HDPoly
+from x3hd.simplify import assign_value, value_combos
 
 
 def conserve_sum(case):
@@ -32,7 +31,7 @@ def test_assign_value_scales_and_substitutes():
 
 
 def test_value_combos_filtered_by_forced_values():
-    st = mkstate([clause(1, 2, 3)], s1={1: 1})
+    st = mkstate([clause(1, 2, 3)], fixed=({1: 1}, {}))
     assert value_combos(st, 1) == [(1, 0), (1, 1)]
     assert value_combos(st, 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -61,7 +60,7 @@ def test_branch_high_degree_children_and_floor():
 def test_branch_high_degree_respects_one_sided_value():
     st = mkstate(
         [clause(1, 2, 3), clause(1, 4, 5), clause(1, 6, 7), clause(1, 8, 9)],
-        s1={1: 1},
+        fixed=({1: 1}, {}),
     )
     children = branch_high_degree_var(st, 1, debug=True)
     assert len(children) == 2
@@ -89,7 +88,10 @@ def test_find_config_semiisolated_example():
     assert isinstance(config, SemiIsolated)
     assert config.J == frozenset({6})
     assert config.I == frozenset({1, 2, 3, 4, 5, 7})
-    assert set(config.touching) == {0, 1, 2, 3, 4}
+    # the block's five clauses go; the one through the boundary stays
+    out = eliminate_semiisolated_1(st, config)
+    assert out.clauses == (st.clauses[5],)
+    assert out.V == frozenset({6, 8, 9})
 
 
 def test_find_config_none_when_neighbourhoods_small():

@@ -176,7 +176,7 @@ def test_base_matches_reference_on_random_states():
         st = fuzz_weights(st, rng)
         if rng.random() < 0.4:
             v = rng.choice(sorted(st.V))
-            st = replace(st, s1=dict(st.s1) | {v: rng.randrange(2)})
+            st = replace(st, fixed=(st.fixed[0] | {v: rng.randrange(2)}, st.fixed[1]))
         assert brute_force_base(st) == state_eval(st)
 
 

@@ -208,4 +208,4 @@ def test_check_state_catches_misalignment():
     with pytest.raises(InternalError):
         check_state(replace(good, weights={v: good.weights[v] for v in (1, 2)}))
     with pytest.raises(InternalError):
-        check_state(replace(good, s2={4: 1}))
+        check_state(replace(good, fixed=({}, {4: 1})))

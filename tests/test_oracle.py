@@ -110,7 +110,7 @@ def test_state_eval_respects_one_sided_values():
     st = fuzz_weights(st, rng)
     from dataclasses import replace
 
-    constrained = replace(st, s1=dict(st.s1) | {min(st.V): 0})
+    constrained = replace(st, fixed=(st.fixed[0] | {min(st.V): 0}, st.fixed[1]))
     full = state_eval(st)
     partial = state_eval(constrained)
     assert partial.total() <= full.total()

@@ -9,12 +9,14 @@ from x3hd.oracle import state_eval
 from x3hd.poly import ONE, U, ZERO, HDPoly
 from x3hd.simplify import (
     apply_small_clause,
+    assign_value,
     detect_unsat,
-    eliminate_determined,
+    fold_free,
     link_variables,
     normalize_small_clause,
     resolve_shared_pair,
     simplify_fixpoint,
+    value_combos,
 )
 
 
@@ -31,30 +33,36 @@ def test_detect_unsat_examples():
 def test_detect_unsat_uses_forced_values():
     st = mkstate([clause(1, 2, 3)])
     assert not detect_unsat(st)
-    assert detect_unsat(replace(st, s1=dict(st.s1) | {1: 1, 2: 1}))
-    assert detect_unsat(replace(st, s2=dict(st.s2) | {1: 0, 2: 0, 3: 0}))
+    assert detect_unsat(replace(st, fixed=({1: 1, 2: 1}, {})))
+    assert detect_unsat(replace(st, fixed=({}, {1: 0, 2: 0, 3: 0})))
 
 
 def test_eliminate_free_variable_scales_by_two_plus_two_u():
     st = mkstate([clause(2, 3, 4)], extra_vars=(1,))
-    out = eliminate_determined(st, 1)
+    out = fold_free(st, frozenset({1}))
     assert out.p_main == HDPoly({0: 2, 1: 2})
     assert 1 not in out.V
+    # forced on one side only: the two entries it allows are summed
+    out = fold_free(replace(st, fixed=({}, {1: 1})), frozenset({1}))
+    assert out.p_main == HDPoly({0: 1, 1: 1})
+    assert out.fixed == ({}, {})
 
 
-def test_eliminate_determined_opposite_values_scales_by_u():
-    st = mkstate([clause(1, 2, 3)], s1={1: 0}, s2={1: 1})
-    out = eliminate_determined(st, 1)
+def test_assign_determined_opposite_values_scales_by_u():
+    st = mkstate([clause(1, 2, 3)], fixed=({1: 0}, {1: 1}))
+    assert value_combos(st, 1) == [(0, 1)]
+    out = assign_value(st, 1, 0, 1)
     assert out.p_main == U
     assert out.clauses[0][0] == 2  # false on side 0, true on side 1
 
 
-def test_eliminate_determined_equal_values():
-    st = mkstate([clause(1, 2, 3)], s1={1: 1}, s2={1: 1})
-    out = eliminate_determined(st, 1)
+def test_assign_determined_equal_values():
+    st = mkstate([clause(1, 2, 3)], fixed=({1: 1}, {1: 1}))
+    assert value_combos(st, 1) == [(1, 1)]
+    out = assign_value(st, 1, 1, 1)
     assert out.p_main == ONE
     assert out.clauses[0][0] == 3  # true on both sides
-    assert 1 not in out.s1 and 1 not in out.s2
+    assert 1 not in out.fixed[0] and 1 not in out.fixed[1]
 
 
 def test_small_clause_table():
@@ -112,14 +120,14 @@ def test_link_spec_polarity_example():
 
 
 def test_link_migrates_forced_values():
-    st = mkstate([clause(1, 2), clause(2, 3, 4)], s1={2: 0})
+    st = mkstate([clause(1, 2), clause(2, 3, 4)], fixed=({2: 0}, {}))
     out = link_variables(st, 1, 2, 0, 0)
-    assert out.s1[1] == 0 and 2 not in out.s1
+    assert out.fixed[0][1] == 0 and 2 not in out.fixed[0]
 
 
 def test_link_conflict_returns_zero():
-    st = mkstate([clause(1, 2), clause(2, 3, 4)], s1={1: 1, 2: 1})
-    # equality link forces s1(1) = s1(2) = 1: fine
+    st = mkstate([clause(1, 2), clause(2, 3, 4)], fixed=({1: 1, 2: 1}, {}))
+    # equality link forces value(1) = value(2) = 1 on side 0: fine
     assert link_variables(st, 1, 2, 0, 0) is not None
     # inequality link contradicts the recorded values
     assert link_variables(st, 1, 2, 1, 0) is None
@@ -138,7 +146,7 @@ def test_resolve_shared_pair_polarity_cases(shape1, shape2, forced, polarity):
     out = resolve_shared_pair(st, 0, 1)
     assert out is not None
     for side, var, val in forced:
-        s = (out.s1, out.s2)[side]
+        s = out.fixed[side]
         assert s.get(var) == val or var not in out.V
     # the non-shared variables were linked: 4 dropped, 3 kept
     assert out.V == frozenset({1, 2, 3})
@@ -234,7 +242,7 @@ def test_fixpoint_postconditions():
             for b in range(a + 1, len(varsets)):
                 assert len(varsets[a] & varsets[b]) != 2
         for v in out.V:
-            assert not (v in out.s1 and v in out.s2)
+            assert not (v in out.fixed[0] and v in out.fixed[1])
 
 
 def test_single_rewrite_conservation_families():

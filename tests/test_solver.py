@@ -193,7 +193,9 @@ def test_search_counts_are_pinned():
 
 # Inputs on which a rule that neither benchmark pool fires is reached
 # through solve(); the first two are generate(13, 9, seed=2452,
-# planted=True) and generate(13, 8, seed=2874, planted=True).
+# planted=True) and generate(13, 8, seed=2874, planted=True), the
+# case1_vi2 ones generate(9, 6, seed=170, planted=True) and
+# generate(10, 7, seed=59, planted=False).
 RARE_RULE_INSTANCES = [
     ("prop3_fallback", 13, [[-7, 4, -11], [-6, -11, -5], [8, 3, 4], [3, -9, 13], [6, 3, -7],
                             [1, -13, -11], [-11, 3, 1], [3, 2, -7], [-5, 1, -12]]),
@@ -201,6 +203,9 @@ RARE_RULE_INSTANCES = [
                             [8, -4, -11], [-6, 13, 9], [-2, -6, -8], [-4, -2, 5]]),
     ("case1_vi1", 8, [[-5, -7, -2], [3, 5, -6], [-3, 4, -2], [1, 3, 8], [8, -5, -4]]),
     ("case1_vi1", 7, [[5, -7, -2], [-5, 4, 6], [7, -4, 3], [3, -6, -1], [-4, -1, -2]]),
+    ("case1_vi2", 9, [[7, 5, 8], [2, -6, -5], [-1, -3, 7], [-6, 3, -4], [-3, 9, 8], [8, 1, -6]]),
+    ("case1_vi2", 10, [[4, 2, -8], [-1, -10, -8], [3, 6, -10], [1, 6, 5], [-2, 10, 5],
+                       [6, 3, -7], [-5, -9, -4]]),
 ]
 
 
