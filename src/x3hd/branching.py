@@ -18,10 +18,10 @@ from .model import (
     PairState,
     clause_classes,
     clause_vars,
-    side_solutions,
+    pair_sum,
     true_positions,
 )
-from .poly import ONE, ZERO
+from .poly import ZERO
 from .simplify import assign_value, drop_clauses, fold_free, simplify_fixpoint, value_combos
 
 Counts = MutableMapping[str, int] | None
@@ -93,7 +93,6 @@ class SevenNeighbourPattern:
 
     clause: int
     pivot: int
-    neighbours: tuple[int, ...]
     shape: str
 
 
@@ -131,7 +130,6 @@ def _match_pattern(st: PairState, classes, class_vars, var_to_classes, k: int):
     if len(further) != 2:
         raise InternalError("pivot variable in more than three classes")
     n1_cls, n2_cls = further
-    n1, n2 = classes[n1_cls][0], classes[n2_cls][0]
     ab = sorted(set(class_vars[n1_cls]) - {pivot})
     cd = sorted(set(class_vars[n2_cls]) - {pivot})
     y, z = [v for v in order if v != pivot]
@@ -148,32 +146,25 @@ def _match_pattern(st: PairState, classes, class_vars, var_to_classes, k: int):
 
     for ra, rb in combinations(reps, 2):
         if fresh[ra] and fresh[rb] and len(fresh[ra] | fresh[rb]) >= 2:
-            label = shape_label(ra, rb, "vii.2", "vii.4")
-            return SevenNeighbourPattern(rep, pivot, (n1, n2, ra, rb), label)
+            return SevenNeighbourPattern(rep, pivot, shape_label(ra, rb, "vii.2", "vii.4"))
     rich = next((r for r in reps if len(fresh[r]) >= 2), None)
     if rich is not None:
         other = next(r for r in reps if r != rich)
-        label = shape_label(other, rich, "vii.1", "vii.3")
-        return SevenNeighbourPattern(rep, pivot, (n1, n2, other, rich), label)
+        return SevenNeighbourPattern(rep, pivot, shape_label(other, rich, "vii.1", "vii.3"))
     extra = set().union(*fresh.values()) if fresh else set()
     if len(extra) > 1:
         raise InternalError("distinct fresh variables escaped the pattern match")
     return frozenset(known | extra), ab[0], ab[1], n1_cls
 
 
-def _generic_pattern(st: PairState, classes, class_vars, var_to_classes, k: int) -> SevenNeighbourPattern:
+def _generic_pattern(st: PairState, classes, var_to_classes, k: int) -> SevenNeighbourPattern:
     clauses = st.clauses
     rep = classes[k][0]
-    neigh = sorted(
-        {q for v in class_vars[k] for q in var_to_classes[v]} - {k}
-    )
     pivot = next(
         v for v in sorted(clause_vars(clauses[rep]))
         if len(var_to_classes[v] - {k}) >= 2
     )
-    return SevenNeighbourPattern(
-        rep, pivot, tuple(classes[q][0] for q in neigh[:4]), "generic"
-    )
+    return SevenNeighbourPattern(rep, pivot, "generic")
 
 
 def find_config(st: PairState):
@@ -205,63 +196,43 @@ def find_config(st: PairState):
             si = _extract_semiisolated(st, block)
             if len(si.J) <= 3:
                 return si
-            return _generic_pattern(st, classes, class_vars, var_to_classes, start)
+            return _generic_pattern(st, classes, var_to_classes, start)
         visited.add(k)
         k = n1_cls
         if k in visited or neighbour_count(k) < 4:
-            return _generic_pattern(st, classes, class_vars, var_to_classes, start)
+            return _generic_pattern(st, classes, var_to_classes, start)
 
 
 def eliminate_semiisolated_1(st: PairState, si: SemiIsolated) -> PairState:
-    """Eliminate the block I through its single boundary variable (or none):
-    enumerate block assignments satisfying every I-touching clause, fold
-    the summed weight products into the boundary variable's table (into
-    p_main when the boundary is empty), then drop the block and its
-    clauses. Empty enumerations leave zero weight entries, which evaluate
-    the affected branch to zero downstream."""
+    """Eliminate the block I through its single boundary variable x (or
+    none): for each value pair (i, j) that x's forced values allow, the
+    `pair_sum` over I of the I-touching clauses with x forced to i and j
+    scales x's table entry 2*i + j, and entries x cannot take become zero.
+    With no boundary the one `pair_sum` scales p_main. The block and its
+    clauses are then dropped; a zero entry evaluates the affected branch to
+    zero downstream."""
     I = set(si.I)
     J = sorted(si.J)
     if len(J) > 1:
         raise InternalError("single-boundary elimination needs |J| <= 1")
     xvar = J[0] if J else None
     touching = [k for k, cl in enumerate(st.clauses) if clause_vars(cl) & I]
-    domain = sorted(I | set(J))
-    ivars = sorted(I)
-
     touched = [st.clauses[k] for k in touching]
-
-    def grouped(side):
-        groups: dict[int | None, list[dict[int, int]]] = {}
-        for bits in side_solutions(touched, st.fixed[side], domain, side):
-            values = dict(zip(domain, bits))
-            groups.setdefault(values.get(xvar), []).append(values)
-        return groups
-
-    g1, g2 = grouped(0), grouped(1)
-
-    def block_sum(list1, list2):
-        acc = ZERO
-        for b1 in list1:
-            for b2 in list2:
-                term = ONE
-                for v in ivars:
-                    term = term * st.weights[v][2 * b1[v] + b2[v]]
-                acc = acc + term
-        return acc
-
+    ivars = sorted(I)
+    f0, f1 = st.fixed
     weights = dict(st.weights)
     p_main = st.p_main
-    if xvar is not None:
-        old = weights.pop(xvar)
-        weights[xvar] = tuple(
-            old[2 * i + j] * block_sum(g1.get(i, []), g2.get(j, []))
-            for i in (0, 1) for j in (0, 1)
-        )
+    if xvar is None:
+        p_main = p_main * pair_sum(touched, st.fixed, ivars, st.weights)
     else:
-        p_main = p_main * block_sum(g1.get(None, []), g2.get(None, []))
+        old = weights[xvar]
+        table = [ZERO] * 4
+        for i, j in value_combos(st, xvar):
+            block = pair_sum(touched, (f0 | {xvar: i}, f1 | {xvar: j}), ivars, st.weights)
+            table[2 * i + j] = old[2 * i + j] * block
+        weights[xvar] = tuple(table)
     for v in ivars:
         weights.pop(v)
-    f0, f1 = st.fixed
     st = replace(
         drop_clauses(st, set(touching)),
         fixed=({k: v for k, v in f0.items() if k not in I},

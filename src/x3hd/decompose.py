@@ -10,8 +10,8 @@ from itertools import product
 from typing import MutableMapping
 
 from .errors import InternalError
-from .model import PairState, clause_classes, clause_vars, side_solutions
-from .poly import ONE, ZERO, HDPoly
+from .model import PairState, clause_classes, clause_vars, pair_sum
+from .poly import ONE, HDPoly
 from .simplify import assign_value, fold_free, simplify_fixpoint, value_combos
 
 Counts = MutableMapping[str, int] | None
@@ -23,7 +23,6 @@ class ClauseGraph:
     sharing at least one variable and is labelled with the shared set."""
 
     members: tuple[tuple[int, ...], ...]
-    vertex_vars: tuple[frozenset[int], ...]
     adjacency: tuple[frozenset[int], ...]
     edge_vars: dict[tuple[int, int], frozenset[int]]
 
@@ -54,7 +53,6 @@ def build_clause_graph(st: PairState, debug: bool = False) -> ClauseGraph:
                 raise InternalError("dissimilar classes sharing two variables survived")
     return ClauseGraph(
         tuple(tuple(m) for m in classes),
-        tuple(vertex_vars),
         tuple(frozenset(s) for s in adjacency),
         edge_vars,
     )
@@ -208,59 +206,10 @@ def branch_cut_variables(
 
 
 def brute_force_base(st: PairState) -> HDPoly:
-    """Exact evaluation of a small state: enumerate per-side satisfying
-    assignments, then sum the weight products over all ordered pairs."""
+    """Exact evaluation of a small state: fold the variables in no clause
+    into p_main, then take the weighted `pair_sum` over the side solutions
+    on the clause variables."""
     occ = st.occurring()
     if len(occ) < len(st.V):
         st = fold_free(st, st.V - occ)
-    occ = sorted(occ)
-    sols1 = side_solutions(st.clauses, st.fixed[0], occ, 0)
-    if not sols1:
-        return ZERO
-    sols2 = side_solutions(st.clauses, st.fixed[1], occ, 1)
-    if not sols2:
-        return ZERO
-
-    # most weight tables hold monomials; keep their product in (coeff, deg)
-    # form and spill to full polynomial arithmetic only when needed
-    mono: list[list[tuple[int, int] | None]] = []
-    tables = []
-    for v in occ:
-        table = st.weights[v]
-        tables.append(table)
-        row: list[tuple[int, int] | None] = []
-        for entry in table:
-            terms = entry.terms()
-            if len(terms) == 1:
-                ((deg, coeff),) = terms.items()
-                row.append((coeff, deg))
-            elif not terms:
-                row.append((0, 0))
-            else:
-                row.append(None)
-        mono.append(row)
-
-    accum: dict[int, int] = {}
-    spill = ZERO
-    nvars = len(occ)
-    for b1 in sols1:
-        for b2 in sols2:
-            coeff, deg = 1, 0
-            poly = None
-            for idx in range(nvars):
-                entry = 2 * b1[idx] + b2[idx]
-                m = mono[idx][entry]
-                if m is None:
-                    poly = (poly if poly is not None else ONE) * tables[idx][entry]
-                else:
-                    coeff *= m[0]
-                    if coeff == 0:
-                        break
-                    deg += m[1]
-            if coeff == 0:
-                continue
-            if poly is None:
-                accum[deg] = accum.get(deg, 0) + coeff
-            else:
-                spill = spill + poly * HDPoly.monomial(coeff, deg)
-    return st.p_main * (HDPoly(accum) + spill)
+    return st.p_main * pair_sum(st.clauses, st.fixed, sorted(occ), st.weights)

@@ -21,7 +21,7 @@ from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalError
-from .poly import ONE, U, HDPoly
+from .poly import ONE, U, ZERO, HDPoly
 
 Clause = tuple[int, ...]
 
@@ -137,8 +137,10 @@ def side_solutions(
 ) -> list[tuple[int, ...]]:
     """Assignments to `variables` (as tuples in that order) that satisfy
     every clause on `side` and agree with `fixed`, built clause by clause
-    from `true_positions`. Each is produced once. `variables` must cover the
-    clauses' variables; those in no clause take every value `fixed` allows.
+    from `true_positions`. Each is produced once. `variables` must cover
+    every clause variable that `fixed` does not force; a forced one may be
+    left out, which is how block elimination conditions on its boundary.
+    Listed variables in no clause take every value `fixed` allows.
     """
     leaves: list[dict[int, int]] = []
 
@@ -211,6 +213,50 @@ PRISTINE: WeightTable = (ONE, U, U, ONE)
 
 def pristine_weights(variables: Iterable[int]) -> dict[int, WeightTable]:
     return {v: PRISTINE for v in variables}
+
+
+def pair_sum(
+    clauses: Sequence[Clause],
+    fixed: tuple[Mapping[int, int], Mapping[int, int]],
+    variables: Sequence[int],
+    weights: Mapping[int, WeightTable],
+) -> HDPoly:
+    """The sum, over every pair of a side-0 and a side-1 solution b0, b1 on
+    `variables` (see `side_solutions`), of the product over v of
+    weights[v][2*b0[v] + b1[v]].
+
+    A PRISTINE variable contributes u exactly where the two values differ,
+    so each side's solutions are grouped by their values on the other
+    variables, with the PRISTINE values packed into an int bitmask. A pair
+    of groups contributes the histogram of its masks' Hamming distances
+    times the product of its table entries.
+    """
+    plain = [t for t, v in enumerate(variables) if weights[v] == PRISTINE]
+    tabled = [t for t, v in enumerate(variables) if weights[v] != PRISTINE]
+    groups: list[dict[tuple[int, ...], list[int]]] = []
+    for side in (0, 1):
+        grouped: dict[tuple[int, ...], list[int]] = {}
+        for row in side_solutions(clauses, fixed[side], variables, side):
+            mask = sum(row[t] << bit for bit, t in enumerate(plain))
+            grouped.setdefault(tuple(row[t] for t in tabled), []).append(mask)
+        groups.append(grouped)
+    tables = [weights[variables[t]] for t in tabled]
+    total = ZERO
+    for key0, masks0 in groups[0].items():
+        for key1, masks1 in groups[1].items():
+            entries = [table[2 * i + j] for table, i, j in zip(tables, key0, key1)]
+            if not all(entries):
+                continue
+            hist: dict[int, int] = {}
+            for a in masks0:
+                for b in masks1:
+                    d = (a ^ b).bit_count()
+                    hist[d] = hist.get(d, 0) + 1
+            term = HDPoly(hist)
+            for entry in entries:
+                term = term * entry
+            total = total + term
+    return total
 
 
 @dataclass(eq=False)

@@ -7,8 +7,6 @@ never rounded or truncated. Counts grow up to 4^n, hence no fixed-width type.
 
 from __future__ import annotations
 
-from math import comb
-
 
 class HDPoly:
     """Immutable sparse polynomial with nonnegative integer coefficients.
@@ -117,10 +115,16 @@ class HDPoly:
             return out
         if len(items) < 2:
             return HDPoly({deg * k: coeff**k for deg, coeff in items})
+        # term i is C(k, i) a^i b^(k-i), each factor carried from term i - 1
         (d1, a), (d2, b) = items
-        return HDPoly({
-            d1 * i + d2 * (k - i): comb(k, i) * a**i * b ** (k - i) for i in range(k + 1)
-        })
+        out: dict[int, int] = {}
+        binom, a_power, b_power = 1, 1, b**k
+        for i in range(k + 1):
+            out[d1 * i + d2 * (k - i)] = binom * a_power * b_power
+            binom = binom * (k - i) // (i + 1)
+            a_power *= a
+            b_power //= b
+        return HDPoly(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HDPoly):

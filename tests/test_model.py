@@ -16,11 +16,13 @@ from x3hd.model import (
     clause_vars,
     from_dimacs,
     initial_state,
+    pair_sum,
+    pristine_weights,
     side_solutions,
     to_dimacs,
     true_positions,
 )
-from x3hd.poly import ONE, U
+from x3hd.poly import ONE, U, HDPoly
 
 EXAMPLE = Formula.from_dimacs([[1, 2, 3], [1, 4, 5], [1, 6, 7], [2, 4, -6]], 7)
 
@@ -108,6 +110,17 @@ def test_side_solutions_match_brute_force():
                 if all(clause_satisfied(cl, values) for cl in projected)
             ]
             assert sorted(side_solutions(clauses, fixed, variables, side)) == expected
+
+
+def test_pair_sum_conditions_on_a_forced_variable_left_out():
+    # x1 forced to 1 on side 0 and 0 on side 1 but not listed: side 0 has
+    # only x2 = x3 = 0, side 1 has (1, 0) and (0, 1), each one flip away
+    clauses = [pair_clause(clause(1, 2, 3))]
+    weights = pristine_weights([2, 3])
+    assert pair_sum(clauses, ({1: 1}, {1: 0}), [2, 3], weights) == HDPoly({1: 2})
+    assert pair_sum(clauses, ({1: 1}, {1: 1}), [2, 3], weights) == ONE
+    weights[2] = (ONE, ONE, ONE, HDPoly({0: 5}))
+    assert pair_sum(clauses, ({1: 0}, {1: 0}), [2, 3], weights) == HDPoly({0: 6, 1: 2})
 
 
 def similar(a, b) -> bool:
