@@ -13,7 +13,7 @@ import sys
 from .errors import InternalError, LimitError, ParseError
 from .instances import default_clause_count, generate, parse, render
 from .oracle import DEFAULT_SOLUTION_LIMIT, hd_oracle
-from .poly import HDPoly
+from .poly import HDPoly, decimal
 from .solver import SolveOptions, SolveStats, solve
 
 EXIT_OK = 0
@@ -47,7 +47,7 @@ def _report_json(f, poly: HDPoly, stats: SolveStats | None) -> str:
         "m": len(f.clauses),
         "poly": poly.to_pairs(),
         "max_hd": poly.degree(),
-        "solutions": str(poly.coeff(0)),
+        "solutions": decimal(poly.coeff(0)),
     }
     if stats is not None:
         payload["stats"] = stats.as_dict()
@@ -61,7 +61,7 @@ def _print_report(f, poly: HDPoly, stats: SolveStats | None, args) -> None:
     print(str(poly))
     degree = poly.degree()
     print(f"max_hd = {degree if degree is not None else 'none'}")
-    print(f"solutions = {poly.coeff(0)}")
+    print(f"solutions = {decimal(poly.coeff(0))}")
     if stats is not None and getattr(args, "stats", False):
         info = stats.as_dict()
         rules = " ".join(f"{k}={v}" for k, v in info["rules"].items() if v)

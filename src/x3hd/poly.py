@@ -7,6 +7,23 @@ never rounded or truncated. Counts grow up to 4^n, hence no fixed-width type.
 
 from __future__ import annotations
 
+# An int of at most this many bits has at most 617 decimal digits, below
+# the smallest limit on int-to-str conversion that Python (>= 3.11) allows
+# to be set, so `str` converts it directly.
+_STR_BITS = 2048
+
+
+def decimal(n: int) -> str:
+    """The decimal digits of n >= 0, at any size: a large n is split on a
+    power of ten into halves that convert separately, so the interpreter's
+    limit on int-to-str conversion never applies."""
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    # 10**k has about half as many digits as n (log10(2) > 0.3), so high > 0
+    k = n.bit_length() * 3 // 20
+    high, low = divmod(n, 10**k)
+    return decimal(high) + decimal(low).zfill(k)
+
 
 class HDPoly:
     """Immutable sparse polynomial with nonnegative integer coefficients.
@@ -136,7 +153,7 @@ class HDPoly:
 
     def to_pairs(self) -> list[list]:
         """[degree, coefficient-as-decimal-string] pairs, ascending degree."""
-        return [[deg, str(self._coeffs[deg])] for deg in sorted(self._coeffs)]
+        return [[deg, decimal(self._coeffs[deg])] for deg in sorted(self._coeffs)]
 
     def __str__(self) -> str:
         if not self._coeffs:
@@ -145,10 +162,10 @@ class HDPoly:
         for deg in sorted(self._coeffs, reverse=True):
             coeff = self._coeffs[deg]
             if deg == 0:
-                parts.append(str(coeff))
+                parts.append(decimal(coeff))
             else:
                 base = "u" if deg == 1 else f"u^{deg}"
-                parts.append(base if coeff == 1 else f"{coeff}*{base}")
+                parts.append(base if coeff == 1 else f"{decimal(coeff)}*{base}")
         return " + ".join(parts)
 
     def __repr__(self) -> str:

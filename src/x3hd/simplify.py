@@ -12,14 +12,20 @@ variable determined on both sides, `fold_free` for those in no clause),
 small-clause normalisation, then resolution of clause pairs sharing
 exactly two variables.
 
-The unsat check is closed form per clause (`model.clause_unsatisfiable`).
-Variables in no clause fold into p_main in one step, equal factors raised
-to a power at once. Each iteration computes the clause variable sets once.
+One call of the fixpoint does no work twice. A single scan per iteration
+gives the unsat verdict, the duplicates and the clause variable sets, each
+clause's variable set and dedup key being memoised for the call. The unsat
+check (closed form, `model.clause_unsatisfiable`) runs only on clauses
+that are new or that have a variable whose forced value changed since
+they last passed it. Shared pairs are found through a variable -> clause
+occurrence index. Variables in no clause fold into p_main in one step,
+equal factors raised to a power at once. Small clauses are classified
+once per shape, up to the names of their at most two variables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import MutableMapping
 
 from .errors import InternalError
@@ -37,7 +43,7 @@ from .poly import HDPoly
 def drop_clauses(st: PairState, indices: set[int]) -> PairState:
     """The state without the clauses at `indices`."""
     clauses = tuple(cl for idx, cl in enumerate(st.clauses) if idx not in indices)
-    return replace(st, clauses=clauses)
+    return PairState(clauses, st.fixed, st.V, st.p_main, st.weights)
 
 
 def detect_unsat(st: PairState) -> bool:
@@ -63,13 +69,12 @@ def assign_value(st: PairState, x: int, i: int, j: int) -> PairState:
     weights = dict(st.weights)
     factor = weights.pop(x)[2 * i + j]
     f0, f1 = st.fixed
-    return replace(
-        st,
-        clauses=substitute(st.clauses, x, 0, i, j),
-        fixed=({k: v for k, v in f0.items() if k != x}, {k: v for k, v in f1.items() if k != x}),
-        V=st.V - {x},
-        p_main=st.p_main * factor,
-        weights=weights,
+    return PairState(
+        substitute(st.clauses, x, 0, i, j),
+        ({k: v for k, v in f0.items() if k != x}, {k: v for k, v in f1.items() if k != x}),
+        st.V - {x},
+        st.p_main * factor,
+        weights,
     )
 
 
@@ -90,7 +95,7 @@ def fold_free(st: PairState, free: frozenset[int]) -> PairState:
     f0, f1 = st.fixed
     fixed = ({k: v for k, v in f0.items() if k not in free},
              {k: v for k, v in f1.items() if k not in free})
-    return replace(st, fixed=fixed, V=st.V - free, p_main=p_main, weights=weights)
+    return PairState(st.clauses, fixed, st.V - free, p_main, weights)
 
 
 def link_variables(st: PairState, keep: int, drop: int, pol1: int, pol2: int) -> PairState | None:
@@ -114,10 +119,8 @@ def link_variables(st: PairState, keep: int, drop: int, pol1: int, pol2: int) ->
             if s.get(keep, implied) != implied:
                 return None
             s[keep] = implied
-    return replace(
-        st,
-        clauses=substitute(st.clauses, drop, keep, pol1, pol2),
-        fixed=fixed, V=st.V - {drop}, weights=weights,
+    return PairState(
+        substitute(st.clauses, drop, keep, pol1, pol2), fixed, st.V - {drop}, st.p_main, weights
     )
 
 
@@ -161,9 +164,9 @@ def _classify_side(clause: Clause, side: int):
     return "link", {}, sat[0][variables[0]] ^ sat[0][variables[1]]
 
 
-def normalize_small_clause(clause: Clause) -> SmallClauseAction:
-    """Classify a pair clause with <= 2 distinct variables into the joint
-    action to apply to both sides."""
+def _classify_small_clause(clause: Clause) -> SmallClauseAction:
+    """The joint action of a pair clause with <= 2 distinct variables,
+    derived from its satisfying sets on both sides."""
     sides = [_classify_side(clause, side) for side in (0, 1)]
     if any(kind == "unsat" for kind, _, _ in sides):
         return SmallClauseAction(True)
@@ -188,6 +191,31 @@ def normalize_small_clause(clause: Clause) -> SmallClauseAction:
     return SmallClauseAction(False, forces, (keep, drop, pols[0], pols[1]))
 
 
+# Small-clause actions by shape: the clause with its variables renamed to
+# 1 and 2 in sorted order. Filled on first sight of a shape; at most
+# 12 + 12**2 + 12**3 entries (four constant pairs and two variables with
+# four sign pairs per literal position).
+_SHAPES: dict[Clause, SmallClauseAction] = {}
+
+
+def normalize_small_clause(clause: Clause) -> SmallClauseAction:
+    """Classify a pair clause with <= 2 distinct variables into the joint
+    action to apply to both sides."""
+    names = sorted(clause_vars(clause))
+    rank = {v: k for k, v in enumerate(names, 1)}
+    shape = tuple(4 * rank[p >> 2] + (p & 3) if p >= 4 else p for p in clause)
+    action = _SHAPES.get(shape)
+    if action is None:
+        action = _SHAPES[shape] = _classify_small_clause(shape)
+    real = (0, *names)
+    link = action.link
+    return SmallClauseAction(
+        action.unsat,
+        tuple((side, real[v], val) for side, v, val in action.forces),
+        link and (real[link[0]], real[link[1]], link[2], link[3]),
+    )
+
+
 def _force(st: PairState, forces) -> PairState | None:
     """Record (side, variable, value) forces; None on a contradiction."""
     fixed = (dict(st.fixed[0]), dict(st.fixed[1]))
@@ -196,7 +224,7 @@ def _force(st: PairState, forces) -> PairState | None:
         if s.get(var, val) != val:
             return None
         s[var] = val
-    return replace(st, fixed=fixed)
+    return PairState(st.clauses, fixed, st.V, st.p_main, st.weights)
 
 
 def apply_small_clause(st: PairState, idx: int, action: SmallClauseAction) -> PairState | None:
@@ -253,17 +281,23 @@ def resolve_shared_pair(st: PairState, i: int, j: int) -> PairState | None:
     return link_variables(st, keep, drop, pols[0], pols[1])
 
 
-def _first_duplicates(st: PairState) -> set[int]:
-    """Indices of clauses equal, up to literal order, to an earlier one."""
-    seen: set = set()
-    dups: set[int] = set()
-    for idx, cl in enumerate(st.clauses):
-        key = tuple(sorted(cl))
-        if key in seen:
-            dups.add(idx)
-        else:
-            seen.add(key)
-    return dups
+def _shared_pair(varsets: list[set[int]]) -> tuple[int, int] | None:
+    """The first (a, b), a < b, in lexicographic order whose variable sets
+    share exactly two variables, found through a variable -> clause index."""
+    index: dict[int, list[int]] = {}
+    for idx, vs in enumerate(varsets):
+        for v in vs:
+            index.setdefault(v, []).append(idx)
+    for a, vs in enumerate(varsets):
+        shared: dict[int, int] = {}
+        for v in vs:
+            for b in index[v]:
+                if b > a:
+                    shared[b] = shared.get(b, 0) + 1
+        pairs = [b for b, k in shared.items() if k == 2]
+        if pairs:
+            return a, min(pairs)
+    return None
 
 
 def simplify_fixpoint(
@@ -280,32 +314,59 @@ def simplify_fixpoint(
         if counts is not None:
             counts[key] = counts.get(key, 0) + n
 
+    # clause -> (variable set, dedup key), for this call
+    memo: dict[Clause, tuple[set[int], Clause]] = {}
+    # clauses that passed the unsat check under `checked_fixed`; a verdict
+    # depends only on the clause and the forced values of its variables
+    passed: set[Clause] = set()
+    checked_fixed = st.fixed
     while True:
-        if detect_unsat(st):
-            bump("case1_i")
-            return None
-        dups = _first_duplicates(st)
+        f0, f1 = st.fixed
+        if st.fixed is not checked_fixed:
+            old0, old1 = checked_fixed
+            diff = (old0.items() ^ f0.items()) | (old1.items() ^ f1.items())
+            if diff:
+                changed = {v for v, _ in diff}
+                passed = {cl for cl in passed if memo[cl][0].isdisjoint(changed)}
+            checked_fixed = st.fixed
+        seen: set[Clause] = set()
+        dups: set[int] = set()
+        varsets: list[set[int]] = []
+        small = None
+        for idx, cl in enumerate(st.clauses):
+            entry = memo.get(cl)
+            if entry is None:
+                entry = memo[cl] = (clause_vars(cl), tuple(sorted(cl)))
+            if cl not in passed:
+                if clause_unsatisfiable(cl, f0, 0) or clause_unsatisfiable(cl, f1, 1):
+                    bump("case1_i")
+                    return None
+                passed.add(cl)
+            vs, key = entry
+            if key in seen:
+                dups.add(idx)
+            else:
+                seen.add(key)
+            if small is None and len(vs) <= 2:
+                small = idx
+            varsets.append(vs)
         if dups:
             st = drop_clauses(st, dups)
             bump("dedup")
             continue
-        varsets = [clause_vars(cl) for cl in st.clauses]
-        occ = set().union(*varsets)
-        f0, f1 = st.fixed
-        target = min((v for v in st.V if v not in occ or (v in f0 and v in f1)), default=None)
+        free = st.V - set().union(*varsets)
+        target = min(free.union(f0.keys() & f1.keys() & st.V), default=None)
         if target is not None:
-            if target in occ:
+            if target not in free:
                 st = assign_value(st, target, f0[target], f1[target])
                 bump("case1_ii")
             else:
                 # folding leaves the clauses unchanged, so folding one such
                 # variable per iteration would fire the same rules in between:
                 # fold them all now and count each one
-                free = st.V - occ
                 st = fold_free(st, free)
                 bump("case1_ii", len(free))
             continue
-        small = next((k for k, vs in enumerate(varsets) if len(vs) <= 2), None)
         if small is not None:
             bump("case1_iii")
             nxt = apply_small_clause(st, small, normalize_small_clause(st.clauses[small]))
@@ -313,14 +374,7 @@ def simplify_fixpoint(
                 return None
             st = nxt
             continue
-        pair = None
-        for a in range(len(varsets)):
-            for b in range(a + 1, len(varsets)):
-                if len(varsets[a] & varsets[b]) == 2:
-                    pair = (a, b)
-                    break
-            if pair:
-                break
+        pair = _shared_pair(varsets)
         if pair is not None:
             bump("case1_iv")
             nxt = resolve_shared_pair(st, *pair)

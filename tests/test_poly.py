@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from x3hd.poly import ONE, U, ZERO, HDPoly
+from x3hd.poly import ONE, U, ZERO, HDPoly, decimal
 
 
 def poly_from(items):
@@ -73,6 +73,20 @@ def test_huge_coefficients_stay_exact():
     q = p * p
     assert q.coeff(0) == big * big
     assert len(str(q.coeff(0))) >= 400
+
+
+def test_coefficients_past_the_int_str_limit_render():
+    # 5001 digits, past the 4300 digits Python 3.11 converts by default
+    digits = "1" + "0" * 4999 + "7"
+    p = HDPoly({0: 10**5000 + 7})
+    assert str(p) == digits
+    assert p.to_pairs() == [[0, digits]]
+    assert str(HDPoly({2: 10**5000 + 7})) == digits + "*u^2"
+
+
+def test_decimal_equals_str_below_the_limit():
+    for n in (0, 7, 2**2048 - 1, 2**2048, 10**617, 10**1234 - 1, 3**8000, 10**4299 + 1):
+        assert decimal(n) == str(n)
 
 
 @given(polys, polys)

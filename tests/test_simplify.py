@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -8,6 +9,7 @@ from x3hd.model import initial_state, Formula
 from x3hd.oracle import state_eval
 from x3hd.poly import ONE, U, ZERO, HDPoly
 from x3hd.simplify import (
+    _classify_small_clause,
     apply_small_clause,
     assign_value,
     detect_unsat,
@@ -79,6 +81,17 @@ def test_small_clause_table():
 
     const_force = classify(clause("T", 1, 2))
     assert const_force.forces == ((0, 1, 0), (0, 2, 0), (1, 1, 0), (1, 2, 0))
+
+
+def test_small_clause_shape_table_matches_classification():
+    # every pair clause of arity 1..3 over the four constant pairs and two
+    # variables with any sign pair, the variables named (7, 3) and (3, 7)
+    # so that the table's names map back to the clause's
+    for a, b in ((7, 3), (3, 7)):
+        lits = [0, 1, 2, 3] + [4 * v + signs for v in (a, b) for signs in range(4)]
+        for arity in (1, 2, 3):
+            for cl in product(lits, repeat=arity):
+                assert normalize_small_clause(cl) == _classify_small_clause(cl), cl
 
 
 def test_small_clause_rectangle_forces_only_one_side_variable():
@@ -182,6 +195,24 @@ def test_fixpoint_chains_links():
     assert out.V == frozenset()
     assert out.p_main == HDPoly({3: 2, 0: 2})
     assert state_eval(st) == state_eval(out)
+
+
+def test_fixpoint_rechecks_clauses_after_a_small_clause_force():
+    # (x1, x1, x2) forces x1 = 0 and x2 = 1 on both sides, which makes
+    # (~x1, x2, x3), satisfiable on entry, unsatisfiable
+    st = mkstate([clause(1, 1, 2), clause(-1, 2, 3)])
+    counts: dict = {}
+    assert simplify_fixpoint(st, counts) is None
+    assert counts == {"case1_iii": 1, "case1_i": 1}
+
+
+def test_fixpoint_rechecks_clauses_after_a_shared_pair_force():
+    # resolving the first two clauses forces x3 = 0, which with x5 = 1 on
+    # side 0 makes (~x3, x5, x6), satisfiable on entry, unsatisfiable
+    st = mkstate([clause(1, 2, 3), clause(-1, -2, 4), clause(-3, 5, 6)], fixed=({5: 1}, {}))
+    counts: dict = {}
+    assert simplify_fixpoint(st, counts) is None
+    assert counts == {"case1_iv": 1, "case1_i": 1}
 
 
 def test_fixpoint_idle_on_worked_example():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import sys
 from math import comb
@@ -189,6 +191,33 @@ def test_search_counts_are_pinned():
         for key, value in stats.rules.items():
             totals[key] += value
     assert totals == SEARCH_COUNTS
+
+
+# The same sums over generate(70, 28, seed=s, planted=True), s = 0..4, and
+# one digest of the polynomials: clause lists longer than the benchmark
+# pools' keep the same search tree and answers.
+SCALE_COUNTS = {
+    "nodes": 514, "leaves": 161,
+    "case1_i": 83, "dedup": 4, "case1_ii": 509, "case1_iii": 900,
+    "case1_iv": 6, "case1_v": 8, "case1_vi1": 0, "case1_vi2": 0,
+    "case1_vi3": 0, "case1_vii": 38, "prop3_fallback": 0, "case2_split": 0,
+    "component_split": 74, "base": 311,
+}
+SCALE_DIGEST = "d2ab285aa80eb054018ce3b27b63e130ea5ca89e1a8bd93672259447152994a2"
+
+
+def test_search_counts_are_pinned_at_scale():
+    totals = dict.fromkeys(SCALE_COUNTS, 0)
+    polys = []
+    for seed in range(5):
+        report = solve(generate(70, 28, seed=seed, planted=True).formula)
+        totals["nodes"] += report.stats.nodes
+        totals["leaves"] += report.stats.leaves
+        for key, value in report.stats.rules.items():
+            totals[key] += value
+        polys.append(report.poly.to_pairs())
+    assert totals == SCALE_COUNTS
+    assert hashlib.sha256(json.dumps(polys).encode()).hexdigest() == SCALE_DIGEST
 
 
 # Inputs on which a rule that neither benchmark pool fires is reached

@@ -123,6 +123,16 @@ def test_cli_solve_json_schema(tmp_path):
     }
 
 
+def test_cli_solve_prints_coefficients_past_the_int_str_limit(tmp_path):
+    # (2 + 2u)^7997 (3 + 6u^2): the middle coefficients have about 4800
+    # digits, past the 4300 Python 3.11 converts by default
+    path = tmp_path / "wide.x3s"
+    path.write_text("p x3sat 8000 1\n1 2 3 0\n")
+    code, out, _ = run_cli(["solve", str(path)])
+    assert code == 0
+    assert out.splitlines()[-1] == f"solutions = {3 * 2**7997}"
+
+
 def test_cli_solve_stats_flag(tmp_path):
     path = tmp_path / "example.x3s"
     path.write_text(EXAMPLE_TEXT)
