@@ -17,7 +17,6 @@ from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalError
@@ -134,34 +133,64 @@ def clause_unsatisfiable(clause: Clause, fixed: Mapping[int, int], side: int) ->
 
 def side_solutions(
     clauses: Sequence[Clause], fixed: Mapping[int, int], variables: Sequence[int], side: int
-) -> list[tuple[int, ...]]:
-    """Assignments to `variables` (as tuples in that order) that satisfy
-    every clause on `side` and agree with `fixed`, built clause by clause
-    from `true_positions`. Each is produced once. `variables` must cover
-    every clause variable that `fixed` does not force; a forced one may be
-    left out, which is how block elimination conditions on its boundary.
-    Listed variables in no clause take every value `fixed` allows.
+) -> list[int]:
+    """Assignments to `variables` that satisfy every clause on `side` and
+    agree with `fixed`, each produced once as an int mask whose bit t holds
+    the value of variables[t]. `variables` must cover every clause variable
+    that `fixed` does not force; a forced one may be left out, which is how
+    block elimination conditions on its boundary. Listed variables in no
+    clause take every value `fixed` allows.
+
+    Each clause compiles to one care mask (the bits of its listed
+    variables) and the value masks of its true positions, with constants,
+    forced values and a repeated variable resolved there. The clauses fold
+    left to right: a partial row v joins a clause value vv exactly when
+    they agree on the bits both care about:
+    (v ^ vv) & care & clause_care == 0.
     """
-    leaves: list[dict[int, int]] = []
-
-    def extend(cidx: int, values: dict[int, int]) -> None:
-        if cidx == len(clauses):
-            leaves.append(values)
-            return
-        for derived in true_positions(clauses[cidx], values, side):
-            if derived is not None:
-                extend(cidx + 1, values | derived)
-
-    extend(0, dict(fixed))
-    if not leaves:
-        return []
-    # every leaf assigns the same variables: `fixed` plus all clause variables
-    free = [v for v in variables if v not in leaves[0]]
-    rows = []
-    for values in leaves:
-        for bits in product((0, 1), repeat=len(free)):
-            values.update(zip(free, bits))
-            rows.append(tuple(values[v] for v in variables))
+    bit = {v: 1 << t for t, v in enumerate(variables)}
+    care = 0
+    rows = [0]
+    for clause in clauses:
+        clause_care = 0
+        options = []
+        for pos in range(len(clause)):
+            cc = vv = 0
+            for t, p in enumerate(clause):
+                # the value that makes literal t true exactly when t == pos
+                val = (t == pos) ^ ((p >> side) & 1)
+                if p < 4:
+                    if val:
+                        break
+                    continue
+                v = p >> 2
+                if v in fixed:
+                    if fixed[v] != val:
+                        break
+                    m = bit.get(v, 0)
+                else:
+                    m = bit[v]
+                if cc & m and bool(vv & m) != val:
+                    break
+                cc |= m
+                if val:
+                    vv |= m
+            else:
+                # every true position sets all of the clause's listed variables
+                clause_care = cc
+                options.append(vv)
+        shared = care & clause_care
+        rows = [v | vv for v in rows for vv in options if not (v ^ vv) & shared]
+        if not rows:
+            return []
+        care |= clause_care
+    for v, m in bit.items():
+        if care & m:
+            continue
+        if v not in fixed:
+            rows += [row | m for row in rows]
+        elif fixed[v]:
+            rows = [row | m for row in rows]
     return rows
 
 
@@ -225,26 +254,30 @@ def pair_sum(
     `variables` (see `side_solutions`), of the product over v of
     weights[v][2*b0[v] + b1[v]].
 
-    A PRISTINE variable contributes u exactly where the two values differ,
-    so each side's solutions are grouped by their values on the other
-    variables, with the PRISTINE values packed into an int bitmask. A pair
-    of groups contributes the histogram of its masks' Hamming distances
-    times the product of its table entries.
+    The solutions are int masks with bit t holding variables[t]. A PRISTINE
+    variable contributes u exactly where the two values differ, so each
+    side's masks are grouped by their bits on the other, tabled, variables
+    (row & tabled mask), keeping the PRISTINE bits (row & plain mask). A
+    pair of groups contributes the histogram of its plain masks' Hamming
+    distances, (a ^ b).bit_count(), times the product of its table entries.
     """
-    plain = [t for t, v in enumerate(variables) if weights[v] == PRISTINE]
-    tabled = [t for t, v in enumerate(variables) if weights[v] != PRISTINE]
-    groups: list[dict[tuple[int, ...], list[int]]] = []
+    plain_mask = 0
+    tabled = []
+    for t, v in enumerate(variables):
+        if weights[v] == PRISTINE:
+            plain_mask |= 1 << t
+        else:
+            tabled.append((t, weights[v]))
+    groups: list[dict[int, list[int]]] = []
     for side in (0, 1):
-        grouped: dict[tuple[int, ...], list[int]] = {}
+        grouped: dict[int, list[int]] = {}
         for row in side_solutions(clauses, fixed[side], variables, side):
-            mask = sum(row[t] << bit for bit, t in enumerate(plain))
-            grouped.setdefault(tuple(row[t] for t in tabled), []).append(mask)
+            grouped.setdefault(row & ~plain_mask, []).append(row & plain_mask)
         groups.append(grouped)
-    tables = [weights[variables[t]] for t in tabled]
     total = ZERO
     for key0, masks0 in groups[0].items():
         for key1, masks1 in groups[1].items():
-            entries = [table[2 * i + j] for table, i, j in zip(tables, key0, key1)]
+            entries = [table[2 * (key0 >> t & 1) + (key1 >> t & 1)] for t, table in tabled]
             if not all(entries):
                 continue
             hist: dict[int, int] = {}

@@ -89,9 +89,46 @@ def _distance_histogram_wht(masks: list[int], n: int) -> dict[int, int]:
     return hist
 
 
-def hd_oracle(f: Formula, limit: int | None = DEFAULT_SOLUTION_LIMIT) -> HDPoly:
-    """Coefficient of u^k = number of ordered solution pairs at distance k."""
-    masks = enumerate_solutions(f, limit)
+def _parts(f: Formula) -> list[Formula]:
+    """Split f into variable-disjoint formulas, each over its own variables
+    renumbered 1..k in order of first occurrence. A clause of constants
+    alone is a part with no variables. Variables in no clause are left out.
+    """
+    parent: dict[int, int] = {}
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for clause in f.clauses:
+        variables = [lit >> 1 for lit in clause if lit >= 2]
+        for v in variables:
+            parent.setdefault(v, v)
+        for v in variables[1:]:
+            parent[root(v)] = root(variables[0])
+    grouped: dict[object, list] = {}
+    for idx, clause in enumerate(f.clauses):
+        key = next((root(lit >> 1) for lit in clause if lit >= 2), ("constants", idx))
+        grouped.setdefault(key, []).append(clause)
+    parts = []
+    for clauses in grouped.values():
+        renamed: dict[int, int] = {}
+        for clause in clauses:
+            for lit in clause:
+                if lit >= 2:
+                    renamed.setdefault(lit >> 1, len(renamed) + 1)
+        parts.append(Formula(
+            tuple(tuple(lit if lit < 2 else 2 * renamed[lit >> 1] + (lit & 1) for lit in clause)
+                  for clause in clauses),
+            len(renamed),
+        ))
+    return parts
+
+
+def _part_poly(f: Formula) -> HDPoly:
+    masks = enumerate_solutions(f, limit=None)
     if not masks:
         return ZERO
     if len(masks) * len(masks) <= _PAIR_LOOP_CUTOFF or f.n_vars > 16:
@@ -99,6 +136,27 @@ def hd_oracle(f: Formula, limit: int | None = DEFAULT_SOLUTION_LIMIT) -> HDPoly:
     else:
         hist = _distance_histogram_wht(masks, f.n_vars)
     return HDPoly(hist)
+
+
+def hd_oracle(f: Formula, limit: int | None = DEFAULT_SOLUTION_LIMIT) -> HDPoly:
+    """Coefficient of u^k = number of ordered solution pairs at distance k.
+
+    Solution pairs of variable-disjoint parts combine freely and their
+    distances add, so the polynomial is the product of the parts'
+    polynomials, each by brute force, times (2 + 2u) for each variable in
+    no clause. `limit` bounds the variables of the largest part.
+    """
+    parts = _parts(f)
+    largest = max((part.n_vars for part in parts), default=0)
+    if limit is not None and largest > limit:
+        raise LimitError(f"brute force over a part of {largest} variables exceeds limit {limit}")
+    total = HDPoly({0: 2, 1: 2}) ** (f.n_vars - sum(part.n_vars for part in parts))
+    # smallest first, so an unsatisfiable small part spares the large ones
+    for part in sorted(parts, key=lambda part: part.n_vars):
+        total = total * _part_poly(part)
+        if not total:
+            break
+    return total
 
 
 def _satisfying_assignments(clauses, s: dict[int, int], variables: list[int]):

@@ -1,3 +1,4 @@
+import gc
 import random
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from x3hd.decompose import (
     build_clause_graph,
     connected_components,
 )
+from x3hd.instances import generate
 from x3hd.model import Formula, initial_state
 from x3hd.oracle import state_eval
 from x3hd.poly import ONE, ZERO, HDPoly
@@ -181,6 +183,20 @@ def test_base_matches_reference_on_random_states():
                 v = rng.choice(sorted(st.V))
                 st = replace(st, fixed=(st.fixed[0] | {v: rng.randrange(2)}, st.fixed[1]))
             assert brute_force_base(st) == state_eval(st)
+
+
+def test_base_leaves_no_reference_cycle():
+    # the base case frees what it builds by reference counting alone
+    st = initial_state(generate(9, 3, seed=4, planted=True).formula)
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        brute_force_base(st)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_base_on_worked_example():

@@ -96,6 +96,27 @@ def test_true_positions_are_the_satisfying_assignments():
                 assert clause_unsatisfiable(cl, fixed, side) is (not expected), (cl, side, fixed)
 
 
+# the pair clauses that name one variable twice
+REPEATING = [cl for cl in PAIR_CLAUSES if len(clause_vars(cl)) < sum(p >= 4 for p in cl)]
+
+
+def _decoded_side_solutions(clauses, fixed, variables, side):
+    """`side_solutions` rows as value tuples: bit t holds variables[t]."""
+    rows = side_solutions(clauses, fixed, variables, side)
+    return sorted(tuple(row >> t & 1 for t in range(len(variables))) for row in rows)
+
+
+def _expected_side_solutions(clauses, fixed, variables, side):
+    """Brute force over variables 1..3, projected onto `variables`; a
+    variable left out must be forced, so the projection repeats no row."""
+    projected = [side_of(cl, side) for cl in clauses]
+    return sorted(
+        tuple(values[v] for v in variables)
+        for values in _assignments([1, 2, 3], fixed)
+        if all(clause_satisfied(cl, values) for cl in projected)
+    )
+
+
 def test_side_solutions_match_brute_force():
     rng = random.Random(5)
     variables = [1, 2, 3]  # variable 3 occurs in no clause
@@ -103,13 +124,18 @@ def test_side_solutions_match_brute_force():
         clauses = rng.sample(SMALL_CLAUSES, rng.choice((2, 3)))
         fixed = rng.choice(PARTIAL_MAPS)
         for side in (0, 1):
-            projected = [side_of(cl, side) for cl in clauses]
-            expected = [
-                tuple(values[v] for v in variables)
-                for values in _assignments(variables, fixed)
-                if all(clause_satisfied(cl, values) for cl in projected)
-            ]
-            assert sorted(side_solutions(clauses, fixed, variables, side)) == expected
+            expected = _expected_side_solutions(clauses, fixed, variables, side)
+            assert _decoded_side_solutions(clauses, fixed, variables, side) == expected
+    # variable 1 forced and left out of `variables`, as block elimination
+    # conditions on its boundary, with a clause that repeats a variable
+    forcing_1 = [fixed for fixed in PARTIAL_MAPS if 1 in fixed]
+    for _ in range(3000):
+        clauses = [rng.choice(REPEATING)] + rng.sample(PAIR_CLAUSES, rng.choice((0, 1, 2)))
+        rng.shuffle(clauses)
+        fixed = rng.choice(forcing_1)
+        for side in (0, 1):
+            expected = _expected_side_solutions(clauses, fixed, [2, 3], side)
+            assert _decoded_side_solutions(clauses, fixed, [2, 3], side) == expected
 
 
 def test_pair_sum_conditions_on_a_forced_variable_left_out():

@@ -104,6 +104,23 @@ def test_oracle_invariants_random():
         assert poly.is_zero() or poly.degree() <= n
 
 
+def test_hd_oracle_parts_match_the_whole_formula():
+    # constant literals, clauses of constants alone and variables in no
+    # clause all pass through the split into variable-disjoint parts
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randint(0, 9)
+        lits = [0, 1] + [2 * v + s for v in range(1, n + 1) for s in (0, 1)]
+        f = Formula(
+            tuple(tuple(rng.choice(lits) for _ in range(rng.randint(1, 3)))
+                  for _ in range(rng.randint(0, 5))),
+            n,
+        )
+        masks = enumerate_solutions(f)
+        whole = HDPoly(_distance_histogram_loop(masks)) if masks else ZERO
+        assert hd_oracle(f) == whole, f
+
+
 def test_state_eval_respects_one_sided_values():
     rng = random.Random(2)
     st, _ = build_paired([[1, 2, 3]], rng)

@@ -4,6 +4,7 @@ import random
 import sys
 from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,6 +65,16 @@ def test_oracle_equivalence_random_sample():
         for bt in (3, 16):
             got = solve(inst.formula, SolveOptions(base_threshold=bt)).poly
             assert got == hd_oracle(inst.formula), (seed, bt)
+
+
+# past the n = 24 reach of whole-formula brute force; the seeds keep the
+# oracle's largest variable-disjoint part at 15..21 variables
+@pytest.mark.parametrize("n, seeds", [(30, (1, 2, 14)), (36, (1, 2, 19)), (42, (4, 7, 12)),
+                                      (48, (3, 6, 10))])
+def test_oracle_equivalence_past_whole_formula_reach(n, seeds):
+    for seed in seeds:
+        f = generate(n, n // 3, seed=seed, planted=True).formula
+        assert solve(f).poly == hd_oracle(f), (n, seed)
 
 
 def test_negation_invariance():

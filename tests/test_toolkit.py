@@ -147,8 +147,9 @@ def test_cli_oracle_and_refusal(tmp_path):
     code, out, _ = run_cli(["oracle", str(path)])
     assert code == 0 and "12*u^4 + 4" in out
 
+    # the oracle's limit bounds its largest variable-disjoint part: 28 here
     big = tmp_path / "big.x3s"
-    big.write_text(render(generate(30, 3, seed=1)))
+    big.write_text(render(generate(30, 30, seed=1)))
     code, out, err = run_cli(["oracle", str(big)])
     assert code == 1
     assert "--force" in err
