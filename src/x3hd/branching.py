@@ -8,7 +8,7 @@ value is always the exact sum of the children's values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import MutableMapping
 
@@ -22,7 +22,7 @@ from .model import (
     true_positions,
 )
 from .poly import ZERO
-from .simplify import assign_value, drop_clauses, fold_free, simplify_fixpoint, value_combos
+from .simplify import assign_value, fold_free, simplify_fixpoint, value_combos
 
 Counts = MutableMapping[str, int] | None
 
@@ -216,8 +216,7 @@ def eliminate_semiisolated_1(st: PairState, si: SemiIsolated) -> PairState:
     if len(J) > 1:
         raise InternalError("single-boundary elimination needs |J| <= 1")
     xvar = J[0] if J else None
-    touching = [k for k, cl in enumerate(st.clauses) if clause_vars(cl) & I]
-    touched = [st.clauses[k] for k in touching]
+    touched = [cl for cl in st.clauses if clause_vars(cl) & I]
     ivars = sorted(I)
     f0, f1 = st.fixed
     weights = dict(st.weights)
@@ -233,13 +232,12 @@ def eliminate_semiisolated_1(st: PairState, si: SemiIsolated) -> PairState:
         weights[xvar] = tuple(table)
     for v in ivars:
         weights.pop(v)
-    st = replace(
-        drop_clauses(st, set(touching)),
-        fixed=({k: v for k, v in f0.items() if k not in I},
-               {k: v for k, v in f1.items() if k not in I}),
-        V=st.V - I,
-        p_main=p_main,
-        weights=weights,
+    st = PairState(
+        tuple(cl for cl in st.clauses if not clause_vars(cl) & I),
+        ({k: v for k, v in f0.items() if k not in I}, {k: v for k, v in f1.items() if k not in I}),
+        st.V - I,
+        p_main,
+        weights,
     )
     if xvar is not None and xvar not in st.occurring():
         st = fold_free(st, frozenset({xvar}))

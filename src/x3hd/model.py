@@ -56,21 +56,6 @@ def clause_vars(clause: Clause) -> set[int]:
     return {p >> 2 for p in clause if p >= 4}
 
 
-def substitute(
-    clauses: tuple[Clause, ...], old: int, new: int, i: int, j: int
-) -> tuple[Clause, ...]:
-    """Replace variable `old` by `new`, where value(old) = value(new) ^ i on
-    side 0 and ^ j on side 1. With new = 0 this sets old to the constant
-    pair (i, j)."""
-    lo, hi = 4 * old, 4 * old + 3
-    base, flip = 4 * new, 2 * j + i
-    return tuple(
-        tuple(base + (p & 3 ^ flip) if lo <= p <= hi else p for p in cl)
-        if any(lo <= p <= hi for p in cl) else cl
-        for cl in clauses
-    )
-
-
 def true_positions(
     clause: Clause, fixed: Mapping[int, int], side: int
 ) -> list[dict[int, int] | None]:
@@ -292,7 +277,7 @@ def pair_sum(
     return total
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class PairState:
     """One node of the search: the clauses of both formulas as pair
     literals, plus bookkeeping.
@@ -300,8 +285,8 @@ class PairState:
     fixed[side] maps a variable to the value forced on that side, side 0
     being phi(x) and side 1 phi(y), as in the pair literals; a variable
     determined on both sides is eliminated. Treat instances as immutable
-    snapshots: rewrites build new states and never mutate the dicts in
-    place.
+    snapshots: the rewrites in `simplify` work on a copy of a state and
+    build a new one, never writing the dicts of their input.
     """
 
     clauses: tuple[Clause, ...]

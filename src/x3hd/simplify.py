@@ -12,21 +12,35 @@ variable determined on both sides, `fold_free` for those in no clause),
 small-clause normalisation, then resolution of clause pairs sharing
 exactly two variables.
 
-One call of the fixpoint does no work twice. A single scan per iteration
-gives the unsat verdict, the duplicates and the clause variable sets, each
-clause's variable set and dedup key being memoised for the call. The unsat
-check (closed form, `model.clause_unsatisfiable`) runs only on clauses
-that are new or that have a variable whose forced value changed since
-they last passed it. Shared pairs are found through a variable -> clause
-occurrence index. Variables in no clause fold into p_main in one step,
-equal factors raised to a power at once. Small clauses are classified
-once per shape, up to the names of their at most two variables.
+Every rewrite has one implementation, a method of `_Work`: a mutable
+working copy of a `PairState` (a clause list, the two forced-value dicts,
+the variable set, the weight tables and p_main) that the method edits in
+place. `simplify_fixpoint` thaws its input once, applies each rule that
+fires to the same working copy and freezes one `PairState` when no rule
+fires any more; it returns the input itself when none fired at all. The
+public rewrites (`assign_value`, `fold_free`, `link_variables`,
+`apply_small_clause`, `resolve_shared_pair`) are thin wrappers for the
+branching rules and the tests: thaw, apply one method, freeze. Thawing
+copies every dict and set, so no input state is ever written.
+
+One fixpoint call does no work twice. A working copy memoises each
+clause's variable set and dedup key, and a substitution rewrites only the
+clauses whose variable set holds the replaced variable. A single scan per
+iteration gives the unsat verdict, the duplicates and the clause variable
+sets. The unsat check (closed form, `model.clause_unsatisfiable`) runs
+only on clauses that are new or that hold a variable whose forced value
+the working copy has set since they last passed it. Shared pairs are
+found through a variable -> clause occurrence index. Variables in no
+clause fold into p_main in one step: grouped by weight table and forced
+values, each group's factor summed once and equal factors raised to a
+power at once. Small clauses are classified once per shape, up to the
+names of their at most two variables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import MutableMapping
+from itertools import count
+from typing import MutableMapping, NamedTuple
 
 from .errors import InternalError
 from .model import (
@@ -34,16 +48,176 @@ from .model import (
     PairState,
     clause_unsatisfiable,
     clause_vars,
-    substitute,
     true_positions,
 )
 from .poly import HDPoly
 
 
-def drop_clauses(st: PairState, indices: set[int]) -> PairState:
-    """The state without the clauses at `indices`."""
-    clauses = tuple(cl for idx, cl in enumerate(st.clauses) if idx not in indices)
-    return PairState(clauses, st.fixed, st.V, st.p_main, st.weights)
+def _values(forced: int | None) -> tuple[int, ...]:
+    """The values a variable may take on one side, given its forced value
+    there (None when free)."""
+    return (0, 1) if forced is None else (forced,)
+
+
+class _Work:
+    """A mutable working copy of one PairState, rewritten in place.
+
+    The copy owns its clause list, forced-value dicts, variable set and
+    weight dict; `freeze` hands them to the PairState it builds, after
+    which the copy is not used again. A method returning bool returns
+    False when the state evaluates to zero; the copy is then abandoned
+    half-rewritten.
+    """
+
+    __slots__ = ("clauses", "fixed", "V", "weights", "p_main", "memo", "changed")
+
+    def __init__(self, st: PairState):
+        self.clauses = list(st.clauses)
+        self.fixed = (dict(st.fixed[0]), dict(st.fixed[1]))
+        self.V = set(st.V)
+        self.weights = dict(st.weights)
+        self.p_main = st.p_main
+        # clause -> (variable set, dedup key), filled by the fixpoint's scan
+        self.memo: dict[Clause, tuple[set[int], Clause]] = {}
+        # variables whose forced value this copy has set; the fixpoint
+        # empties it once it has acted on it
+        self.changed: set[int] = set()
+
+    def freeze(self) -> PairState:
+        return PairState(
+            tuple(self.clauses), self.fixed, frozenset(self.V), self.p_main, self.weights
+        )
+
+    def substitute(self, old: int, new: int, i: int, j: int) -> None:
+        """Replace variable `old` by `new`, where value(old) = value(new) ^ i
+        on side 0 and ^ j on side 1; with new = 0 this sets old to the
+        constant pair (i, j). Only the clauses holding `old` are rebuilt;
+        the fixpoint has memoised every clause's variable set by then, a
+        one-off rewrite reads them off the clauses."""
+        lo, hi = 4 * old, 4 * old + 3
+        base, flip = 4 * new, 2 * j + i
+        memo, clauses = self.memo, self.clauses
+        for k, cl in enumerate(clauses):
+            entry = memo.get(cl)
+            if old in (entry[0] if entry else clause_vars(cl)):
+                clauses[k] = tuple(base + (p & 3 ^ flip) if lo <= p <= hi else p for p in cl)
+
+    def drop(self, indices: set[int]) -> None:
+        self.clauses = [cl for k, cl in enumerate(self.clauses) if k not in indices]
+
+    def force(self, forces) -> bool:
+        """Record (side, variable, value) forces; False on a contradiction."""
+        for side, var, val in forces:
+            s = self.fixed[side]
+            have = s.get(var)
+            if have is None:
+                s[var] = val
+                self.changed.add(var)
+            elif have != val:
+                return False
+        return True
+
+    def assign(self, x: int, i: int, j: int) -> None:
+        """Fix x to i on side 0 and j on side 1: scale p_main by the
+        matching weight entry, substitute the constants, drop x."""
+        self.p_main = self.p_main * self.weights.pop(x)[2 * i + j]
+        for s in self.fixed:
+            s.pop(x, None)
+        self.V.discard(x)
+        self.substitute(x, 0, i, j)
+
+    def fold(self, free: set[int] | frozenset[int]) -> None:
+        """Fold the variables of `free`, none of which occurs in a clause,
+        into p_main. Each contributes the sum of the weight entries its
+        forced values allow; the variables are grouped by (table object,
+        forced values) so each group's sum is taken once, and equal
+        factors are merged and raised to their multiplicity."""
+        f0, f1 = self.fixed
+        weights = self.weights
+        groups: dict[tuple[int, int | None, int | None], list] = {}
+        for x in free:
+            table = weights.pop(x)
+            key = (id(table), f0.pop(x, None), f1.pop(x, None))
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [table, 1]
+            else:
+                group[1] += 1
+        powers: dict[HDPoly, int] = {}
+        for (_, i, j), (table, k) in groups.items():
+            factor = sum(table[2 * a + b] for a in _values(i) for b in _values(j))
+            powers[factor] = powers.get(factor, 0) + k
+        for factor, k in powers.items():
+            self.p_main = self.p_main * factor**k
+        self.V -= free
+
+    def link(self, keep: int, drop: int, pol1: int, pol2: int) -> bool:
+        """Replace `drop` by `keep` everywhere; value(drop) = value(keep) ^
+        pol per side. The dropped variable's weight folds into the kept
+        one. False when a forced value of drop contradicts one already
+        recorded for keep."""
+        if keep == drop or keep not in self.V or drop not in self.V:
+            raise InternalError(f"bad link {keep}~{drop}")
+        weights = self.weights
+        kept = weights[keep]
+        dropped = weights.pop(drop)
+        weights[keep] = tuple(
+            kept[2 * i + j] * dropped[2 * (i ^ pol1) + (j ^ pol2)]
+            for i in (0, 1) for j in (0, 1)
+        )
+        for s, pol in zip(self.fixed, (pol1, pol2)):
+            if drop in s:
+                implied = s.pop(drop) ^ pol
+                have = s.get(keep)
+                if have is None:
+                    s[keep] = implied
+                    self.changed.add(keep)
+                elif have != implied:
+                    return False
+        self.V.discard(drop)
+        self.substitute(drop, keep, pol1, pol2)
+        return True
+
+    def apply_small(self, idx: int, action: SmallClauseAction) -> bool:
+        if action.unsat:
+            return False
+        del self.clauses[idx]
+        return self.force(action.forces) and (action.link is None or self.link(*action.link))
+
+    def resolve_pair(self, i: int, j: int) -> bool:
+        """Resolve two clauses (3 distinct variables each) sharing exactly
+        two variables: the two non-shared variables are always linked, and
+        the polarity pattern of the shared literals may force values
+        first."""
+        ci, cj = self.clauses[i], self.clauses[j]
+        vi = clause_vars(ci)
+        vj = clause_vars(cj)
+        shared = sorted(vi & vj)
+        if len(shared) != 2 or len(vi) != 3 or len(vj) != 3:
+            raise InternalError("shared-pair resolution needs 3-variable clauses sharing 2")
+        w = (vi - set(shared)).pop()
+        z = (vj - set(shared)).pop()
+        forces: list[tuple[int, int, int]] = []
+        pols = []
+        for side in (0, 1):
+            flips = [_sign_of(ci, v, side) != _sign_of(cj, v, side) for v in shared]
+            gw = _sign_of(ci, w, side)
+            gz = _sign_of(cj, z, side)
+            if flips[0] and flips[1]:
+                # both shared literals flipped: the two extra literals must be false
+                rel = 0
+                forces.append((side, w, gw))
+                forces.append((side, z, gz))
+            elif not flips[0] and not flips[1]:
+                rel = 0
+            else:
+                # one flipped: the unflipped shared literal must be false
+                rel = 1
+                u = shared[0] if not flips[0] else shared[1]
+                forces.append((side, u, _sign_of(ci, u, side)))
+            pols.append(gw ^ gz ^ rel)
+        keep, drop = (w, z) if w < z else (z, w)
+        return self.force(forces) and self.link(keep, drop, pols[0], pols[1])
 
 
 def detect_unsat(st: PairState) -> bool:
@@ -58,74 +232,32 @@ def value_combos(st: PairState, x: int) -> list[tuple[int, int]]:
     """The (side 0, side 1) value pairs for x consistent with its forced
     values, in the fixed order (0,0), (0,1), (1,0), (1,1)."""
     f0, f1 = st.fixed
-    ivals = (f0[x],) if x in f0 else (0, 1)
-    jvals = (f1[x],) if x in f1 else (0, 1)
-    return [(i, j) for i in ivals for j in jvals]
+    return [(i, j) for i in _values(f0.get(x)) for j in _values(f1.get(x))]
 
 
 def assign_value(st: PairState, x: int, i: int, j: int) -> PairState:
-    """Fix variable x to i on side 0 and j on side 1: scale p_main by the
-    matching weight entry, substitute the constants, drop x."""
-    weights = dict(st.weights)
-    factor = weights.pop(x)[2 * i + j]
-    f0, f1 = st.fixed
-    return PairState(
-        substitute(st.clauses, x, 0, i, j),
-        ({k: v for k, v in f0.items() if k != x}, {k: v for k, v in f1.items() if k != x}),
-        st.V - {x},
-        st.p_main * factor,
-        weights,
-    )
+    """st with x fixed to i on side 0 and j on side 1 (`_Work.assign`)."""
+    work = _Work(st)
+    work.assign(x, i, j)
+    return work.freeze()
 
 
 def fold_free(st: PairState, free: frozenset[int]) -> PairState:
-    """Fold every variable of `free`, none of which occurs in a clause, into
-    p_main at once: each contributes the sum of its weight entries that its
-    forced values allow, equal factors grouped and raised to their
-    multiplicity."""
-    groups: dict[HDPoly, int] = {}
-    for x in free:
-        table = st.weights[x]
-        factor = sum(table[2 * i + j] for i, j in value_combos(st, x))
-        groups[factor] = groups.get(factor, 0) + 1
-    p_main = st.p_main
-    for factor, k in groups.items():
-        p_main = p_main * factor**k
-    weights = {v: table for v, table in st.weights.items() if v not in free}
-    f0, f1 = st.fixed
-    fixed = ({k: v for k, v in f0.items() if k not in free},
-             {k: v for k, v in f1.items() if k not in free})
-    return PairState(st.clauses, fixed, st.V - free, p_main, weights)
+    """st with the variables of `free`, none of which occurs in a clause,
+    folded into p_main (`_Work.fold`)."""
+    work = _Work(st)
+    work.fold(free)
+    return work.freeze()
 
 
 def link_variables(st: PairState, keep: int, drop: int, pol1: int, pol2: int) -> PairState | None:
-    """Replace `drop` by `keep` everywhere; value(drop) = value(keep) ^ pol
-    per side. The dropped variable's weight folds into the kept one. None
-    when a forced value of drop contradicts one already recorded for keep.
-    """
-    if keep == drop or keep not in st.V or drop not in st.V:
-        raise InternalError(f"bad link {keep}~{drop}")
-    weights = dict(st.weights)
-    kept = weights[keep]
-    dropped = weights.pop(drop)
-    weights[keep] = tuple(
-        kept[2 * i + j] * dropped[2 * (i ^ pol1) + (j ^ pol2)]
-        for i in (0, 1) for j in (0, 1)
-    )
-    fixed = (dict(st.fixed[0]), dict(st.fixed[1]))
-    for s, pol in zip(fixed, (pol1, pol2)):
-        if drop in s:
-            implied = s.pop(drop) ^ pol
-            if s.get(keep, implied) != implied:
-                return None
-            s[keep] = implied
-    return PairState(
-        substitute(st.clauses, drop, keep, pol1, pol2), fixed, st.V - {drop}, st.p_main, weights
-    )
+    """st with `drop` replaced by `keep` (`_Work.link`); None when their
+    forced values contradict the link."""
+    work = _Work(st)
+    return work.freeze() if work.link(keep, drop, pol1, pol2) else None
 
 
-@dataclass(frozen=True)
-class SmallClauseAction:
+class SmallClauseAction(NamedTuple):
     """Joint effect of a pair clause with at most two distinct variables.
 
     The clause is always dropped unless unsat. Forces are (side, variable,
@@ -216,24 +348,11 @@ def normalize_small_clause(clause: Clause) -> SmallClauseAction:
     )
 
 
-def _force(st: PairState, forces) -> PairState | None:
-    """Record (side, variable, value) forces; None on a contradiction."""
-    fixed = (dict(st.fixed[0]), dict(st.fixed[1]))
-    for side, var, val in forces:
-        s = fixed[side]
-        if s.get(var, val) != val:
-            return None
-        s[var] = val
-    return PairState(st.clauses, fixed, st.V, st.p_main, st.weights)
-
-
 def apply_small_clause(st: PairState, idx: int, action: SmallClauseAction) -> PairState | None:
-    if action.unsat:
-        return None
-    st = _force(drop_clauses(st, {idx}), action.forces)
-    if st is not None and action.link is not None:
-        return link_variables(st, *action.link)
-    return st
+    """st with the small clause at `idx` replaced by its action
+    (`_Work.apply_small`); None when the state evaluates to zero."""
+    work = _Work(st)
+    return work.freeze() if work.apply_small(idx, action) else None
 
 
 def _sign_of(clause: Clause, var: int, side: int) -> int:
@@ -244,41 +363,10 @@ def _sign_of(clause: Clause, var: int, side: int) -> int:
 
 
 def resolve_shared_pair(st: PairState, i: int, j: int) -> PairState | None:
-    """Resolve two clauses (3 distinct variables each) sharing exactly two
-    variables: the two non-shared variables are always linked, and the
-    polarity pattern of the shared literals may force values first."""
-    ci, cj = st.clauses[i], st.clauses[j]
-    vi = clause_vars(ci)
-    vj = clause_vars(cj)
-    shared = sorted(vi & vj)
-    if len(shared) != 2 or len(vi) != 3 or len(vj) != 3:
-        raise InternalError("shared-pair resolution needs 3-variable clauses sharing 2")
-    w = (vi - set(shared)).pop()
-    z = (vj - set(shared)).pop()
-    forces: list[tuple[int, int, int]] = []
-    pols = []
-    for side in (0, 1):
-        flips = [_sign_of(ci, v, side) != _sign_of(cj, v, side) for v in shared]
-        gw = _sign_of(ci, w, side)
-        gz = _sign_of(cj, z, side)
-        if flips[0] and flips[1]:
-            # both shared literals flipped: the two extra literals must be false
-            rel = 0
-            forces.append((side, w, gw))
-            forces.append((side, z, gz))
-        elif not flips[0] and not flips[1]:
-            rel = 0
-        else:
-            # one flipped: the unflipped shared literal must be false
-            rel = 1
-            u = shared[0] if not flips[0] else shared[1]
-            forces.append((side, u, _sign_of(ci, u, side)))
-        pols.append(gw ^ gz ^ rel)
-    st = _force(st, forces)
-    if st is None:
-        return None
-    keep, drop = (w, z) if w < z else (z, w)
-    return link_variables(st, keep, drop, pols[0], pols[1])
+    """st with the clauses at i and j resolved (`_Work.resolve_pair`); None
+    when a forced value contradicts the resolution."""
+    work = _Work(st)
+    return work.freeze() if work.resolve_pair(i, j) else None
 
 
 def _shared_pair(varsets: list[set[int]]) -> tuple[int, int] | None:
@@ -307,42 +395,38 @@ def simplify_fixpoint(
     """Apply the non-branching rules in priority order until none fires.
 
     Each application removes a variable, a clause, or determines a value,
-    so the loop terminates. Returns None when the state evaluates to zero.
+    so the loop terminates. Returns None when the state evaluates to zero,
+    the input itself when no rule fired.
     """
 
     def bump(key: str, n: int = 1) -> None:
         if counts is not None:
             counts[key] = counts.get(key, 0) + n
 
-    # clause -> (variable set, dedup key), for this call
-    memo: dict[Clause, tuple[set[int], Clause]] = {}
-    # clauses that passed the unsat check under `checked_fixed`; a verdict
-    # depends only on the clause and the forced values of its variables
+    work = _Work(st)
+    f0, f1 = work.fixed
+    memo, changed = work.memo, work.changed
+    # clauses that passed the unsat check; a verdict depends only on the
+    # clause and the forced values of its variables
     passed: set[Clause] = set()
-    checked_fixed = st.fixed
-    while True:
-        f0, f1 = st.fixed
-        if st.fixed is not checked_fixed:
-            old0, old1 = checked_fixed
-            diff = (old0.items() ^ f0.items()) | (old1.items() ^ f1.items())
-            if diff:
-                changed = {v for v, _ in diff}
-                passed = {cl for cl in passed if memo[cl][0].isdisjoint(changed)}
-            checked_fixed = st.fixed
+    for rounds in count():
+        if changed:
+            passed = {cl for cl in passed if memo[cl][0].isdisjoint(changed)}
+            changed.clear()
         seen: set[Clause] = set()
         dups: set[int] = set()
         varsets: list[set[int]] = []
         small = None
-        for idx, cl in enumerate(st.clauses):
+        for idx, cl in enumerate(work.clauses):
             entry = memo.get(cl)
             if entry is None:
                 entry = memo[cl] = (clause_vars(cl), tuple(sorted(cl)))
+            vs, key = entry
             if cl not in passed:
                 if clause_unsatisfiable(cl, f0, 0) or clause_unsatisfiable(cl, f1, 1):
                     bump("case1_i")
                     return None
                 passed.add(cl)
-            vs, key = entry
             if key in seen:
                 dups.add(idx)
             else:
@@ -351,35 +435,32 @@ def simplify_fixpoint(
                 small = idx
             varsets.append(vs)
         if dups:
-            st = drop_clauses(st, dups)
+            work.drop(dups)
             bump("dedup")
             continue
-        free = st.V - set().union(*varsets)
-        target = min(free.union(f0.keys() & f1.keys() & st.V), default=None)
+        free = work.V - set().union(*varsets)
+        target = min(free.union(f0.keys() & f1.keys() & work.V), default=None)
         if target is not None:
             if target not in free:
-                st = assign_value(st, target, f0[target], f1[target])
+                work.assign(target, f0[target], f1[target])
                 bump("case1_ii")
             else:
                 # folding leaves the clauses unchanged, so folding one such
                 # variable per iteration would fire the same rules in between:
                 # fold them all now and count each one
-                st = fold_free(st, free)
+                work.fold(free)
                 bump("case1_ii", len(free))
             continue
         if small is not None:
             bump("case1_iii")
-            nxt = apply_small_clause(st, small, normalize_small_clause(st.clauses[small]))
-            if nxt is None:
+            if not work.apply_small(small, normalize_small_clause(work.clauses[small])):
                 return None
-            st = nxt
             continue
         pair = _shared_pair(varsets)
         if pair is not None:
             bump("case1_iv")
-            nxt = resolve_shared_pair(st, *pair)
-            if nxt is None:
+            if not work.resolve_pair(*pair):
                 return None
-            st = nxt
             continue
-        return st
+        # every earlier round fired a rule
+        return work.freeze() if rounds else st

@@ -1,15 +1,21 @@
+import copy
 import random
 from dataclasses import replace
 from itertools import product
 
 import pytest
 
+import x3hd.branching
+import x3hd.decompose
+import x3hd.solver
 from rulestates import FAMILIES, build_paired, clause, fuzz_weights, mkstate, pair_clause
-from x3hd.model import initial_state, Formula
+from x3hd.instances import generate
+from x3hd.model import PRISTINE, Formula, clause_vars, initial_state
 from x3hd.oracle import state_eval
 from x3hd.poly import ONE, U, ZERO, HDPoly
 from x3hd.simplify import (
     _classify_small_clause,
+    _shared_pair,
     apply_small_clause,
     assign_value,
     detect_unsat,
@@ -255,8 +261,6 @@ def test_fixpoint_removes_duplicate_clauses():
 
 
 def test_fixpoint_postconditions():
-    from x3hd.model import clause_vars
-
     rng = random.Random(11)
     for seed in range(25):
         st, _ = build_paired([[1, 2, 3], [1, 2, 4], [3, 5, 6], [5, 7, 2]], rng)
@@ -283,3 +287,106 @@ def test_single_rewrite_conservation_families():
             parent = state_eval(case.parent)
             total = sum((state_eval(c) for c in case.children if c is not None), ZERO)
             assert parent == total, (name, seed)
+
+
+def _free_product(st, free):
+    """p_main times, per variable of `free`, the sum of its table entries
+    that its forced values allow: the fold's reference."""
+    f0, f1 = st.fixed
+    out = st.p_main
+    for x in sorted(free):
+        allowed = [st.weights[x][2 * i + j] for i in (0, 1) for j in (0, 1)
+                   if f0.get(x, i) == i and f1.get(x, j) == j]
+        out = out * sum(allowed, ZERO)
+    return out
+
+
+def test_fold_free_equals_the_per_variable_product():
+    # variables 1..2k occur in no clause; 1..k keep PRISTINE (one shared
+    # table object), k+1..2k get tables from links, equal tables being
+    # distinct objects, and some get arbitrary tables; forced values are
+    # one-sided or two-sided
+    rng = random.Random(7)
+    shared = 0
+    for trial in range(150):
+        k = rng.randint(1, 6)
+        free = list(range(1, 2 * k + 1))
+        clause_var = 3 * k + 1
+        st = mkstate([clause(clause_var, clause_var + 1, clause_var + 2)],
+                     extra_vars=range(1, 3 * k + 1))
+        for v in range(k + 1, 2 * k + 1):
+            st = link_variables(st, v, v + k, rng.randrange(2), rng.randrange(2))
+        st = fuzz_weights(st, rng, prob=0.2)
+        fixed = (dict(st.fixed[0]), dict(st.fixed[1]))
+        for v in free:
+            for side in (0, 1):
+                if rng.random() < 0.3:
+                    fixed[side][v] = rng.randrange(2)
+        st = replace(st, fixed=fixed)
+        shared += sum(st.weights[v] is PRISTINE for v in free) >= 2
+        out = fold_free(st, frozenset(free))
+        assert out.p_main == _free_product(st, free), trial
+        assert out.V == st.V - set(free)
+        assert not set(free) & (out.weights.keys() | out.fixed[0].keys() | out.fixed[1].keys())
+        # inside the fixpoint the same fold counts each folded variable once
+        counts: dict = {}
+        folded = simplify_fixpoint(st, counts)
+        assert counts == {"case1_ii": len(free)}, trial
+        assert folded.p_main == out.p_main and folded.V == out.V
+    assert shared > 50
+
+
+def _snapshot(st):
+    return copy.deepcopy((st.clauses, st.fixed, st.V, st.weights, st.p_main))
+
+
+def _rewrites(st):
+    """(name, call) for the fixpoint and every public rewrite that applies
+    to st."""
+    calls = [("simplify_fixpoint", lambda: simplify_fixpoint(st, {}))]
+    order = sorted(st.V)
+    for x in {order[0], order[-1]} if order else ():
+        i, j = value_combos(st, x)[-1]
+        calls.append(("assign_value", lambda x=x, i=i, j=j: assign_value(st, x, i, j)))
+    free = frozenset(st.V - st.occurring())
+    if free:
+        calls.append(("fold_free", lambda: fold_free(st, free)))
+    if len(order) >= 2:
+        calls.append(("link_variables", lambda: link_variables(st, order[0], order[1], 1, 0)))
+    varsets = [clause_vars(cl) for cl in st.clauses]
+    small = next((k for k, vs in enumerate(varsets) if len(vs) <= 2), None)
+    if small is not None:
+        action = normalize_small_clause(st.clauses[small])
+        calls.append(("apply_small_clause", lambda: apply_small_clause(st, small, action)))
+    pair = _shared_pair(varsets)
+    if pair is not None and all(len(varsets[k]) == 3 for k in pair):
+        calls.append(("resolve_shared_pair", lambda: resolve_shared_pair(st, *pair)))
+    return calls
+
+
+def test_rewrites_never_write_their_input(monkeypatch):
+    inputs = []
+
+    def checked_fixpoint(st, counts=None):
+        before = _snapshot(st)
+        out = simplify_fixpoint(st, counts)
+        assert _snapshot(st) == before
+        inputs.append(st)
+        return out
+
+    for module in (x3hd.solver, x3hd.branching, x3hd.decompose):
+        monkeypatch.setattr(module, "simplify_fixpoint", checked_fixpoint)
+    for seed in range(36):
+        n = 10 + seed % 12
+        x3hd.solver.solve(generate(n, n // 3 + seed % 5, seed=seed, planted=seed % 2 == 0).formula)
+    monkeypatch.undo()
+    assert len(inputs) > 100
+    states = inputs + [FAMILIES[name](seed).parent for name in FAMILIES for seed in range(12)]
+    fired = set()
+    for st in states:
+        for name, call in _rewrites(st):
+            before = _snapshot(st)
+            call()
+            assert _snapshot(st) == before, name
+            fired.add(name)
+    assert len(fired) == 6
