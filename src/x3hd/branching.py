@@ -1,9 +1,9 @@
 """Branching rules and the detector that chooses between them.
 
 A branch op returns the list of children produced for one parent state,
-already passed through the simplification fixpoint; None entries are
-children whose subtree evaluates to the zero polynomial. The parent's
-value is always the exact sum of the children's values.
+each built and simplified by one `simplify_fixpoint` call, so every child
+is at its fixpoint; None entries are children whose subtree evaluates to
+zero. The parent's value is always the exact sum of the children's values.
 """
 
 from __future__ import annotations
@@ -29,25 +29,24 @@ Counts = MutableMapping[str, int] | None
 
 def _finish_children(
     parent: PairState,
-    children: list[PairState],
+    children: list[PairState | None],
     floors: list[int] | None,
-    counts: Counts,
     debug: bool,
 ) -> list[PairState | None]:
-    out: list[PairState | None] = []
-    for pos, child in enumerate(children):
-        simplified = simplify_fixpoint(child, counts)
-        if debug and simplified is not None and floors is not None:
-            removed = len(parent.V) - len(simplified.V)
-            if removed < floors[pos]:
-                raise InternalError(
-                    f"child eliminated {removed} variables, expected >= {floors[pos]}"
-                )
-        out.append(simplified)
-    return out
+    """The children, after checking in debug mode that each one removed
+    at least its floor of variables."""
+    if debug and floors is not None:
+        for child, floor in zip(children, floors):
+            removed = floor if child is None else len(parent.V) - len(child.V)
+            if removed < floor:
+                raise InternalError(f"child eliminated {removed} variables, expected >= {floor}")
+    return children
 
 
-def _class_info(clauses: tuple[Clause, ...]):
+def class_info(clauses: tuple[Clause, ...]):
+    """The dissimilar clause classes, each class's sorted variables and
+    variable -> class indices; built once per search node and shared by
+    `pick_high_degree_var` and `find_config`."""
     classes = clause_classes(clauses)
     class_vars = [sorted(clause_vars(clauses[members[0]])) for members in classes]
     var_to_classes: dict[int, set[int]] = {}
@@ -57,10 +56,11 @@ def _class_info(clauses: tuple[Clause, ...]):
     return classes, class_vars, var_to_classes
 
 
-def pick_high_degree_var(st: PairState) -> int | None:
+def pick_high_degree_var(st: PairState, info=None) -> int | None:
     """A variable occurring in at least four dissimilar clause classes,
-    preferring the highest class count, then the smallest id."""
-    _, _, var_to_classes = _class_info(st.clauses)
+    preferring the highest class count, then the smallest id. `info` is
+    `class_info(st.clauses)` when the caller has it."""
+    _, _, var_to_classes = info or class_info(st.clauses)
     candidates = [v for v, ks in var_to_classes.items() if len(ks) >= 4]
     if not candidates:
         return None
@@ -72,8 +72,8 @@ def branch_high_degree_var(
 ) -> list[PairState | None]:
     """Four-way (or fewer) split on a variable in >= 4 dissimilar classes.
     Each child then links away one further variable per class of x."""
-    children = [assign_value(st, x, i, j) for i, j in value_combos(st, x)]
-    return _finish_children(st, children, [5] * len(children), counts, debug)
+    children = [simplify_fixpoint(st, counts, ((x, i, j),)) for i, j in value_combos(st, x)]
+    return _finish_children(st, children, [5] * len(children), debug)
 
 
 @dataclass(frozen=True)
@@ -167,13 +167,14 @@ def _generic_pattern(st: PairState, classes, var_to_classes, k: int) -> SevenNei
     return SevenNeighbourPattern(rep, pivot, "generic")
 
 
-def find_config(st: PairState):
+def find_config(st: PairState, info=None):
     """Decide how to handle a clause with >= 4 dissimilar neighbour
     classes: a branchable pattern, or a small semiisolated block to
-    eliminate. None when no clause qualifies (the decomposition case)."""
+    eliminate. None when no clause qualifies (the decomposition case).
+    `info` is `class_info(st.clauses)` when the caller has it."""
     if not st.clauses:
         return None
-    classes, class_vars, var_to_classes = _class_info(st.clauses)
+    classes, class_vars, var_to_classes = info or class_info(st.clauses)
 
     def neighbour_count(k: int) -> int:
         return len({q for v in class_vars[k] for q in var_to_classes[v]} - {k})
@@ -262,12 +263,12 @@ def branch_semiisolated_2(
     if x is None:
         raise InternalError("no boundary variable with an outside clause")
     wvar = next(v for v in sorted(si.J) if v != x)
-    children = []
-    for i, j in value_combos(st, x):
-        child = assign_value(st, x, i, j)
-        child = eliminate_semiisolated_1(child, SemiIsolated(si.I, frozenset({wvar})))
-        children.append(child)
-    return _finish_children(st, children, [5] * len(children), counts, debug)
+    rest = SemiIsolated(si.I, frozenset({wvar}))
+    children = [
+        simplify_fixpoint(eliminate_semiisolated_1(assign_value(st, x, i, j), rest), counts)
+        for i, j in value_combos(st, x)
+    ]
+    return _finish_children(st, children, [5] * len(children), debug)
 
 
 def branch_semiisolated_3(
@@ -303,8 +304,8 @@ def branch_semiisolated_3(
             for v in trio:
                 child = assign_value(child, v, vals1[v], vals2[v])
             child = eliminate_semiisolated_1(child, SemiIsolated(inner, rest))
-            children.append(child)
-    return _finish_children(st, children, [8] * len(children), counts, debug)
+            children.append(simplify_fixpoint(child, counts))
+    return _finish_children(st, children, [8] * len(children), debug)
 
 
 def branch_four_neighbour(
@@ -319,14 +320,14 @@ def branch_four_neighbour(
     others = [t for t in range(len(c)) if t != ppos]
     trio = sorted(clause_vars(c))
     generic = pattern.shape == "generic"
-    children: list[PairState] = []
+    children: list[PairState | None] = []
     floors: list[int] = []
 
     # the pivot literal is false where the pivot's value equals its sign
     i0 = c[ppos] & 1
     j0 = (c[ppos] >> 1) & 1
     if (i0, j0) in value_combos(st, pivot):
-        children.append(assign_value(st, pivot, i0, j0))
+        children.append(simplify_fixpoint(st, counts, ((pivot, i0, j0),)))
         floors.append(4)
 
     pos1, pos2 = (true_positions(c, st.fixed[side], side) for side in (0, 1))
@@ -335,10 +336,9 @@ def branch_four_neighbour(
         vals1, vals2 = pos1[p1], pos2[p2]
         if vals1 is None or vals2 is None:
             continue
-        child = st
-        for v in trio:
-            child = assign_value(child, v, vals1[v], vals2[v])
-        children.append(child)
+        children.append(
+            simplify_fixpoint(st, counts, [(v, vals1[v], vals2[v]) for v in trio])
+        )
         floors.append(7)
 
-    return _finish_children(st, children, None if generic else floors, counts, debug)
+    return _finish_children(st, children, None if generic else floors, debug)

@@ -12,7 +12,7 @@ from typing import MutableMapping
 from .errors import InternalError
 from .model import PairState, clause_classes, clause_vars, pair_sum
 from .poly import ONE, HDPoly
-from .simplify import assign_value, fold_free, simplify_fixpoint, value_combos
+from .simplify import fold_free, simplify_fixpoint, value_combos
 
 Counts = MutableMapping[str, int] | None
 
@@ -196,13 +196,10 @@ def branch_cut_variables(
     if not cut:
         raise InternalError("empty cut cannot make progress")
     options = [value_combos(st, v) for v in cut]
-    children: list[PairState | None] = []
-    for combo in product(*options):
-        child = st
-        for v, (i, j) in zip(cut, combo):
-            child = assign_value(child, v, i, j)
-        children.append(simplify_fixpoint(child, counts))
-    return children
+    return [
+        simplify_fixpoint(st, counts, [(v, i, j) for v, (i, j) in zip(cut, combo)])
+        for combo in product(*options)
+    ]
 
 
 def brute_force_base(st: PairState) -> HDPoly:

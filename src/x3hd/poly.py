@@ -29,7 +29,9 @@ class HDPoly:
     """Immutable sparse polynomial with nonnegative integer coefficients.
 
     Stored as a degree -> coefficient map with no zero entries; the zero
-    polynomial is the empty map and has no degree.
+    polynomial is the empty map and has no degree. The results of `+`,
+    `*` and `**` have positive coefficients by construction and skip the
+    public constructor's checks (`_trusted`).
     """
 
     __slots__ = ("_coeffs",)
@@ -45,6 +47,13 @@ class HDPoly:
                 if coeff:
                     cleaned[deg] = coeff
         self._coeffs = cleaned
+
+    @classmethod
+    def _trusted(cls, coeffs: dict[int, int]) -> "HDPoly":
+        """A polynomial owning `coeffs`: nonnegative degrees, positive coefficients."""
+        poly = object.__new__(cls)
+        poly._coeffs = coeffs
+        return poly
 
     @classmethod
     def zero(cls) -> "HDPoly":
@@ -94,7 +103,7 @@ class HDPoly:
         out = dict(self._coeffs)
         for deg, coeff in other._coeffs.items():
             out[deg] = out.get(deg, 0) + coeff
-        return HDPoly(out)
+        return HDPoly._trusted(out)
 
     def __radd__(self, other):
         # lets sum() work with its default integer start value
@@ -103,19 +112,24 @@ class HDPoly:
         return NotImplemented
 
     def __mul__(self, other: "HDPoly") -> "HDPoly":
+        # a zero or unit factor returns an operand; one term shifts and scales
         if not isinstance(other, HDPoly):
             return NotImplemented
-        if not self._coeffs or not other._coeffs:
-            return HDPoly()
-        a, b = self._coeffs, other._coeffs
-        if len(a) > len(b):
-            a, b = b, a
+        small, big = (self, other) if len(self._coeffs) <= len(other._coeffs) else (other, self)
+        a, b = small._coeffs, big._coeffs
+        if not a:
+            return small
+        if len(a) == 1:
+            ((d1, c1),) = a.items()
+            if d1 == 0 and c1 == 1:
+                return big
+            return HDPoly._trusted({d1 + d2: c1 * c2 for d2, c2 in b.items()})
         out: dict[int, int] = {}
         for d1, c1 in a.items():
             for d2, c2 in b.items():
                 d = d1 + d2
                 out[d] = out.get(d, 0) + c1 * c2
-        return HDPoly(out)
+        return HDPoly._trusted(out)
 
     def __pow__(self, k: int) -> "HDPoly":
         """self**k for k >= 0. A polynomial of at most two terms expands by
@@ -131,7 +145,7 @@ class HDPoly:
                 out = out * self
             return out
         if len(items) < 2:
-            return HDPoly({deg * k: coeff**k for deg, coeff in items})
+            return HDPoly._trusted({deg * k: coeff**k for deg, coeff in items})
         # term i is C(k, i) a^i b^(k-i), each factor carried from term i - 1
         (d1, a), (d2, b) = items
         out: dict[int, int] = {}
@@ -141,7 +155,7 @@ class HDPoly:
             binom = binom * (k - i) // (i + 1)
             a_power *= a
             b_power //= b
-        return HDPoly(out)
+        return HDPoly._trusted(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HDPoly):

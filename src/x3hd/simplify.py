@@ -17,8 +17,10 @@ working copy of a `PairState` (a clause list, the two forced-value dicts,
 the variable set, the weight tables and p_main) that the method edits in
 place. `simplify_fixpoint` thaws its input once, applies each rule that
 fires to the same working copy and freezes one `PairState` when no rule
-fires any more; it returns the input itself when none fired at all. The
-public rewrites (`assign_value`, `fold_free`, `link_variables`,
+fires any more; it returns the input itself when none fired at all. A
+branch child's value pairs go in as `assignments`, fixed on the same copy
+before the first round: one thaw and one freeze per child. The public
+rewrites (`assign_value`, `fold_free`, `link_variables`,
 `apply_small_clause`, `resolve_shared_pair`) are thin wrappers for the
 branching rules and the tests: thaw, apply one method, freeze. Thawing
 copies every dict and set, so no input state is ever written.
@@ -40,7 +42,7 @@ names of their at most two variables.
 from __future__ import annotations
 
 from itertools import count
-from typing import MutableMapping, NamedTuple
+from typing import MutableMapping, NamedTuple, Sequence
 
 from .errors import InternalError
 from .model import (
@@ -391,12 +393,14 @@ def _shared_pair(varsets: list[set[int]]) -> tuple[int, int] | None:
 def simplify_fixpoint(
     st: PairState,
     counts: MutableMapping[str, int] | None = None,
+    assignments: Sequence[tuple[int, int, int]] = (),
 ) -> PairState | None:
-    """Apply the non-branching rules in priority order until none fires.
-
-    Each application removes a variable, a clause, or determines a value,
-    so the loop terminates. Returns None when the state evaluates to zero,
-    the input itself when no rule fired.
+    """Fix each (x, i, j) of `assignments` as `assign_value` does, then
+    apply the non-branching rules in priority order until none fires, all
+    on one working copy. Each application removes a variable, a clause, or
+    determines a value, so the loop terminates. Returns None when the
+    state evaluates to zero, the input itself when there were no
+    assignments and no rule fired.
     """
 
     def bump(key: str, n: int = 1) -> None:
@@ -404,6 +408,8 @@ def simplify_fixpoint(
             counts[key] = counts.get(key, 0) + n
 
     work = _Work(st)
+    for x, i, j in assignments:
+        work.assign(x, i, j)
     f0, f1 = work.fixed
     memo, changed = work.memo, work.changed
     # clauses that passed the unsat check; a verdict depends only on the
@@ -463,4 +469,4 @@ def simplify_fixpoint(
                 return None
             continue
         # every earlier round fired a rule
-        return work.freeze() if rounds else st
+        return work.freeze() if rounds or assignments else st

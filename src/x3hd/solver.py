@@ -13,6 +13,7 @@ from .branching import (
     branch_high_degree_var,
     branch_semiisolated_2,
     branch_semiisolated_3,
+    class_info,
     eliminate_semiisolated_1,
     find_config,
     pick_high_degree_var,
@@ -24,6 +25,7 @@ from .decompose import (
     build_clause_graph,
     connected_components,
 )
+from .errors import InternalError
 from .model import Formula, PairState, check_state, initial_state
 from .poly import ZERO, HDPoly
 from .simplify import simplify_fixpoint
@@ -96,26 +98,37 @@ def _sum_children(children, opts, stats, depth) -> tuple[HDPoly, int]:
             stats.nodes += 1
             leaves += 1
             continue
-        poly, sub_leaves = _node(child, opts, stats, depth + 1)
+        poly, sub_leaves = _node(child, opts, stats, depth + 1, at_fixpoint=True)
         total = total + poly
         leaves += sub_leaves
     return total, max(leaves, 1)
 
 
-def _node(st: PairState, opts: SolveOptions, stats: SolveStats, depth: int) -> tuple[HDPoly, int]:
+def _node(
+    st: PairState, opts: SolveOptions, stats: SolveStats, depth: int, at_fixpoint: bool = False
+) -> tuple[HDPoly, int]:
+    """One search node: simplify, then apply the first rule that fires;
+    returns the polynomial and the leaf count. `at_fixpoint` skips the
+    fixpoint for a state it would return unchanged, firing no rule: a
+    branch child (the result of a fixpoint call) or a component of a state
+    at its fixpoint (a subset of its clauses with their variables, so no
+    rule fires on it that did not on the whole). Debug mode checks this."""
     stats.nodes += 1
     if depth > stats.max_depth:
         stats.max_depth = depth
-    simplified = simplify_fixpoint(st, stats.rules)
-    if simplified is None:
-        return ZERO, 1
-    st = simplified
+    if not at_fixpoint:
+        st = simplify_fixpoint(st, stats.rules)
+        if st is None:
+            return ZERO, 1
+    elif opts.debug and simplify_fixpoint(st, {}) is not st:
+        raise InternalError("a state passed as simplified is not at its fixpoint")
     if opts.debug:
         check_state(st)
     if not st.V:
         return st.p_main, 1
 
-    x = pick_high_degree_var(st)
+    info = class_info(st.clauses)
+    x = pick_high_degree_var(st, info)
     if x is not None:
         stats.rules["case1_v"] += 1
         stats.branched_vars += 1
@@ -123,7 +136,7 @@ def _node(st: PairState, opts: SolveOptions, stats: SolveStats, depth: int) -> t
             branch_high_degree_var(st, x, stats.rules, opts.debug), opts, stats, depth
         )
 
-    config = find_config(st)
+    config = find_config(st, info)
     if isinstance(config, SemiIsolated):
         if len(config.J) <= 1:
             stats.rules["case1_vi1"] += 1
@@ -158,7 +171,7 @@ def _node(st: PairState, opts: SolveOptions, stats: SolveStats, depth: int) -> t
         poly = st.p_main
         leaves = 1
         for comp in components:
-            sub_poly, sub_leaves = _node(comp, opts, stats, depth + 1)
+            sub_poly, sub_leaves = _node(comp, opts, stats, depth + 1, at_fixpoint=True)
             poly = poly * sub_poly
             leaves *= sub_leaves
             if poly.is_zero() and not opts.debug:

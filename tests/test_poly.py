@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -130,3 +132,40 @@ def test_power_equals_repeated_product(a, k):
     for _ in range(k):
         expected = expected * a
     assert a**k == expected
+
+
+def _schoolbook_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for d1, c1 in a.items():
+        for d2, c2 in b.items():
+            out[d1 + d2] = out.get(d1 + d2, 0) + c1 * c2
+    return out
+
+
+def test_fast_paths_equal_the_schoolbook_reference():
+    # the results of +, * and ** skip the public constructor's checks and
+    # take shortcuts for zero, one and one-term operands; each must equal
+    # the checked polynomial built from plain dict arithmetic
+    rng = random.Random(5)
+    specials = [ZERO, ONE, U, HDPoly.monomial(3, 2), HDPoly.monomial(1, 4), HDPoly.monomial(7, 0)]
+    sparse = [
+        HDPoly({rng.randrange(12): rng.randrange(1, 10**rng.randint(1, 30))
+                for _ in range(rng.randint(1, 6))})
+        for _ in range(40)
+    ]
+    pool = specials + sparse
+    for a in pool:
+        ta = a.terms()
+        for b in pool:
+            tb = b.terms()
+            total = {d: ta.get(d, 0) + tb.get(d, 0) for d in ta.keys() | tb.keys()}
+            for got, want in ((a + b, total), (a * b, _schoolbook_mul(ta, tb))):
+                assert got == HDPoly(want), (ta, tb)
+                assert all(got.terms().values()), (ta, tb)
+        for k in range(5):
+            want = {0: 1}
+            for _ in range(k):
+                want = _schoolbook_mul(want, ta)
+            got = a**k
+            assert got == HDPoly(want), (ta, k)
+            assert all(got.terms().values()), (ta, k)

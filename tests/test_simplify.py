@@ -340,6 +340,61 @@ def _snapshot(st):
     return copy.deepcopy((st.clauses, st.fixed, st.V, st.weights, st.p_main))
 
 
+def _fixpoint_inputs(monkeypatch, seeds):
+    """Every state the solver hands to `simplify_fixpoint` while solving
+    `generate(n, n // 3 + s % 5, seed=s)` for s in `seeds`; each call is
+    checked to leave its input unchanged."""
+    inputs = []
+
+    def recording_fixpoint(st, counts=None, assignments=()):
+        before = _snapshot(st)
+        out = simplify_fixpoint(st, counts, assignments)
+        assert _snapshot(st) == before
+        inputs.append(st)
+        return out
+
+    with monkeypatch.context() as patch:
+        for module in (x3hd.solver, x3hd.branching, x3hd.decompose):
+            patch.setattr(module, "simplify_fixpoint", recording_fixpoint)
+        for seed in seeds:
+            n = 10 + seed % 12
+            x3hd.solver.solve(generate(n, n // 3 + seed % 5, seed=seed, planted=seed % 2 == 0).formula)
+    return inputs
+
+
+def test_assignments_equal_chained_assign_value(monkeypatch):
+    # a child built inside the fixpoint's working copy must equal the child
+    # built by one assign_value per variable and then simplified
+    states = _fixpoint_inputs(monkeypatch, range(24))
+    states += [FAMILIES[name](seed).parent for name in FAMILIES for seed in range(12)]
+    rng = random.Random(3)
+    checked = zero = 0
+    for st in states:
+        order = sorted(st.V)
+        for _ in range(3 if order else 0):
+            chosen = rng.sample(order, rng.randint(1, min(3, len(order))))
+            assignments = [(x, *rng.choice(value_combos(st, x))) for x in chosen]
+            c1, c2 = {}, {}
+            got = simplify_fixpoint(st, c1, assignments)
+            chained = st
+            for x, i, j in assignments:
+                chained = assign_value(chained, x, i, j)
+            want = simplify_fixpoint(chained, c2)
+            assert got is not st
+            assert c1 == c2
+            if want is None:
+                assert got is None
+                zero += 1
+            else:
+                assert got.clauses == want.clauses
+                assert got.fixed == want.fixed
+                assert got.V == want.V
+                assert got.weights == want.weights
+                assert got.p_main == want.p_main
+            checked += 1
+    assert zero > 100 and checked - zero > 200
+
+
 def _rewrites(st):
     """(name, call) for the fixpoint and every public rewrite that applies
     to st."""
@@ -348,6 +403,9 @@ def _rewrites(st):
     for x in {order[0], order[-1]} if order else ():
         i, j = value_combos(st, x)[-1]
         calls.append(("assign_value", lambda x=x, i=i, j=j: assign_value(st, x, i, j)))
+    if order:
+        assignments = [(x, *value_combos(st, x)[0]) for x in order[:3]]
+        calls.append(("assignments", lambda: simplify_fixpoint(st, {}, assignments)))
     free = frozenset(st.V - st.occurring())
     if free:
         calls.append(("fold_free", lambda: fold_free(st, free)))
@@ -365,21 +423,7 @@ def _rewrites(st):
 
 
 def test_rewrites_never_write_their_input(monkeypatch):
-    inputs = []
-
-    def checked_fixpoint(st, counts=None):
-        before = _snapshot(st)
-        out = simplify_fixpoint(st, counts)
-        assert _snapshot(st) == before
-        inputs.append(st)
-        return out
-
-    for module in (x3hd.solver, x3hd.branching, x3hd.decompose):
-        monkeypatch.setattr(module, "simplify_fixpoint", checked_fixpoint)
-    for seed in range(36):
-        n = 10 + seed % 12
-        x3hd.solver.solve(generate(n, n // 3 + seed % 5, seed=seed, planted=seed % 2 == 0).formula)
-    monkeypatch.undo()
+    inputs = _fixpoint_inputs(monkeypatch, range(48))
     assert len(inputs) > 100
     states = inputs + [FAMILIES[name](seed).parent for name in FAMILIES for seed in range(12)]
     fired = set()
@@ -389,4 +433,4 @@ def test_rewrites_never_write_their_input(monkeypatch):
             call()
             assert _snapshot(st) == before, name
             fired.add(name)
-    assert len(fired) == 6
+    assert len(fired) == 7

@@ -257,6 +257,23 @@ def test_rare_rules_reached_through_solve():
         assert report.poly == hd_oracle(f), (rule, clauses)
 
 
+def test_debug_mode_confirms_skipped_fixpoints():
+    # branch children and components skip the fixpoint in _node; debug mode
+    # re-runs it on each of them and raises if one was not at its fixpoint
+    formulas = [Formula.from_dimacs(clauses, n) for _, n, clauses in RARE_RULE_INSTANCES]
+    formulas += [generate(n, m, seed=s, planted=True).formula
+                 for n in range(12, 22) for m in range(5, 11) for s in range(3)]
+    reached = 0
+    for f in formulas:
+        debug = solve(f, SolveOptions(debug=True))
+        release = solve(f)
+        assert debug.poly == release.poly
+        assert debug.stats.as_dict() == release.stats.as_dict()
+        rules = debug.stats.rules
+        reached += any(rules[k] for k in ("case1_v", "case1_vi2", "case1_vii", "component_split"))
+    assert reached >= 30
+
+
 @settings(max_examples=30)
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=4, max_value=10))
 def test_solver_equals_oracle_property(seed, n):
