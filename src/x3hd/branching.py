@@ -4,6 +4,10 @@ A branch op returns the list of children produced for one parent state,
 each built and simplified by one `simplify_fixpoint` call, so every child
 is at its fixpoint; None entries are children whose subtree evaluates to
 zero. The parent's value is always the exact sum of the children's values.
+
+Detection (`pick_high_degree_var`, `find_config`) and the boundary search
+of `branch_semiisolated_2` read the state's class index (`PairState.index`)
+instead of scanning its clauses.
 """
 
 from __future__ import annotations
@@ -14,9 +18,8 @@ from typing import MutableMapping
 
 from .errors import InternalError
 from .model import (
-    Clause,
+    ClassIndex,
     PairState,
-    clause_classes,
     clause_vars,
     pair_sum,
     true_positions,
@@ -43,24 +46,10 @@ def _finish_children(
     return children
 
 
-def class_info(clauses: tuple[Clause, ...]):
-    """The dissimilar clause classes, each class's sorted variables and
-    variable -> class indices; built once per search node and shared by
-    `pick_high_degree_var` and `find_config`."""
-    classes = clause_classes(clauses)
-    class_vars = [sorted(clause_vars(clauses[members[0]])) for members in classes]
-    var_to_classes: dict[int, set[int]] = {}
-    for k, vs in enumerate(class_vars):
-        for v in vs:
-            var_to_classes.setdefault(v, set()).add(k)
-    return classes, class_vars, var_to_classes
-
-
-def pick_high_degree_var(st: PairState, info=None) -> int | None:
+def pick_high_degree_var(st: PairState) -> int | None:
     """A variable occurring in at least four dissimilar clause classes,
-    preferring the highest class count, then the smallest id. `info` is
-    `class_info(st.clauses)` when the caller has it."""
-    _, _, var_to_classes = info or class_info(st.clauses)
+    preferring the highest class count, then the smallest id."""
+    var_to_classes = st.index().var_to_classes
     candidates = [v for v, ks in var_to_classes.items() if len(ks) >= 4]
     if not candidates:
         return None
@@ -96,29 +85,26 @@ class SevenNeighbourPattern:
     shape: str
 
 
-def _extract_semiisolated(st: PairState, block: frozenset[int]) -> SemiIsolated:
-    boundary = set()
-    for cl in st.clauses:
-        vs = clause_vars(cl)
-        outside = vs - block
-        if outside:
-            boundary |= vs & block
+def _extract_semiisolated(index: ClassIndex, block: frozenset[int]) -> SemiIsolated:
+    boundary: set[int] = set()
+    for vs in index.class_vars:
+        if not block.issuperset(vs):
+            boundary |= block.intersection(vs)
     I = frozenset(block - boundary)
-    for cl in st.clauses:
-        vs = clause_vars(cl)
-        if vs & I and not vs <= block:
+    for vs in index.class_vars:
+        if not I.isdisjoint(vs) and not block.issuperset(vs):
             raise InternalError("semiisolated block leaks outside its boundary")
     return SemiIsolated(I, frozenset(boundary))
 
 
-def _match_pattern(st: PairState, classes, class_vars, var_to_classes, k: int):
+def _match_pattern(st: PairState, k: int):
     """One step of the constructive search around a class with >= 4
     dissimilar neighbours: either a branchable pattern, or the context
     (block, a, b, next-class) for the semiisolated fallback."""
-    clauses = st.clauses
+    classes, class_vars, var_to_classes, _ = st.index()
     rep = classes[k][0]
     order = []
-    for p in clauses[rep]:
+    for p in st.clauses[rep]:
         if p >= 4 and p >> 2 not in order:
             order.append(p >> 2)
     if len(order) != 3:
@@ -134,74 +120,63 @@ def _match_pattern(st: PairState, classes, class_vars, var_to_classes, k: int):
     cd = sorted(set(class_vars[n2_cls]) - {pivot})
     y, z = [v for v in order if v != pivot]
     side_classes = sorted((var_to_classes[y] | var_to_classes[z]) - {k})
-    reps = [classes[q][0] for q in side_classes]
-    if len(reps) < 2:
+    if len(side_classes) < 2:
         raise InternalError("fewer side neighbours than the class count promises")
     known = {pivot, y, z, *ab, *cd}
-    fresh = {r: clause_vars(clauses[r]) - known for r in reps}
+    fresh = {q: set(class_vars[q]) - known for q in side_classes}
 
-    def shape_label(r1: int, r2: int, base: str, alt: str) -> str:
-        via = lambda r: y in clause_vars(clauses[r])
-        return base if via(r1) == via(r2) else alt
+    def shape_label(q1: int, q2: int, base: str, alt: str) -> str:
+        via = lambda q: y in class_vars[q]
+        return base if via(q1) == via(q2) else alt
 
-    for ra, rb in combinations(reps, 2):
-        if fresh[ra] and fresh[rb] and len(fresh[ra] | fresh[rb]) >= 2:
-            return SevenNeighbourPattern(rep, pivot, shape_label(ra, rb, "vii.2", "vii.4"))
-    rich = next((r for r in reps if len(fresh[r]) >= 2), None)
+    for qa, qb in combinations(side_classes, 2):
+        if fresh[qa] and fresh[qb] and len(fresh[qa] | fresh[qb]) >= 2:
+            return SevenNeighbourPattern(rep, pivot, shape_label(qa, qb, "vii.2", "vii.4"))
+    rich = next((q for q in side_classes if len(fresh[q]) >= 2), None)
     if rich is not None:
-        other = next(r for r in reps if r != rich)
+        other = next(q for q in side_classes if q != rich)
         return SevenNeighbourPattern(rep, pivot, shape_label(other, rich, "vii.1", "vii.3"))
-    extra = set().union(*fresh.values()) if fresh else set()
+    extra = set().union(*fresh.values())
     if len(extra) > 1:
         raise InternalError("distinct fresh variables escaped the pattern match")
     return frozenset(known | extra), ab[0], ab[1], n1_cls
 
 
-def _generic_pattern(st: PairState, classes, var_to_classes, k: int) -> SevenNeighbourPattern:
-    clauses = st.clauses
-    rep = classes[k][0]
-    pivot = next(
-        v for v in sorted(clause_vars(clauses[rep]))
-        if len(var_to_classes[v] - {k}) >= 2
-    )
-    return SevenNeighbourPattern(rep, pivot, "generic")
+def _generic_pattern(st: PairState, k: int) -> SevenNeighbourPattern:
+    classes, class_vars, var_to_classes, _ = st.index()
+    pivot = next(v for v in class_vars[k] if len(var_to_classes[v] - {k}) >= 2)
+    return SevenNeighbourPattern(classes[k][0], pivot, "generic")
 
 
-def find_config(st: PairState, info=None):
+def find_config(st: PairState):
     """Decide how to handle a clause with >= 4 dissimilar neighbour
     classes: a branchable pattern, or a small semiisolated block to
-    eliminate. None when no clause qualifies (the decomposition case).
-    `info` is `class_info(st.clauses)` when the caller has it."""
-    if not st.clauses:
-        return None
-    classes, class_vars, var_to_classes = info or class_info(st.clauses)
-
-    def neighbour_count(k: int) -> int:
-        return len({q for v in class_vars[k] for q in var_to_classes[v]} - {k})
-
-    start = next((k for k in range(len(classes)) if neighbour_count(k) >= 4), None)
+    eliminate. None when no clause qualifies (the decomposition case)."""
+    index = st.index()
+    neighbours, var_to_classes = index.neighbours, index.var_to_classes
+    start = next((k for k, ns in enumerate(neighbours) if len(ns) >= 4), None)
     if start is None:
         return None
     k = start
     visited = set()
     while True:
-        found = _match_pattern(st, classes, class_vars, var_to_classes, k)
+        found = _match_pattern(st, k)
         if isinstance(found, SevenNeighbourPattern):
             return found
         block, a, b, n1_cls = found
         has_outside = any(
-            {a, b} & clause_vars(cl) and clause_vars(cl) - block
-            for cl in st.clauses
+            not block.issuperset(index.class_vars[q])
+            for q in var_to_classes[a] | var_to_classes[b]
         )
         if not has_outside:
-            si = _extract_semiisolated(st, block)
+            si = _extract_semiisolated(index, block)
             if len(si.J) <= 3:
                 return si
-            return _generic_pattern(st, classes, var_to_classes, start)
+            return _generic_pattern(st, start)
         visited.add(k)
         k = n1_cls
-        if k in visited or neighbour_count(k) < 4:
-            return _generic_pattern(st, classes, var_to_classes, start)
+        if k in visited or len(neighbours[k]) < 4:
+            return _generic_pattern(st, start)
 
 
 def eliminate_semiisolated_1(st: PairState, si: SemiIsolated) -> PairState:
@@ -251,15 +226,15 @@ def branch_semiisolated_2(
     """|J| = 2: branch on the boundary variable that also sits in an
     outside clause, then eliminate I through the remaining one."""
     block = si.I | si.J
-    x = cidx = None
-    for v in sorted(si.J):
-        for kdx, cl in enumerate(st.clauses):
-            vs = clause_vars(cl)
-            if v in vs and vs - block:
-                x, cidx = v, kdx
-                break
-        if x is not None:
-            break
+    _, class_vars, var_to_classes, _ = st.index()
+    x = next(
+        (
+            v
+            for v in sorted(si.J)
+            if any(not block.issuperset(class_vars[q]) for q in var_to_classes[v])
+        ),
+        None,
+    )
     if x is None:
         raise InternalError("no boundary variable with an outside clause")
     wvar = next(v for v in sorted(si.J) if v != x)

@@ -1,6 +1,11 @@
 """Decomposition: clause graph over dissimilar classes, connected-component
 factorisation, heuristic balanced bisection, cut-variable branching and the
-brute-force base case."""
+brute-force base case.
+
+The clause graph, the component split and the base case read the state's
+class index (`PairState.index`): its classes and their shared variables
+are the graph, and its variables are the clause variables.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +15,7 @@ from itertools import product
 from typing import MutableMapping
 
 from .errors import InternalError
-from .model import PairState, clause_classes, clause_vars, pair_sum
+from .model import PairState, pair_sum
 from .poly import ONE, HDPoly
 from .simplify import fold_free, simplify_fixpoint, value_combos
 
@@ -31,75 +36,59 @@ class ClauseGraph:
 
 
 def build_clause_graph(st: PairState, debug: bool = False) -> ClauseGraph:
-    classes = clause_classes(st.clauses)
-    vertex_vars = [frozenset(clause_vars(st.clauses[members[0]])) for members in classes]
-    edge_vars: dict[tuple[int, int], frozenset[int]] = {}
-    adjacency: list[set[int]] = [set() for _ in classes]
-    for a in range(len(classes)):
-        for b in range(a + 1, len(classes)):
-            shared = vertex_vars[a] & vertex_vars[b]
-            if shared:
-                edge_vars[(a, b)] = shared
-                adjacency[a].add(b)
-                adjacency[b].add(a)
+    index = st.index()
+    class_vars, neighbours = index.class_vars, index.neighbours
+    edge_vars = {
+        (a, b): frozenset(class_vars[a]).intersection(class_vars[b])
+        for a in range(len(class_vars))
+        for b in sorted(neighbours[a])
+        if b > a
+    }
     if debug:
-        for a, vs in enumerate(vertex_vars):
+        for a, vs in enumerate(class_vars):
             if len(vs) != 3:
                 raise InternalError("decomposition requires 3-variable clauses")
-            if len(adjacency[a]) > 3:
+            if len(neighbours[a]) > 3:
                 raise InternalError("decomposition requires degree <= 3")
         for shared in edge_vars.values():
             if len(shared) >= 2:
                 raise InternalError("dissimilar classes sharing two variables survived")
-    return ClauseGraph(
-        tuple(tuple(m) for m in classes),
-        tuple(frozenset(s) for s in adjacency),
-        edge_vars,
-    )
+    return ClauseGraph(index.classes, neighbours, edge_vars)
 
 
 def connected_components(st: PairState) -> list[PairState]:
-    """Split the state into variable-disjoint sub-states along clause
-    connectivity. Sub-states start with p_main = 1; the caller multiplies
-    the sub-results with the parent's p_main. Variables in no clause stay
-    with the parent."""
-    n = len(st.clauses)
-    if n == 0:
-        return []
-    var_to_clauses: dict[int, list[int]] = {}
-    for idx, cl in enumerate(st.clauses):
-        for v in clause_vars(cl):
-            var_to_clauses.setdefault(v, []).append(idx)
-    comp_of = [-1] * n
-    comp = 0
-    for root in range(n):
-        if comp_of[root] != -1:
-            continue
-        stack = [root]
-        comp_of[root] = comp
-        while stack:
-            cur = stack.pop()
-            for v in clause_vars(st.clauses[cur]):
-                for nxt in var_to_clauses[v]:
-                    if comp_of[nxt] == -1:
-                        comp_of[nxt] = comp
-                        stack.append(nxt)
-        comp += 1
+    """Split the state into variable-disjoint sub-states along the class
+    graph, each keeping its clauses in the parent's order. Sub-states start
+    with p_main = 1; the caller multiplies the sub-results with the
+    parent's p_main. Variables in no clause stay with the parent; a clause
+    with no variable (none is left at a fixpoint) is a sub-state of its
+    own."""
+    classes, class_vars, _, neighbours = st.index()
     f0, f1 = st.fixed
+    seen: set[int] = set()
     out = []
-    for c in range(comp):
-        indices = [idx for idx in range(n) if comp_of[idx] == c]
-        variables = frozenset().union(*(clause_vars(st.clauses[idx]) for idx in indices))
-        order = sorted(variables)
-        out.append(
-            PairState(
-                clauses=tuple(st.clauses[idx] for idx in indices),
-                fixed=({v: f0[v] for v in order if v in f0}, {v: f1[v] for v in order if v in f1}),
-                V=variables,
-                p_main=ONE,
-                weights={v: st.weights[v] for v in order},
+    for root in range(len(classes)):
+        if root in seen:
+            continue
+        seen.add(root)
+        group = [root]
+        for k in group:
+            for q in neighbours[k]:
+                if q not in seen:
+                    seen.add(q)
+                    group.append(q)
+        order = sorted({v for k in group for v in class_vars[k]})
+        indices = sorted(idx for k in group for idx in classes[k])
+        for part in [indices] if order else [[idx] for idx in indices]:
+            out.append(
+                PairState(
+                    clauses=tuple(st.clauses[idx] for idx in part),
+                    fixed=({v: f0[v] for v in order if v in f0}, {v: f1[v] for v in order if v in f1}),
+                    V=frozenset(order),
+                    p_main=ONE,
+                    weights={v: st.weights[v] for v in order},
+                )
             )
-        )
     return out
 
 

@@ -12,12 +12,17 @@ b1/b2 are its sign, or its constant value, on side 0 (phi(x)) and side 1
 (phi(y)). On side `side` the literal reads `(p >> side) & 1`: the constant
 itself when v = 0, otherwise the sign, true exactly when value(v) differs
 from it.
+
+Class index: every branching case and the Case 2 decomposition read one
+structure of a state, its dissimilar clause classes and the variables
+they share (`ClassIndex`). A `PairState` builds it on first use and keeps
+it, which holds because a state is never written after it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InternalError
 from .poly import ONE, U, ZERO, HDPoly
@@ -201,21 +206,38 @@ class Formula:
         return cls(tuple(tuple(from_dimacs(k) for k in cl) for cl in clauses), n_vars)
 
 
-def similarity_key(clause: Clause):
-    """Pair clauses are similar iff negating literals maps one onto the
-    other: equivalently, same variable multiset and same number of
-    constants."""
-    return (tuple(sorted(p >> 2 for p in clause if p >= 4)),
-            sum(1 for p in clause if p < 4))
+class ClassIndex(NamedTuple):
+    """The dissimilar clause classes of a clause list and the variables
+    they share. Pair clauses are similar iff negating literals maps one
+    onto the other: the same variable multiset and the same number of
+    constants. Readers share one index, so none may write it."""
+
+    # clause indices per class; classes in first-occurrence order
+    classes: tuple[tuple[int, ...], ...]
+    # each class's variables, sorted
+    class_vars: tuple[tuple[int, ...], ...]
+    # variable -> the classes holding it
+    var_to_classes: dict[int, set[int]]
+    # per class, the other classes sharing a variable with it
+    neighbours: tuple[frozenset[int], ...]
 
 
-def clause_classes(clauses: Iterable[Clause]) -> list[list[int]]:
-    """Partition pair clause indices into similarity classes, by first
-    occurrence."""
-    order: dict = {}
+def class_index(clauses: Sequence[Clause]) -> ClassIndex:
+    """The `ClassIndex` of a pair clause list."""
+    groups: dict[tuple[tuple[int, ...], int], list[int]] = {}
     for idx, clause in enumerate(clauses):
-        order.setdefault(similarity_key(clause), []).append(idx)
-    return list(order.values())
+        variables = tuple(sorted([p >> 2 for p in clause if p >= 4]))
+        groups.setdefault((variables, len(clause) - len(variables)), []).append(idx)
+    class_vars = tuple(tuple(sorted(set(variables))) for variables, _ in groups)
+    var_to_classes: dict[int, set[int]] = {}
+    for k, vs in enumerate(class_vars):
+        for v in vs:
+            var_to_classes.setdefault(v, set()).add(k)
+    neighbours = tuple(
+        frozenset().union(*(var_to_classes[v] for v in vs)) - {k}
+        for k, vs in enumerate(class_vars)
+    )
+    return ClassIndex(tuple(map(tuple, groups.values())), class_vars, var_to_classes, neighbours)
 
 
 # Per-variable weight tables, indexed by 2*i + j for the value pair (i, j)
@@ -284,9 +306,12 @@ class PairState:
 
     fixed[side] maps a variable to the value forced on that side, side 0
     being phi(x) and side 1 phi(y), as in the pair literals; a variable
-    determined on both sides is eliminated. Treat instances as immutable
-    snapshots: the rewrites in `simplify` work on a copy of a state and
-    build a new one, never writing the dicts of their input.
+    determined on both sides is eliminated. A state is never written after
+    it is built: the rewrites in `simplify` work on a copy of a state and
+    build a new one, never writing the dicts of their input. That contract
+    lets `index()` build the state's `ClassIndex` on first use and keep it
+    in `_index` for every later reader; `dataclasses.replace` yields a new
+    state with none.
     """
 
     clauses: tuple[Clause, ...]
@@ -294,9 +319,16 @@ class PairState:
     V: frozenset[int]
     p_main: HDPoly
     weights: dict[int, WeightTable] = field(repr=False)
+    _index: ClassIndex | None = field(init=False, default=None, repr=False)
+
+    def index(self) -> ClassIndex:
+        """The dissimilar-class index of the clauses, built once."""
+        if self._index is None:
+            self._index = class_index(self.clauses)
+        return self._index
 
     def occurring(self) -> set[int]:
-        return {v for cl in self.clauses for v in clause_vars(cl)}
+        return set(self.index().var_to_classes)
 
 
 def initial_state(f: Formula) -> PairState:
@@ -312,6 +344,8 @@ def initial_state(f: Formula) -> PairState:
 
 def check_state(st: PairState) -> None:
     """Full debug validation of a PairState."""
+    if st._index is not None and st._index != class_index(st.clauses):
+        raise InternalError("cached class index differs from the clauses")
     occ = st.occurring()
     if not occ <= st.V:
         raise InternalError(f"clause variables {occ - st.V} missing from V")

@@ -49,11 +49,6 @@ def enumerate_solutions(f: Formula, limit: int | None = DEFAULT_SOLUTION_LIMIT) 
     return solutions
 
 
-def solution_values(mask: int, n_vars: int) -> tuple[int, ...]:
-    """Expand a solution bitmask to per-variable values (x1, ..., xn)."""
-    return tuple((mask >> (v - 1)) & 1 for v in range(1, n_vars + 1))
-
-
 def _distance_histogram_loop(masks: list[int]) -> dict[int, int]:
     hist: dict[int, int] = {0: len(masks)}
     for i in range(len(masks)):

@@ -55,22 +55,6 @@ class HDPoly:
         poly._coeffs = coeffs
         return poly
 
-    @classmethod
-    def zero(cls) -> "HDPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "HDPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def u(cls) -> "HDPoly":
-        return cls({1: 1})
-
-    @classmethod
-    def monomial(cls, coeff: int, degree: int) -> "HDPoly":
-        return cls({degree: coeff})
-
     def coeff(self, degree: int) -> int:
         return self._coeffs.get(degree, 0)
 
@@ -137,7 +121,7 @@ class HDPoly:
         if k < 0:
             raise ValueError(f"negative exponent {k}")
         if k == 0:
-            return HDPoly.one()
+            return ONE
         items = list(self._coeffs.items())
         if len(items) > 2:
             out = self
@@ -186,6 +170,6 @@ class HDPoly:
         return f"HDPoly({self})"
 
 
-ZERO = HDPoly.zero()
-ONE = HDPoly.one()
-U = HDPoly.u()
+ZERO = HDPoly()
+ONE = HDPoly({0: 1})
+U = HDPoly({1: 1})

@@ -61,6 +61,11 @@ def _values(forced: int | None) -> tuple[int, ...]:
     return (0, 1) if forced is None else (forced,)
 
 
+def _memo_entry(clause: Clause) -> tuple[set[int], Clause]:
+    """A clause's variable set and dedup key."""
+    return clause_vars(clause), tuple(sorted(clause))
+
+
 class _Work:
     """A mutable working copy of one PairState, rewritten in place.
 
@@ -79,7 +84,7 @@ class _Work:
         self.V = set(st.V)
         self.weights = dict(st.weights)
         self.p_main = st.p_main
-        # clause -> (variable set, dedup key), filled by the fixpoint's scan
+        # clause -> (variable set, dedup key), filled on first use
         self.memo: dict[Clause, tuple[set[int], Clause]] = {}
         # variables whose forced value this copy has set; the fixpoint
         # empties it once it has acted on it
@@ -94,14 +99,15 @@ class _Work:
         """Replace variable `old` by `new`, where value(old) = value(new) ^ i
         on side 0 and ^ j on side 1; with new = 0 this sets old to the
         constant pair (i, j). Only the clauses holding `old` are rebuilt;
-        the fixpoint has memoised every clause's variable set by then, a
-        one-off rewrite reads them off the clauses."""
+        a clause not yet memoised is memoised here."""
         lo, hi = 4 * old, 4 * old + 3
         base, flip = 4 * new, 2 * j + i
         memo, clauses = self.memo, self.clauses
         for k, cl in enumerate(clauses):
             entry = memo.get(cl)
-            if old in (entry[0] if entry else clause_vars(cl)):
+            if entry is None:
+                entry = memo[cl] = _memo_entry(cl)
+            if old in entry[0]:
                 clauses[k] = tuple(base + (p & 3 ^ flip) if lo <= p <= hi else p for p in cl)
 
     def drop(self, indices: set[int]) -> None:
@@ -426,7 +432,7 @@ def simplify_fixpoint(
         for idx, cl in enumerate(work.clauses):
             entry = memo.get(cl)
             if entry is None:
-                entry = memo[cl] = (clause_vars(cl), tuple(sorted(cl)))
+                entry = memo[cl] = _memo_entry(cl)
             vs, key = entry
             if cl not in passed:
                 if clause_unsatisfiable(cl, f0, 0) or clause_unsatisfiable(cl, f1, 1):

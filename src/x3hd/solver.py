@@ -13,7 +13,6 @@ from .branching import (
     branch_high_degree_var,
     branch_semiisolated_2,
     branch_semiisolated_3,
-    class_info,
     eliminate_semiisolated_1,
     find_config,
     pick_high_degree_var,
@@ -127,8 +126,7 @@ def _node(
     if not st.V:
         return st.p_main, 1
 
-    info = class_info(st.clauses)
-    x = pick_high_degree_var(st, info)
+    x = pick_high_degree_var(st)
     if x is not None:
         stats.rules["case1_v"] += 1
         stats.branched_vars += 1
@@ -136,7 +134,7 @@ def _node(
             branch_high_degree_var(st, x, stats.rules, opts.debug), opts, stats, depth
         )
 
-    config = find_config(st, info)
+    config = find_config(st)
     if isinstance(config, SemiIsolated):
         if len(config.J) <= 1:
             stats.rules["case1_vi1"] += 1

@@ -29,7 +29,7 @@ from x3hd.decompose import (
     connected_components,
 )
 from x3hd.model import PairState, check_state, from_dimacs, pristine_weights
-from x3hd.poly import ONE, HDPoly
+from x3hd.poly import ONE, ZERO, HDPoly
 from x3hd.simplify import (
     apply_small_clause,
     assign_value,
@@ -131,11 +131,12 @@ def fuzz_weights(st: PairState, rng, prob=0.5) -> PairState:
         for _ in range(4):
             kind = rng.random()
             if kind < 0.7:
-                table.append(HDPoly.monomial(rng.randint(1, 3), rng.randint(0, 2)))
+                coeff, degree = rng.randint(1, 3), rng.randint(0, 2)
+                table.append(HDPoly({degree: coeff}))
             elif kind < 0.95:
                 table.append(HDPoly({0: rng.randint(1, 2), rng.randint(1, 2): 1}))
             else:
-                table.append(HDPoly.zero())
+                table.append(ZERO)
         weights[v] = tuple(table)
     return replace(st, weights=weights)
 

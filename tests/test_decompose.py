@@ -11,7 +11,7 @@ from x3hd.decompose import (
     connected_components,
 )
 from x3hd.instances import generate
-from x3hd.model import Formula, initial_state
+from x3hd.model import Formula, PairState, initial_state
 from x3hd.oracle import state_eval
 from x3hd.poly import ONE, ZERO, HDPoly
 from x3hd.solver import SolveOptions, solve
@@ -80,6 +80,64 @@ def test_components_of_connected_state():
     st = mkstate([clause(1, 2, 3), clause(3, 4, 5)])
     assert len(connected_components(st)) == 1
     assert connected_components(mkstate([])) == []
+
+
+def loose_state(rng):
+    """A state not at its fixpoint: constant literals, repeated variables,
+    clauses similar to earlier ones, constant-only clauses, variables in
+    no clause, forced values and a distinct weight table per variable."""
+    variables = range(1, rng.randint(1, 9) + 1)
+    clauses = []
+    for _ in range(rng.randint(0, 8)):
+        if clauses and rng.random() < 0.2:
+            # same variables and constant count as an earlier clause
+            clauses.append(tuple(p & ~3 | rng.randrange(4) for p in rng.choice(clauses)))
+            continue
+        clauses.append(tuple(
+            rng.randrange(4) if rng.random() < 0.2 else 4 * rng.choice(variables) + rng.randrange(4)
+            for _ in range(rng.randint(1, 3))
+        ))
+    fixed = tuple({v: rng.randrange(2) for v in variables if rng.random() < 0.3} for _ in range(2))
+    weights = {v: (ONE, ONE, ONE, HDPoly({0: v})) for v in variables}
+    return PairState(tuple(clauses), fixed, frozenset(variables), HDPoly({1: 2}), weights)
+
+
+def reference_components(clauses):
+    """Clause index groups joined by shared variables, by union-find."""
+    parent = list(range(len(clauses)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    holder = {}
+    for i, cl in enumerate(clauses):
+        for v in {p >> 2 for p in cl if p >= 4}:
+            parent[find(i)] = find(holder.setdefault(v, i))
+    groups = {}
+    for i in range(len(clauses)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def test_components_match_a_union_find_reference():
+    rng = random.Random(11)
+    for _ in range(400):
+        st = loose_state(rng)
+        comps = connected_components(st)
+        expected = []
+        for group in reference_components(st.clauses):
+            shared = {p >> 2 for i in group for p in st.clauses[i] if p >= 4}
+            # the component keeps its clauses in the parent's order
+            expected.append((tuple(sorted(shared)), tuple(st.clauses[i] for i in group)))
+        assert sorted((tuple(sorted(c.V)), c.clauses) for c in comps) == sorted(expected)
+        assert sum(len(c.V) for c in comps) == len(frozenset().union(*(c.V for c in comps)))
+        for c in comps:
+            assert c.p_main == ONE
+            assert c.weights == {v: st.weights[v] for v in c.V}
+            for side in (0, 1):
+                assert c.fixed[side] == {v: x for v, x in st.fixed[side].items() if v in c.V}
 
 
 def test_bisection_balance_and_determinism():

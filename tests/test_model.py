@@ -10,7 +10,7 @@ from rulestates import clause, mkstate, pair_clause
 from x3hd.model import (
     Formula,
     check_state,
-    clause_classes,
+    class_index,
     clause_satisfied,
     clause_unsatisfiable,
     clause_vars,
@@ -150,7 +150,7 @@ def test_pair_sum_conditions_on_a_forced_variable_left_out():
 
 
 def similar(a, b) -> bool:
-    return len(clause_classes([a, b])) == 1
+    return len(class_index([a, b]).classes) == 1
 
 
 @pytest.mark.parametrize(
@@ -169,10 +169,37 @@ def test_are_similar(c1, c2, expected):
 
 def test_dissimilar_classes():
     f = Formula.from_dimacs([[1, 2, 3], [-1, 2, 3]], 3)
-    assert clause_classes(initial_state(f).clauses) == [[0, 1]]
+    assert class_index(initial_state(f).clauses).classes == ((0, 1),)
     g = Formula.from_dimacs([[1, 2, 3], [1, 4, 5]], 5)
-    assert clause_classes(initial_state(g).clauses) == [[0], [1]]
-    assert clause_classes(()) == []
+    assert class_index(initial_state(g).clauses).classes == ((0,), (1,))
+    assert class_index(()).classes == ()
+
+
+def test_class_index_of_worked_example():
+    index = class_index(initial_state(EXAMPLE).clauses)
+    assert index.classes == ((0,), (1,), (2,), (3,))
+    assert index.class_vars == ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6))
+    assert index.var_to_classes == {
+        1: {0, 1, 2}, 2: {0, 3}, 3: {0}, 4: {1, 3}, 5: {1}, 6: {2, 3}, 7: {2},
+    }
+    assert index.neighbours == ({1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2})
+    # a repeated variable is listed once; a constant-only clause has none
+    loose = class_index([(4, 5, 8), (0, 1), (2, 3), (9, 4, 6)])
+    assert loose.classes == ((0, 3), (1, 2))
+    assert loose.class_vars == ((1, 2), ())
+    assert loose.neighbours == (frozenset(), frozenset())
+
+
+def test_state_index_is_built_once_per_state():
+    st0 = initial_state(EXAMPLE)
+    index = st0.index()
+    assert index == class_index(st0.clauses)
+    assert st0.index() is index
+    assert st0.occurring() == set(range(1, 8))
+    # a copy made by replace builds its own index from its own clauses
+    copy = replace(st0, clauses=st0.clauses[:2])
+    assert copy.index() == class_index(st0.clauses[:2])
+    assert st0.index() is index
 
 
 def test_classmates_share_all_variables():
@@ -181,7 +208,7 @@ def test_classmates_share_all_variables():
     for _ in range(30):
         vs = rng.sample(range(1, 6), 3)
         clauses.append(tuple(4 * v + rng.randrange(4) for v in vs))
-    for members in clause_classes(clauses):
+    for members in class_index(clauses).classes:
         variable_sets = {frozenset(clause_vars(clauses[i])) for i in members}
         assert len(variable_sets) == 1
 
@@ -248,3 +275,9 @@ def test_check_state_catches_misalignment():
         check_state(replace(good, weights={v: good.weights[v] for v in (1, 2)}))
     with pytest.raises(InternalError):
         check_state(replace(good, fixed=({}, {4: 1})))
+    # writing a state after its index was built breaks the no-write contract
+    stale = mkstate([clause(1, 2, 3), clause(1, 4, 5)])
+    check_state(stale)
+    stale.clauses = stale.clauses[:1]
+    with pytest.raises(InternalError):
+        check_state(stale)

@@ -11,7 +11,6 @@ from x3hd.oracle import (
     _distance_histogram_wht,
     enumerate_solutions,
     hd_oracle,
-    solution_values,
     state_eval,
 )
 from x3hd.poly import ONE, ZERO, HDPoly
@@ -28,7 +27,8 @@ EXAMPLE_SOLUTIONS = {
 
 def test_enumerate_worked_example_solutions():
     masks = enumerate_solutions(EXAMPLE)
-    assert {solution_values(m, 7) for m in masks} == EXAMPLE_SOLUTIONS
+    # bit v-1 of a mask holds variable v
+    assert {tuple(m >> v & 1 for v in range(7)) for m in masks} == EXAMPLE_SOLUTIONS
 
 
 def test_enumerate_trivial_cases():

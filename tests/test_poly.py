@@ -147,7 +147,7 @@ def test_fast_paths_equal_the_schoolbook_reference():
     # take shortcuts for zero, one and one-term operands; each must equal
     # the checked polynomial built from plain dict arithmetic
     rng = random.Random(5)
-    specials = [ZERO, ONE, U, HDPoly.monomial(3, 2), HDPoly.monomial(1, 4), HDPoly.monomial(7, 0)]
+    specials = [ZERO, ONE, U, HDPoly({2: 3}), HDPoly({4: 1}), HDPoly({0: 7})]
     sparse = [
         HDPoly({rng.randrange(12): rng.randrange(1, 10**rng.randint(1, 30))
                 for _ in range(rng.randint(1, 6))})
