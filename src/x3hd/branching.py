@@ -7,7 +7,11 @@ zero. The parent's value is always the exact sum of the children's values.
 
 Detection (`pick_high_degree_var`, `find_config`) and the boundary search
 of `branch_semiisolated_2` read the state's class index (`PairState.index`)
-instead of scanning its clauses.
+instead of scanning its clauses. The two clause splits
+(`branch_four_neighbour`, `branch_semiisolated_3`) take each side's true
+positions of the split clause from `model.true_positions`, the one
+enumeration of a clause's true literal, as value masks over the clause's
+variables.
 """
 
 from __future__ import annotations
@@ -267,17 +271,18 @@ def branch_semiisolated_3(
     evar = (clause_vars(c) & si.I).pop()
     rest = frozenset(si.J - jpair)
     inner = frozenset(si.I - {evar})
-    pos1, pos2 = (true_positions(c, st.fixed[side], side) for side in (0, 1))
+    bit = {v: 1 << t for t, v in enumerate(trio)}
+    pos1, pos2 = (true_positions(c, st.fixed[side], side, bit) for side in (0, 1))
     children = []
-    for vals1 in pos1:
-        if vals1 is None:
+    for m1 in pos1:
+        if m1 is None:
             continue
-        for vals2 in pos2:
-            if vals2 is None:
+        for m2 in pos2:
+            if m2 is None:
                 continue
             child = st
-            for v in trio:
-                child = assign_value(child, v, vals1[v], vals2[v])
+            for t, v in enumerate(trio):
+                child = assign_value(child, v, m1 >> t & 1, m2 >> t & 1)
             child = eliminate_semiisolated_1(child, SemiIsolated(inner, rest))
             children.append(simplify_fixpoint(child, counts))
     return _finish_children(st, children, [8] * len(children), debug)
@@ -305,15 +310,15 @@ def branch_four_neighbour(
         children.append(simplify_fixpoint(st, counts, ((pivot, i0, j0),)))
         floors.append(4)
 
-    pos1, pos2 = (true_positions(c, st.fixed[side], side) for side in (0, 1))
+    bit = {v: 1 << t for t, v in enumerate(trio)}
+    pos1, pos2 = (true_positions(c, st.fixed[side], side, bit) for side in (0, 1))
     for p1, p2 in [(ppos, ppos), (ppos, others[0]), (ppos, others[1]),
                    (others[0], ppos), (others[1], ppos)]:
-        vals1, vals2 = pos1[p1], pos2[p2]
-        if vals1 is None or vals2 is None:
+        m1, m2 = pos1[p1], pos2[p2]
+        if m1 is None or m2 is None:
             continue
-        children.append(
-            simplify_fixpoint(st, counts, [(v, vals1[v], vals2[v]) for v in trio])
-        )
+        assignments = [(v, m1 >> t & 1, m2 >> t & 1) for t, v in enumerate(trio)]
+        children.append(simplify_fixpoint(st, counts, assignments))
         floors.append(7)
 
     return _finish_children(st, children, None if generic else floors, debug)

@@ -13,6 +13,12 @@ b1/b2 are its sign, or its constant value, on side 0 (phi(x)) and side 1
 itself when v = 0, otherwise the sign, true exactly when value(v) differs
 from it.
 
+Exactly-one enumeration: `true_positions` is the one enumeration of which
+literal of a clause is the true one, as value masks over a variable ->
+bit map. `side_solutions` folds those masks across clauses, and every
+other reader (the unsat fallback, the small-clause table in `simplify`,
+the clause-splitting branches in `branching`) goes through one of the two.
+
 Class index: every branching case and the Case 2 decomposition read one
 structure of a state, its dissimilar clause classes and the variables
 they share (`ClassIndex`). A `PairState` builds it on first use and keeps
@@ -62,35 +68,46 @@ def clause_vars(clause: Clause) -> set[int]:
 
 
 def true_positions(
-    clause: Clause, fixed: Mapping[int, int], side: int
-) -> list[dict[int, int] | None]:
+    clause: Clause, fixed: Mapping[int, int], side: int, bit: Mapping[int, int]
+) -> list[int | None]:
     """Per literal position, the values of the clause's variables that make
-    exactly that literal true on `side` and agree with `fixed`; None where
-    the clause itself or `fixed` rules the position out.
+    exactly that literal true on `side` and agree with `fixed`, as an int
+    mask over `bit` (variable -> its bit); None where the clause itself or
+    `fixed` rules the position out.
 
-    A satisfying assignment has exactly one true literal, so the entries
-    that are not None are the clause's local solutions, each given once.
-    An all-constant clause yields {} for its true position: test entries
-    with `is not None`, never for truth.
+    `bit` must hold every clause variable that `fixed` does not force; a
+    forced one it leaves out is checked against `fixed` and sets no bit.
+    Constants and a repeated variable are resolved here. A satisfying
+    assignment has exactly one true literal, so the entries that are not
+    None are the clause's local solutions, each given once. An entry may be
+    0: test entries with `is not None`, never for truth.
     """
-    out: list[dict[int, int] | None] = []
+    out: list[int | None] = []
     for pos in range(len(clause)):
-        values: dict[int, int] | None = {}
+        cc = vv = 0
         for t, p in enumerate(clause):
-            want = 1 if t == pos else 0
-            b = (p >> side) & 1
+            # the value that makes literal t true exactly when t == pos
+            val = (t == pos) ^ ((p >> side) & 1)
             if p < 4:
-                if b != want:
-                    values = None
+                if val:
                     break
                 continue
             v = p >> 2
-            val = want ^ b
-            if fixed.get(v, val) != val or values.get(v, val) != val:
-                values = None
+            if v in fixed:
+                if fixed[v] != val:
+                    break
+                m = bit.get(v, 0)
+            else:
+                m = bit[v]
+            if cc & m and bool(vv & m) != val:
                 break
-            values[v] = val
-        out.append(values)
+            cc |= m
+            if val:
+                vv |= m
+        else:
+            out.append(vv)
+            continue
+        out.append(None)
     return out
 
 
@@ -101,7 +118,7 @@ def clause_unsatisfiable(clause: Clause, fixed: Mapping[int, int], side: int) ->
     With the free variables distinct this is closed form: each free literal
     can be set either way, so the clause is unsatisfiable iff more than one
     literal is pinned true, or none is and no free literal is left. A clause
-    that repeats a free variable defers to `true_positions`.
+    that repeats a free variable defers to `side_solutions`.
     """
     pinned = 0
     free = []
@@ -115,7 +132,7 @@ def clause_unsatisfiable(clause: Clause, fixed: Mapping[int, int], side: int) ->
         if val is not None:
             pinned += val ^ b
         elif v in free:
-            return all(values is None for values in true_positions(clause, fixed, side))
+            return not side_solutions((clause,), fixed, sorted(clause_vars(clause)), side)
         else:
             free.append(v)
     return pinned > 1 or (pinned == 0 and not free)
@@ -131,44 +148,21 @@ def side_solutions(
     block elimination conditions on its boundary. Listed variables in no
     clause take every value `fixed` allows.
 
-    Each clause compiles to one care mask (the bits of its listed
-    variables) and the value masks of its true positions, with constants,
-    forced values and a repeated variable resolved there. The clauses fold
-    left to right: a partial row v joins a clause value vv exactly when
-    they agree on the bits both care about:
-    (v ^ vv) & care & clause_care == 0.
+    Each clause contributes one care mask (the bits of its listed
+    variables) and the value masks of its true positions
+    (`true_positions`). The clauses fold left to right: a partial row v
+    joins a clause value vv exactly when they agree on the bits both care
+    about: (v ^ vv) & care & clause_care == 0.
     """
     bit = {v: 1 << t for t, v in enumerate(variables)}
     care = 0
     rows = [0]
     for clause in clauses:
         clause_care = 0
-        options = []
-        for pos in range(len(clause)):
-            cc = vv = 0
-            for t, p in enumerate(clause):
-                # the value that makes literal t true exactly when t == pos
-                val = (t == pos) ^ ((p >> side) & 1)
-                if p < 4:
-                    if val:
-                        break
-                    continue
-                v = p >> 2
-                if v in fixed:
-                    if fixed[v] != val:
-                        break
-                    m = bit.get(v, 0)
-                else:
-                    m = bit[v]
-                if cc & m and bool(vv & m) != val:
-                    break
-                cc |= m
-                if val:
-                    vv |= m
-            else:
-                # every true position sets all of the clause's listed variables
-                clause_care = cc
-                options.append(vv)
+        for p in clause:
+            if p >= 4:
+                clause_care |= bit.get(p >> 2, 0)
+        options = [vv for vv in true_positions(clause, fixed, side, bit) if vv is not None]
         shared = care & clause_care
         rows = [v | vv for v in rows for vv in options if not (v ^ vv) & shared]
         if not rows:

@@ -36,7 +36,10 @@ found through a variable -> clause occurrence index. Variables in no
 clause fold into p_main in one step: grouped by weight table and forced
 values, each group's factor summed once and equal factors raised to a
 power at once. Small clauses are classified once per shape, up to the
-names of their at most two variables.
+names of their at most two variables, from each side's `side_solutions`
+rows: the small-clause table, like the unsat check's fallback for a
+repeated variable, reads `model.true_positions`, the one enumeration of a
+clause's true literal.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .model import (
     PairState,
     clause_unsatisfiable,
     clause_vars,
-    true_positions,
+    side_solutions,
 )
 from .poly import HDPoly
 
@@ -278,57 +281,37 @@ class SmallClauseAction(NamedTuple):
     link: tuple[int, int, int, int] | None = None
 
 
-def _classify_side(clause: Clause, side: int):
-    """Satisfying set of one small clause on `side`, summarised as one of
-    'unsat', 'drop', 'force' (forced: var -> value) or 'link' (pol)."""
-    variables = sorted(clause_vars(clause))
-    sat = [values for values in true_positions(clause, {}, side) if values is not None]
-    if not sat:
-        return "unsat", {}, None
-    if not variables:
-        return "drop", {}, None
-    forced = {}
-    for v in variables:
-        seen = {values[v] for values in sat}
-        if len(seen) == 1:
-            forced[v] = seen.pop()
-    if len(forced) == len(variables):
-        return "force", forced, None
-    if len(variables) == 1:
-        return "drop", {}, None
-    if forced:
-        return "force", forced, None
-    # two free coupled variables: the satisfying set is a diagonal
-    if len(sat) != 2:
-        raise InternalError(f"unexpected satisfying set for {clause}")
-    return "link", {}, sat[0][variables[0]] ^ sat[0][variables[1]]
-
-
 def _classify_small_clause(clause: Clause) -> SmallClauseAction:
-    """The joint action of a pair clause with <= 2 distinct variables,
-    derived from its satisfying sets on both sides."""
-    sides = [_classify_side(clause, side) for side in (0, 1)]
-    if any(kind == "unsat" for kind, _, _ in sides):
-        return SmallClauseAction(True)
-    forces = tuple(
-        (side, v, val)
-        for side, (_, forced, _) in enumerate(sides)
-        for v, val in sorted(forced.items())
-    )
-    if all(kind != "link" for kind, _, _ in sides):
-        return SmallClauseAction(False, forces)
-    keep, drop = sorted(clause_vars(clause))
-    pols = []
-    for kind, forced, pol in sides:
-        if kind == "link":
-            pols.append(pol)
-        elif len(forced) == 2:
-            # a fully forced side is consistent with the link that
-            # passes through its single satisfying point
-            pols.append(forced[keep] ^ forced[drop])
-        else:
-            raise InternalError("link paired with a partially free side")
-    return SmallClauseAction(False, forces, (keep, drop, pols[0], pols[1]))
+    """The joint action of a pair clause with <= 2 distinct variables, read
+    off each side's `side_solutions` rows: a variable with one value in
+    every row is forced; two free variables form a diagonal, a link whose
+    polarity is the XOR of their bits. A fully forced side is consistent
+    with the link through its single row."""
+    variables = sorted(clause_vars(clause))
+    forces = []
+    # per side, the link polarity its rows admit; None when they admit none
+    pols: list[int | None] = []
+    linked = False
+    for side in (0, 1):
+        rows = side_solutions((clause,), {}, variables, side)
+        if not rows:
+            return SmallClauseAction(True)
+        free = 0
+        for t, v in enumerate(variables):
+            values = {row >> t & 1 for row in rows}
+            if len(values) == 1:
+                forces.append((side, v, values.pop()))
+            else:
+                free += 1
+        if free == 2 and len(rows) != 2:
+            raise InternalError(f"unexpected satisfying set for {clause}")
+        linked |= free == 2
+        pols.append((rows[0] ^ rows[0] >> 1) & 1 if len(variables) == 2 and free != 1 else None)
+    if not linked:
+        return SmallClauseAction(False, tuple(forces))
+    if None in pols:
+        raise InternalError("link paired with a partially free side")
+    return SmallClauseAction(False, tuple(forces), (*variables, *pols))
 
 
 # Small-clause actions by shape: the clause with its variables renamed to

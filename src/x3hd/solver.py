@@ -97,31 +97,31 @@ def _sum_children(children, opts, stats, depth) -> tuple[HDPoly, int]:
             stats.nodes += 1
             leaves += 1
             continue
-        poly, sub_leaves = _node(child, opts, stats, depth + 1, at_fixpoint=True)
+        poly, sub_leaves = _node(child, opts, stats, depth + 1)
         total = total + poly
         leaves += sub_leaves
     return total, max(leaves, 1)
 
 
 def _node(
-    st: PairState, opts: SolveOptions, stats: SolveStats, depth: int, at_fixpoint: bool = False
+    st: PairState | None, opts: SolveOptions, stats: SolveStats, depth: int
 ) -> tuple[HDPoly, int]:
-    """One search node: simplify, then apply the first rule that fires;
-    returns the polynomial and the leaf count. `at_fixpoint` skips the
-    fixpoint for a state it would return unchanged, firing no rule: a
-    branch child (the result of a fixpoint call) or a component of a state
-    at its fixpoint (a subset of its clauses with their variables, so no
-    rule fires on it that did not on the whole). Debug mode checks this."""
+    """One search node: apply the first rule that fires to a state at its
+    fixpoint, or None for a state that evaluates to zero; returns the
+    polynomial and the leaf count. Every state arrives simplified: the
+    root and the block elimination of case1_vi1 through a fixpoint call
+    here, a branch child as the result of one, and a component as a subset
+    of the clauses of a state at its fixpoint, with their variables, on
+    which no rule fires that did not on the whole. Debug mode checks this
+    at every node."""
     stats.nodes += 1
     if depth > stats.max_depth:
         stats.max_depth = depth
-    if not at_fixpoint:
-        st = simplify_fixpoint(st, stats.rules)
-        if st is None:
-            return ZERO, 1
-    elif opts.debug and simplify_fixpoint(st, {}) is not st:
-        raise InternalError("a state passed as simplified is not at its fixpoint")
+    if st is None:
+        return ZERO, 1
     if opts.debug:
+        if simplify_fixpoint(st, {}) is not st:
+            raise InternalError("a state passed as simplified is not at its fixpoint")
         check_state(st)
     if not st.V:
         return st.p_main, 1
@@ -138,7 +138,8 @@ def _node(
     if isinstance(config, SemiIsolated):
         if len(config.J) <= 1:
             stats.rules["case1_vi1"] += 1
-            return _node(eliminate_semiisolated_1(st, config), opts, stats, depth + 1)
+            child = simplify_fixpoint(eliminate_semiisolated_1(st, config), stats.rules)
+            return _node(child, opts, stats, depth + 1)
         if len(config.J) == 2:
             stats.rules["case1_vi2"] += 1
             stats.branched_vars += 1
@@ -169,7 +170,7 @@ def _node(
         poly = st.p_main
         leaves = 1
         for comp in components:
-            sub_poly, sub_leaves = _node(comp, opts, stats, depth + 1, at_fixpoint=True)
+            sub_poly, sub_leaves = _node(comp, opts, stats, depth + 1)
             poly = poly * sub_poly
             leaves *= sub_leaves
             if poly.is_zero() and not opts.debug:
@@ -201,7 +202,7 @@ def mhd(st: PairState, opts: SolveOptions | None = None) -> tuple[HDPoly, SolveS
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 20000))
     try:
-        poly, stats.leaves = _node(st, opts, stats, 0)
+        poly, stats.leaves = _node(simplify_fixpoint(st, stats.rules), opts, stats, 0)
     finally:
         sys.setrecursionlimit(limit)
     return poly, stats

@@ -13,7 +13,7 @@ from x3hd.decompose import (
 from x3hd.instances import generate
 from x3hd.model import Formula, PairState, initial_state
 from x3hd.oracle import state_eval
-from x3hd.poly import ONE, ZERO, HDPoly
+from x3hd.poly import ONE, U, ZERO, HDPoly
 from x3hd.solver import SolveOptions, solve
 
 EXAMPLE = [[1, 2, 3], [1, 4, 5], [1, 6, 7], [2, 4, -6]]
@@ -80,6 +80,17 @@ def test_components_of_connected_state():
     st = mkstate([clause(1, 2, 3), clause(3, 4, 5)])
     assert len(connected_components(st)) == 1
     assert connected_components(mkstate([])) == []
+    # one component holding every variable shares the parent's clause
+    # tuple and dicts, with p_main = 1
+    st = replace(st, p_main=U)
+    (comp,) = connected_components(st)
+    assert comp.clauses is st.clauses and comp.fixed is st.fixed and comp.weights is st.weights
+    assert comp.V == st.V and comp.p_main == ONE
+    # a variable in no clause stays with the parent, so the clauses are copied
+    st = mkstate([clause(1, 2, 3), clause(3, 4, 5)], extra_vars=(6,))
+    (comp,) = connected_components(st)
+    assert comp.clauses == st.clauses and comp.clauses is not st.clauses
+    assert comp.V == st.V - {6}
 
 
 def loose_state(rng):

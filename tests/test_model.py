@@ -81,18 +81,23 @@ def test_true_positions_are_the_satisfying_assignments():
                         if clause_satisfied(projected, values)
                     ]
                 expected = expected_of[key]
-                positions = true_positions(cl, fixed, side)
-                assert len(positions) == len(cl)
-                found = []
-                for pos, values in enumerate(positions):
-                    if values is None:
-                        continue
-                    assert sorted(values) == variables
-                    p = cl[pos]
-                    b = (p >> side) & 1
-                    assert (b if p < 4 else values[p >> 2] ^ b) == 1
-                    found.append(tuple(values[v] for v in variables))
-                assert sorted(found) == expected, (cl, side, fixed)
+                # every clause variable has a bit, or only the free ones, as
+                # block elimination leaves its forced boundary out
+                for listed in (variables, [v for v in variables if v not in fixed]):
+                    bit = {v: 1 << t for t, v in enumerate(listed)}
+                    positions = true_positions(cl, fixed, side, bit)
+                    assert len(positions) == len(cl)
+                    found = []
+                    for pos, mask in enumerate(positions):
+                        if mask is None:
+                            continue
+                        assert mask >> len(listed) == 0
+                        values = fixed | {v: mask >> t & 1 for t, v in enumerate(listed)}
+                        p = cl[pos]
+                        b = (p >> side) & 1
+                        assert (b if p < 4 else values[p >> 2] ^ b) == 1
+                        found.append(tuple(values[v] for v in variables))
+                    assert sorted(found) == expected, (cl, side, fixed, listed)
                 assert clause_unsatisfiable(cl, fixed, side) is (not expected), (cl, side, fixed)
 
 

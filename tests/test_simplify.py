@@ -10,7 +10,7 @@ import x3hd.decompose
 import x3hd.solver
 from rulestates import FAMILIES, build_paired, clause, fuzz_weights, mkstate, pair_clause
 from x3hd.instances import generate
-from x3hd.model import PRISTINE, Formula, clause_vars, initial_state
+from x3hd.model import PRISTINE, Formula, PairState, clause_vars, initial_state
 from x3hd.oracle import state_eval
 from x3hd.poly import ONE, U, ZERO, HDPoly
 from x3hd.simplify import (
@@ -98,6 +98,28 @@ def test_small_clause_shape_table_matches_classification():
         for arity in (1, 2, 3):
             for cl in product(lits, repeat=arity):
                 assert normalize_small_clause(cl) == _classify_small_clause(cl), cl
+
+
+def test_small_clause_actions_conserve_the_state_value():
+    # every small-clause shape, next to a clause that carries both of its
+    # variables into the rest of the state, under distinct weight tables
+    # that are asymmetric in the two sides: a wrong force or link polarity
+    # changes the value
+    tables = {
+        v: tuple(HDPoly({k: 3 * v + 2 * e + 1}) for k, e in zip((0, 1, 1, 2), (1, 2, 3, 5)))
+        for v in (1, 2, 3)
+    }
+    rest = pair_clause(clause(1, -2, 3), clause(-1, 2, 3))
+    lits = [0, 1, 2, 3] + [4 * v + signs for v in (1, 2) for signs in range(4)]
+    shapes = [cl for arity in (1, 2, 3) for cl in product(lits, repeat=arity)]
+    assert len(shapes) == 1884
+    for cl in shapes:
+        st = PairState((cl, rest), ({}, {}), frozenset(tables), HDPoly({0: 1}), dict(tables))
+        action = normalize_small_clause(cl)
+        out = apply_small_clause(st, 0, action)
+        assert (out is None) is action.unsat, cl
+        expected = ZERO if out is None else state_eval(out)
+        assert state_eval(st) == expected, (cl, action)
 
 
 def test_small_clause_rectangle_forces_only_one_side_variable():

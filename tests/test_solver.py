@@ -258,8 +258,8 @@ def test_rare_rules_reached_through_solve():
 
 
 def test_debug_mode_confirms_skipped_fixpoints():
-    # branch children and components skip the fixpoint in _node; debug mode
-    # re-runs it on each of them and raises if one was not at its fixpoint
+    # _node takes every state at its fixpoint; debug mode re-runs the
+    # fixpoint at each node and raises if one was not at its fixpoint
     formulas = [Formula.from_dimacs(clauses, n) for _, n, clauses in RARE_RULE_INSTANCES]
     formulas += [generate(n, m, seed=s, planted=True).formula
                  for n in range(12, 22) for m in range(5, 11) for s in range(3)]
