@@ -111,31 +111,52 @@ def true_positions(
     return out
 
 
-def clause_unsatisfiable(clause: Clause, fixed: Mapping[int, int], side: int) -> bool:
-    """True iff no assignment that agrees with `fixed` makes exactly one
-    literal of `clause` true on `side`.
+def clause_unsatisfiable(
+    clause: Clause, fixed: tuple[Mapping[int, int], Mapping[int, int]]
+) -> bool:
+    """True iff on some side no assignment that agrees with that side's
+    forced values (`fixed[side]`) makes exactly one literal of `clause`
+    true.
 
-    With the free variables distinct this is closed form: each free literal
-    can be set either way, so the clause is unsatisfiable iff more than one
-    literal is pinned true, or none is and no free literal is left. A clause
-    that repeats a free variable defers to `side_solutions`.
+    Both sides are read in one pass. With the free variables distinct this
+    is closed form: each free literal can be set either way, so a side is
+    unsatisfiable iff more than one literal is pinned true there, or none
+    is and no free literal is left. A side on which the clause repeats a
+    free variable defers to `side_solutions`.
     """
-    pinned = 0
-    free = []
+    f0, f1 = fixed
+    pinned0 = pinned1 = free0 = free1 = 0
+    repeat0 = repeat1 = False
+    seen = []
     for p in clause:
-        b = (p >> side) & 1
         if p < 4:
-            pinned += b
+            pinned0 += p & 1
+            pinned1 += p >> 1
             continue
         v = p >> 2
-        val = fixed.get(v)
-        if val is not None:
-            pinned += val ^ b
-        elif v in free:
-            return not side_solutions((clause,), fixed, sorted(clause_vars(clause)), side)
+        val0 = f0.get(v)
+        if val0 is None:
+            free0 += 1
         else:
-            free.append(v)
-    return pinned > 1 or (pinned == 0 and not free)
+            pinned0 += val0 ^ (p & 1)
+        val1 = f1.get(v)
+        if val1 is None:
+            free1 += 1
+        else:
+            pinned1 += val1 ^ (p >> 1 & 1)
+        if v in seen:
+            repeat0 |= val0 is None
+            repeat1 |= val1 is None
+        seen.append(v)
+    if repeat0 or repeat1:
+        variables = sorted(clause_vars(clause))
+        if repeat0 and not side_solutions((clause,), f0, variables, 0):
+            return True
+        if repeat1 and not side_solutions((clause,), f1, variables, 1):
+            return True
+    return (not repeat0 and (pinned0 > 1 or not (pinned0 or free0))) or (
+        not repeat1 and (pinned1 > 1 or not (pinned1 or free1))
+    )
 
 
 def side_solutions(

@@ -13,33 +13,37 @@ small-clause normalisation, then resolution of clause pairs sharing
 exactly two variables.
 
 Every rewrite has one implementation, a method of `_Work`: a mutable
-working copy of a `PairState` (a clause list, the two forced-value dicts,
-the variable set, the weight tables and p_main) that the method edits in
-place. `simplify_fixpoint` thaws its input once, applies each rule that
-fires to the same working copy and freezes one `PairState` when no rule
-fires any more; it returns the input itself when none fired at all. A
-branch child's value pairs go in as `assignments`, fixed on the same copy
-before the first round: one thaw and one freeze per child. The public
-rewrites (`assign_value`, `fold_free`, `link_variables`,
-`apply_small_clause`, `resolve_shared_pair`) are thin wrappers for the
-branching rules and the tests: thaw, apply one method, freeze. Thawing
-copies every dict and set, so no input state is ever written.
+working copy of a `PairState` that the method edits in place.
+`simplify_fixpoint` thaws its input once, applies each rule that fires to
+the same working copy and freezes one `PairState` when no rule fires any
+more; it returns the input itself when none fired at all. A branch
+child's value pairs go in as `assignments`, fixed on the same copy before
+the first round: one thaw and one freeze per child. The public rewrites
+(`assign_value`, `fold_free`, `link_variables`, `apply_small_clause`,
+`resolve_shared_pair`) are thin wrappers for the branching rules and the
+tests: thaw, apply one method, freeze. Thawing copies every dict and set,
+so no input state is ever written.
 
-One fixpoint call does no work twice. A working copy memoises each
-clause's variable set and dedup key, and a substitution rewrites only the
-clauses whose variable set holds the replaced variable. A single scan per
-iteration gives the unsat verdict, the duplicates and the clause variable
-sets. The unsat check (closed form, `model.clause_unsatisfiable`) runs
-only on clauses that are new or that hold a variable whose forced value
-the working copy has set since they last passed it. Shared pairs are
-found through a variable -> clause occurrence index. Variables in no
-clause fold into p_main in one step: grouped by weight table and forced
-values, each group's factor summed once and equal factors raised to a
-power at once. Small clauses are classified once per shape, up to the
-names of their at most two variables, from each side's `side_solutions`
-rows: the small-clause table, like the unsat check's fallback for a
-repeated variable, reads `model.true_positions`, the one enumeration of a
-clause's true literal.
+A round of the fixpoint costs only what the last rule changed. The
+working copy keeps each clause in a fixed slot and maintains, as each
+rewrite edits it, every index a round reads: the slots' variable sets and
+dedup keys, a variable -> slots occurrence index (the occurrence lists of
+Chaff, Moskewicz et al., DAC 2001), the slots with at most two variables,
+the variables in no clause and those determined on both sides. A
+substitution rewrites the slots in the replaced variable's occurrence
+list and nothing else. A round checks for an unsatisfiable clause
+(closed form on both sides at once, `model.clause_unsatisfiable`) and for
+a duplicate only among the slots rewritten since the last round and the
+slots of a variable whose forced value changed; it reads its variable
+target and its small clause off the maintained sets, and searches for a
+shared pair only when no earlier rule fires. Variables in no clause fold
+into p_main in one step: grouped by weight table and forced values, each
+group's factor summed once and equal factors raised to a power at once.
+Small clauses are classified once per shape, up to the names of their at
+most two variables, from each side's `side_solutions` rows: the
+small-clause table, like the unsat check's fallback for a repeated
+variable, reads `model.true_positions`, the one enumeration of a clause's
+true literal.
 """
 
 from __future__ import annotations
@@ -49,8 +53,10 @@ from typing import MutableMapping, NamedTuple, Sequence
 
 from .errors import InternalError
 from .model import (
+    PRISTINE,
     Clause,
     PairState,
+    WeightTable,
     clause_unsatisfiable,
     clause_vars,
     side_solutions,
@@ -64,57 +70,141 @@ def _values(forced: int | None) -> tuple[int, ...]:
     return (0, 1) if forced is None else (forced,)
 
 
-def _memo_entry(clause: Clause) -> tuple[set[int], Clause]:
-    """A clause's variable set and dedup key."""
-    return clause_vars(clause), tuple(sorted(clause))
+def _link_table(kept: WeightTable, dropped: WeightTable, pol1: int, pol2: int) -> WeightTable:
+    """The kept variable's table after a link: entry (i, j) times the
+    dropped variable's entry at (i ^ pol1, j ^ pol2)."""
+    return tuple(
+        kept[2 * i + j] * dropped[2 * (i ^ pol1) + (j ^ pol2)] for i in (0, 1) for j in (0, 1)
+    )
+
+
+# The table of a link between two PRISTINE variables, by 2 * pol1 + pol2:
+# most links join two of them, and one shared object per polarity pair
+# lets `fold` group the linked variables by table identity.
+_PRISTINE_LINKS = tuple(_link_table(PRISTINE, PRISTINE, p1, p2) for p1 in (0, 1) for p2 in (0, 1))
 
 
 class _Work:
     """A mutable working copy of one PairState, rewritten in place.
 
-    The copy owns its clause list, forced-value dicts, variable set and
-    weight dict; `freeze` hands them to the PairState it builds, after
-    which the copy is not used again. A method returning bool returns
-    False when the state evaluates to zero; the copy is then abandoned
-    half-rewritten.
+    The copy owns its forced-value dicts, variable set and weight dict;
+    `freeze` hands them to the PairState it builds, after which the copy
+    is not used again. A method returning bool returns False when the
+    state evaluates to zero; the copy is then abandoned half-rewritten.
+
+    Clauses sit in fixed slots: a removed clause leaves None, and `freeze`
+    drops the empty slots, so the clause order is the input's. Every
+    method keeps these indices equal to their value over the live slots:
+
+    - `varsets[k]` and `keys[k]`: slot k's variable set and dedup key (its
+      sorted literals), None for an empty slot;
+    - `by_key`: dedup key -> the slots holding it;
+    - `occ`: variable -> the slots holding it, only for variables that
+      occur;
+    - `small`: the slots with at most two variables;
+    - `free`: the variables of V in no clause;
+    - `determined`: the variables of V forced on both sides.
+
+    Two more sets tell the fixpoint's next round what changed: `dirty`,
+    the slots rewritten since it last looked, and `changed`, the variables
+    whose forced value this copy has set since then.
     """
 
-    __slots__ = ("clauses", "fixed", "V", "weights", "p_main", "memo", "changed")
+    __slots__ = (
+        "clauses", "fixed", "V", "weights", "p_main", "varsets", "keys", "by_key", "occ",
+        "small", "free", "determined", "dirty", "changed",
+    )
 
     def __init__(self, st: PairState):
-        self.clauses = list(st.clauses)
-        self.fixed = (dict(st.fixed[0]), dict(st.fixed[1]))
+        self.clauses: list[Clause | None] = list(st.clauses)
+        f0, f1 = self.fixed = (dict(st.fixed[0]), dict(st.fixed[1]))
         self.V = set(st.V)
         self.weights = dict(st.weights)
         self.p_main = st.p_main
-        # clause -> (variable set, dedup key), filled on first use
-        self.memo: dict[Clause, tuple[set[int], Clause]] = {}
-        # variables whose forced value this copy has set; the fixpoint
-        # empties it once it has acted on it
+        self.varsets: list[set[int] | None] = []
+        self.keys: list[Clause | None] = []
+        self.by_key: dict[Clause, list[int]] = {}
+        self.occ: dict[int, set[int]] = {}
+        self.small: set[int] = set()
+        varsets, keys, by_key, occ = self.varsets, self.keys, self.by_key, self.occ
+        for k, cl in enumerate(self.clauses):
+            vs = {p >> 2 for p in cl if p >= 4}
+            varsets.append(vs)
+            for v in vs:
+                slots = occ.get(v)
+                if slots is None:
+                    occ[v] = {k}
+                else:
+                    slots.add(k)
+            if len(vs) <= 2:
+                self.small.add(k)
+            key = tuple(sorted(cl))
+            keys.append(key)
+            by_key.setdefault(key, []).append(k)
+        self.free = self.V - occ.keys()
+        self.determined = self.V & f0.keys() & f1.keys()
+        self.dirty = set(range(len(self.clauses)))
         self.changed: set[int] = set()
 
     def freeze(self) -> PairState:
         return PairState(
-            tuple(self.clauses), self.fixed, frozenset(self.V), self.p_main, self.weights
+            tuple(cl for cl in self.clauses if cl is not None),
+            self.fixed,
+            frozenset(self.V),
+            self.p_main,
+            self.weights,
         )
+
+    def _unkey(self, k: int) -> None:
+        same = self.by_key[self.keys[k]]
+        if len(same) == 1:
+            del self.by_key[self.keys[k]]
+        else:
+            same.remove(k)
 
     def substitute(self, old: int, new: int, i: int, j: int) -> None:
         """Replace variable `old` by `new`, where value(old) = value(new) ^ i
         on side 0 and ^ j on side 1; with new = 0 this sets old to the
-        constant pair (i, j). Only the clauses holding `old` are rebuilt;
-        a clause not yet memoised is memoised here."""
+        constant pair (i, j), and remove old from V. Only the slots in old's
+        occurrence list are rewritten."""
+        self.V.discard(old)
+        self.free.discard(old)
+        self.determined.discard(old)
+        slots = self.occ.pop(old, None)
+        if not slots:
+            return
         lo, hi = 4 * old, 4 * old + 3
         base, flip = 4 * new, 2 * j + i
-        memo, clauses = self.memo, self.clauses
-        for k, cl in enumerate(clauses):
-            entry = memo.get(cl)
-            if entry is None:
-                entry = memo[cl] = _memo_entry(cl)
-            if old in entry[0]:
-                clauses[k] = tuple(base + (p & 3 ^ flip) if lo <= p <= hi else p for p in cl)
+        clauses, varsets, keys, by_key = self.clauses, self.varsets, self.keys, self.by_key
+        if new:
+            self.occ.setdefault(new, set()).update(slots)
+            self.free.discard(new)
+        for k in slots:
+            cl = clauses[k] = tuple([base + (p & 3 ^ flip) if lo <= p <= hi else p for p in clauses[k]])
+            vs = varsets[k]
+            vs.discard(old)
+            if new:
+                vs.add(new)
+            if len(vs) <= 2:
+                self.small.add(k)
+            self._unkey(k)
+            key = keys[k] = tuple(sorted(cl))
+            by_key.setdefault(key, []).append(k)
+        self.dirty |= slots
 
-    def drop(self, indices: set[int]) -> None:
-        self.clauses = [cl for k, cl in enumerate(self.clauses) if k not in indices]
+    def remove(self, k: int) -> None:
+        """Empty slot k; its variables that occur nowhere else become free."""
+        occ = self.occ
+        for v in self.varsets[k]:
+            slots = occ[v]
+            slots.discard(k)
+            if not slots:
+                del occ[v]
+                self.free.add(v)
+        self._unkey(k)
+        self.clauses[k] = self.varsets[k] = self.keys[k] = None
+        self.small.discard(k)
+        self.dirty.discard(k)
 
     def force(self, forces) -> bool:
         """Record (side, variable, value) forces; False on a contradiction."""
@@ -124,6 +214,8 @@ class _Work:
             if have is None:
                 s[var] = val
                 self.changed.add(var)
+                if var in self.fixed[1 - side]:
+                    self.determined.add(var)
             elif have != val:
                 return False
         return True
@@ -134,7 +226,6 @@ class _Work:
         self.p_main = self.p_main * self.weights.pop(x)[2 * i + j]
         for s in self.fixed:
             s.pop(x, None)
-        self.V.discard(x)
         self.substitute(x, 0, i, j)
 
     def fold(self, free: set[int] | frozenset[int]) -> None:
@@ -142,7 +233,8 @@ class _Work:
         into p_main. Each contributes the sum of the weight entries its
         forced values allow; the variables are grouped by (table object,
         forced values) so each group's sum is taken once, and equal
-        factors are merged and raised to their multiplicity."""
+        factors are merged and raised to their multiplicity. `free` may be
+        the copy's own free set, which this empties."""
         f0, f1 = self.fixed
         weights = self.weights
         groups: dict[tuple[int, int | None, int | None], list] = {}
@@ -161,6 +253,8 @@ class _Work:
         for factor, k in powers.items():
             self.p_main = self.p_main * factor**k
         self.V -= free
+        self.determined -= free
+        self.free -= free
 
     def link(self, keep: int, drop: int, pol1: int, pol2: int) -> bool:
         """Replace `drop` by `keep` everywhere; value(drop) = value(keep) ^
@@ -172,27 +266,25 @@ class _Work:
         weights = self.weights
         kept = weights[keep]
         dropped = weights.pop(drop)
-        weights[keep] = tuple(
-            kept[2 * i + j] * dropped[2 * (i ^ pol1) + (j ^ pol2)]
-            for i in (0, 1) for j in (0, 1)
-        )
-        for s, pol in zip(self.fixed, (pol1, pol2)):
-            if drop in s:
-                implied = s.pop(drop) ^ pol
-                have = s.get(keep)
-                if have is None:
-                    s[keep] = implied
-                    self.changed.add(keep)
-                elif have != implied:
-                    return False
-        self.V.discard(drop)
+        if kept is PRISTINE and dropped is PRISTINE:
+            weights[keep] = _PRISTINE_LINKS[2 * pol1 + pol2]
+        else:
+            weights[keep] = _link_table(kept, dropped, pol1, pol2)
+        # drop's forced values move to keep
+        moved = [
+            (side, keep, s.pop(drop) ^ pol)
+            for side, (s, pol) in enumerate(zip(self.fixed, (pol1, pol2)))
+            if drop in s
+        ]
+        if not self.force(moved):
+            return False
         self.substitute(drop, keep, pol1, pol2)
         return True
 
     def apply_small(self, idx: int, action: SmallClauseAction) -> bool:
         if action.unsat:
             return False
-        del self.clauses[idx]
+        self.remove(idx)
         return self.force(action.forces) and (action.link is None or self.link(*action.link))
 
     def resolve_pair(self, i: int, j: int) -> bool:
@@ -201,8 +293,8 @@ class _Work:
         the polarity pattern of the shared literals may force values
         first."""
         ci, cj = self.clauses[i], self.clauses[j]
-        vi = clause_vars(ci)
-        vj = clause_vars(cj)
+        vi = self.varsets[i]
+        vj = self.varsets[j]
         shared = sorted(vi & vj)
         if len(shared) != 2 or len(vi) != 3 or len(vj) != 3:
             raise InternalError("shared-pair resolution needs 3-variable clauses sharing 2")
@@ -230,13 +322,23 @@ class _Work:
         keep, drop = (w, z) if w < z else (z, w)
         return self.force(forces) and self.link(keep, drop, pols[0], pols[1])
 
-
-def detect_unsat(st: PairState) -> bool:
-    """True iff some clause cannot be satisfied on some side by any
-    assignment that is consistent with that side's forced values."""
-    f0, f1 = st.fixed
-    return any(clause_unsatisfiable(cl, f0, 0) or clause_unsatisfiable(cl, f1, 1)
-               for cl in st.clauses)
+    def shared_pair(self) -> tuple[int, int] | None:
+        """The first slot pair (a, b), a < b, in lexicographic order whose
+        variable sets share exactly two variables, counted through the
+        occurrence index."""
+        occ = self.occ
+        for a, vs in enumerate(self.varsets):
+            if vs is None:
+                continue
+            shared: dict[int, int] = {}
+            for v in vs:
+                for b in occ[v]:
+                    if b > a:
+                        shared[b] = shared.get(b, 0) + 1
+            pairs = [b for b, k in shared.items() if k == 2]
+            if pairs:
+                return a, min(pairs)
+        return None
 
 
 def value_combos(st: PairState, x: int) -> list[tuple[int, int]]:
@@ -360,25 +462,6 @@ def resolve_shared_pair(st: PairState, i: int, j: int) -> PairState | None:
     return work.freeze() if work.resolve_pair(i, j) else None
 
 
-def _shared_pair(varsets: list[set[int]]) -> tuple[int, int] | None:
-    """The first (a, b), a < b, in lexicographic order whose variable sets
-    share exactly two variables, found through a variable -> clause index."""
-    index: dict[int, list[int]] = {}
-    for idx, vs in enumerate(varsets):
-        for v in vs:
-            index.setdefault(v, []).append(idx)
-    for a, vs in enumerate(varsets):
-        shared: dict[int, int] = {}
-        for v in vs:
-            for b in index[v]:
-                if b > a:
-                    shared[b] = shared.get(b, 0) + 1
-        pairs = [b for b, k in shared.items() if k == 2]
-        if pairs:
-            return a, min(pairs)
-    return None
-
-
 def simplify_fixpoint(
     st: PairState,
     counts: MutableMapping[str, int] | None = None,
@@ -399,59 +482,56 @@ def simplify_fixpoint(
     work = _Work(st)
     for x, i, j in assignments:
         work.assign(x, i, j)
-    f0, f1 = work.fixed
-    memo, changed = work.memo, work.changed
-    # clauses that passed the unsat check; a verdict depends only on the
-    # clause and the forced values of its variables
-    passed: set[Clause] = set()
+    clauses, fixed, occ, keys, by_key = work.clauses, work.fixed, work.occ, work.keys, work.by_key
+    dirty, changed, free, determined, small = (
+        work.dirty, work.changed, work.free, work.determined, work.small
+    )
     for rounds in count():
+        # a verdict depends only on the clause and the forced values of its
+        # variables, so only rewritten slots and those of a variable whose
+        # forced value changed need a check; a new duplicate holds a
+        # rewritten slot
         if changed:
-            passed = {cl for cl in passed if memo[cl][0].isdisjoint(changed)}
+            for v in changed:
+                slots = occ.get(v)
+                if slots:
+                    dirty |= slots
             changed.clear()
-        seen: set[Clause] = set()
-        dups: set[int] = set()
-        varsets: list[set[int]] = []
-        small = None
-        for idx, cl in enumerate(work.clauses):
-            entry = memo.get(cl)
-            if entry is None:
-                entry = memo[cl] = _memo_entry(cl)
-            vs, key = entry
-            if cl not in passed:
-                if clause_unsatisfiable(cl, f0, 0) or clause_unsatisfiable(cl, f1, 1):
+        if dirty:
+            dups: set[int] = set()
+            for k in dirty:
+                if clause_unsatisfiable(clauses[k], fixed):
                     bump("case1_i")
                     return None
-                passed.add(cl)
-            if key in seen:
-                dups.add(idx)
-            else:
-                seen.add(key)
-            if small is None and len(vs) <= 2:
-                small = idx
-            varsets.append(vs)
-        if dups:
-            work.drop(dups)
-            bump("dedup")
-            continue
-        free = work.V - set().union(*varsets)
-        target = min(free.union(f0.keys() & f1.keys() & work.V), default=None)
-        if target is not None:
+                same = by_key[keys[k]]
+                if len(same) > 1:
+                    first = min(same)
+                    dups.update(s for s in same if s != first)
+            dirty.clear()
+            if dups:
+                for k in dups:
+                    work.remove(k)
+                bump("dedup")
+                continue
+        if free or determined:
+            target = min(free | determined)
             if target not in free:
-                work.assign(target, f0[target], f1[target])
+                work.assign(target, fixed[0][target], fixed[1][target])
                 bump("case1_ii")
             else:
                 # folding leaves the clauses unchanged, so folding one such
-                # variable per iteration would fire the same rules in between:
+                # variable per round would fire the same rules in between:
                 # fold them all now and count each one
-                work.fold(free)
                 bump("case1_ii", len(free))
+                work.fold(free)
             continue
-        if small is not None:
+        if small:
+            idx = min(small)
             bump("case1_iii")
-            if not work.apply_small(small, normalize_small_clause(work.clauses[small])):
+            if not work.apply_small(idx, normalize_small_clause(clauses[idx])):
                 return None
             continue
-        pair = _shared_pair(varsets)
+        pair = work.shared_pair()
         if pair is not None:
             bump("case1_iv")
             if not work.resolve_pair(*pair):

@@ -28,16 +28,21 @@ from x3hd.decompose import (
     build_clause_graph,
     connected_components,
 )
-from x3hd.model import PairState, check_state, from_dimacs, pristine_weights
+from x3hd.model import PairState, check_state, clause_unsatisfiable, from_dimacs, pristine_weights
 from x3hd.poly import ONE, ZERO, HDPoly
 from x3hd.simplify import (
     apply_small_clause,
     assign_value,
-    detect_unsat,
     fold_free,
     normalize_small_clause,
     resolve_shared_pair,
 )
+
+
+def detect_unsat(st: PairState) -> bool:
+    """True iff some clause cannot be satisfied on some side by any
+    assignment that is consistent with that side's forced values."""
+    return any(clause_unsatisfiable(cl, st.fixed) for cl in st.clauses)
 
 
 def lit(token) -> int:

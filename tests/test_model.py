@@ -1,6 +1,6 @@
 import random
 from dataclasses import replace
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import given
@@ -98,7 +98,24 @@ def test_true_positions_are_the_satisfying_assignments():
                         assert (b if p < 4 else values[p >> 2] ^ b) == 1
                         found.append(tuple(values[v] for v in variables))
                     assert sorted(found) == expected, (cl, side, fixed, listed)
-                assert clause_unsatisfiable(cl, fixed, side) is (not expected), (cl, side, fixed)
+
+
+def test_clause_unsatisfiable_matches_side_solutions_on_both_sides():
+    # every pair clause of PAIR_CLAUSES, repeated variables included, under
+    # every combination of forced values of its variables on the two
+    # sides, and under each partial map of PARTIAL_MAPS on both sides:
+    # unsatisfiable iff some side has no solution
+    for cl in PAIR_CLAUSES:
+        variables = sorted(clause_vars(cl))
+        unsat = [
+            [not side_solutions((cl,), fixed, variables, side) for fixed in PARTIAL_MAPS]
+            for side in (0, 1)
+        ]
+        own = [k for k, fixed in enumerate(PARTIAL_MAPS) if fixed.keys() <= set(variables)]
+        diagonal = [(k, k) for k in range(len(PARTIAL_MAPS))]
+        for k0, k1 in chain(product(own, own), diagonal):
+            f0, f1 = PARTIAL_MAPS[k0], PARTIAL_MAPS[k1]
+            assert clause_unsatisfiable(cl, (f0, f1)) is (unsat[0][k0] or unsat[1][k1]), (cl, f0, f1)
 
 
 # the pair clauses that name one variable twice

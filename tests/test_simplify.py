@@ -1,5 +1,6 @@
 import copy
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
@@ -8,17 +9,24 @@ import pytest
 import x3hd.branching
 import x3hd.decompose
 import x3hd.solver
-from rulestates import FAMILIES, build_paired, clause, fuzz_weights, mkstate, pair_clause
+from rulestates import (
+    FAMILIES,
+    build_paired,
+    clause,
+    detect_unsat,
+    fuzz_weights,
+    mkstate,
+    pair_clause,
+)
 from x3hd.instances import generate
 from x3hd.model import PRISTINE, Formula, PairState, clause_vars, initial_state
 from x3hd.oracle import state_eval
 from x3hd.poly import ONE, U, ZERO, HDPoly
 from x3hd.simplify import (
     _classify_small_clause,
-    _shared_pair,
+    _Work,
     apply_small_clause,
     assign_value,
-    detect_unsat,
     fold_free,
     link_variables,
     normalize_small_clause,
@@ -438,7 +446,7 @@ def _rewrites(st):
     if small is not None:
         action = normalize_small_clause(st.clauses[small])
         calls.append(("apply_small_clause", lambda: apply_small_clause(st, small, action)))
-    pair = _shared_pair(varsets)
+    pair = _Work(st).shared_pair()
     if pair is not None and all(len(varsets[k]) == 3 for k in pair):
         calls.append(("resolve_shared_pair", lambda: resolve_shared_pair(st, *pair)))
     return calls
@@ -456,3 +464,90 @@ def test_rewrites_never_write_their_input(monkeypatch):
             assert _snapshot(st) == before, name
             fired.add(name)
     assert len(fired) == 7
+
+
+def _assert_indices(work):
+    """Every index a working copy maintains equals its recomputation over
+    the live slots."""
+    live = {k: cl for k, cl in enumerate(work.clauses) if cl is not None}
+    occ: dict = {}
+    by_key: dict = {}
+    for k, cl in live.items():
+        for v in clause_vars(cl):
+            occ.setdefault(v, set()).add(k)
+        by_key.setdefault(tuple(sorted(cl)), []).append(k)
+    assert work.varsets == [None if cl is None else clause_vars(cl) for cl in work.clauses]
+    assert work.keys == [None if cl is None else tuple(sorted(cl)) for cl in work.clauses]
+    assert work.occ == occ
+    assert {key: sorted(slots) for key, slots in work.by_key.items()} == by_key
+    assert work.small == {k for k, cl in live.items() if len(clause_vars(cl)) <= 2}
+    assert work.free == work.V - occ.keys()
+    assert work.determined == work.V & work.fixed[0].keys() & work.fixed[1].keys()
+    assert work.dirty <= live.keys()
+
+
+def _random_step(work, rng):
+    """Apply one `_Work` method that fits the copy, chosen at random, and
+    return its name; None when none fits or the method returned False,
+    after which the fixpoint abandons a copy too."""
+    order = sorted(work.V)
+    live = [k for k, cl in enumerate(work.clauses) if cl is not None]
+    steps = []
+    if order:
+        steps += ["assign", "force", "substitute"]
+    if len(order) >= 2:
+        steps.append("link")
+    if work.free:
+        steps.append("fold")
+    if live:
+        steps.append("remove")
+    if work.small:
+        steps.append("apply_small")
+    pair = work.shared_pair()
+    if pair is not None and all(len(work.varsets[k]) == 3 for k in pair):
+        steps.append("resolve_pair")
+    if not steps:
+        return None
+    name = rng.choice(steps)
+    ok = True
+    if name == "assign":
+        x = rng.choice(order)
+        f0, f1 = work.fixed
+        work.assign(x, f0.get(x, rng.randrange(2)), f1.get(x, rng.randrange(2)))
+    elif name == "force":
+        ok = work.force([(rng.randrange(2), rng.choice(order), rng.randrange(2))])
+    elif name == "substitute":
+        old = rng.choice(order)
+        new = rng.choice([0] + [v for v in order if v != old])
+        work.substitute(old, new, rng.randrange(2), rng.randrange(2))
+    elif name == "link":
+        keep, drop = rng.sample(order, 2)
+        ok = work.link(keep, drop, rng.randrange(2), rng.randrange(2))
+    elif name == "fold":
+        free = sorted(work.free)
+        work.fold(set(rng.sample(free, rng.randint(1, len(free)))))
+    elif name == "remove":
+        work.remove(rng.choice(live))
+    elif name == "apply_small":
+        k = rng.choice(sorted(work.small))
+        ok = work.apply_small(k, normalize_small_clause(work.clauses[k]))
+    else:
+        ok = work.resolve_pair(*pair)
+    return name if ok is not False else None
+
+
+def test_work_indices_follow_every_rewrite(monkeypatch):
+    states = _fixpoint_inputs(monkeypatch, range(24))
+    states += [FAMILIES[name](seed).parent for name in FAMILIES for seed in range(12)]
+    rng = random.Random(13)
+    applied = Counter()
+    for st in states:
+        work = _Work(st)
+        _assert_indices(work)
+        for _ in range(8):
+            name = _random_step(work, rng)
+            if name is None:
+                break
+            _assert_indices(work)
+            applied[name] += 1
+    assert min(applied.values()) > 20 and len(applied) == 8, applied

@@ -189,6 +189,14 @@ def test_cli_gen_writes_parseable_file(tmp_path):
     assert len(f.clauses) == default_clause_count(9)
 
 
+def test_cli_gen_unwritable_output_is_an_error_line(tmp_path):
+    target = tmp_path / "missing" / "gen.x3s"
+    code, out, err = run_cli(["gen", "--n", "9", "-o", str(target)])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_cli_gen_stdout_deterministic():
     code1, out1, _ = run_cli(["gen", "--n", "7", "--m", "4", "--seed", "11"])
     code2, out2, _ = run_cli(["gen", "--n", "7", "--m", "4", "--seed", "11"])
