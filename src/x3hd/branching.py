@@ -1,9 +1,13 @@
 """Branching rules and the detector that chooses between them.
 
-A branch op returns the list of children produced for one parent state,
-each built and simplified by one `simplify_fixpoint` call, so every child
-is at its fixpoint; None entries are children whose subtree evaluates to
-zero. The parent's value is always the exact sum of the children's values.
+A branch op returns the list of children produced for one parent state;
+None entries are children whose subtree evaluates to zero. The parent's
+value is always the exact sum of the children's values. This module
+decides which children to build and never rewrites a state itself: each
+child, and the single state of the case (vi) block elimination
+(`eliminate_semiisolated_1`), is one `simplify_fixpoint` call with the
+child's value pairs and, in case (vi), the block to sum out and its
+boundary variable, so every child is at its fixpoint.
 
 Detection (`pick_high_degree_var`, `find_config`) and the boundary search
 of `branch_semiisolated_2` read the state's class index (`PairState.index`)
@@ -16,20 +20,12 @@ variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import MutableMapping
+from typing import MutableMapping, NamedTuple
 
 from .errors import InternalError
-from .model import (
-    ClassIndex,
-    PairState,
-    clause_vars,
-    pair_sum,
-    true_positions,
-)
-from .poly import ZERO
-from .simplify import assign_value, fold_free, simplify_fixpoint, value_combos
+from .model import ClassIndex, PairState, clause_vars, true_positions
+from .simplify import simplify_fixpoint, value_combos
 
 Counts = MutableMapping[str, int] | None
 
@@ -69,8 +65,7 @@ def branch_high_degree_var(
     return _finish_children(st, children, [5] * len(children), debug)
 
 
-@dataclass(frozen=True)
-class SemiIsolated:
+class SemiIsolated(NamedTuple):
     """Variable block I reachable from the rest only through J: every
     clause uses only I | J variables or no I variable at all."""
 
@@ -78,8 +73,7 @@ class SemiIsolated:
     J: frozenset[int]
 
 
-@dataclass(frozen=True)
-class SevenNeighbourPattern:
+class SevenNeighbourPattern(NamedTuple):
     """A clause with >= 4 dissimilar neighbour classes, plus the pivot
     variable sitting in two of them. Shape is informational; 'generic'
     marks a defensive match that skips the elimination-floor assertions."""
@@ -183,45 +177,16 @@ def find_config(st: PairState):
             return _generic_pattern(st, start)
 
 
-def eliminate_semiisolated_1(st: PairState, si: SemiIsolated) -> PairState:
-    """Eliminate the block I through its single boundary variable x (or
-    none): for each value pair (i, j) that x's forced values allow, the
-    `pair_sum` over I of the I-touching clauses with x forced to i and j
-    scales x's table entry 2*i + j, and entries x cannot take become zero.
-    With no boundary the one `pair_sum` scales p_main. The block and its
-    clauses are then dropped; a zero entry evaluates the affected branch to
-    zero downstream."""
-    I = set(si.I)
-    J = sorted(si.J)
-    if len(J) > 1:
+def eliminate_semiisolated_1(
+    st: PairState, si: SemiIsolated, counts: Counts = None
+) -> PairState | None:
+    """Sum out the block I through its single boundary variable x (or
+    none), then simplify: one `simplify_fixpoint` call with the block
+    (`simplify._Work.eliminate`). None when the result evaluates to
+    zero."""
+    if len(si.J) > 1:
         raise InternalError("single-boundary elimination needs |J| <= 1")
-    xvar = J[0] if J else None
-    touched = [cl for cl in st.clauses if clause_vars(cl) & I]
-    ivars = sorted(I)
-    f0, f1 = st.fixed
-    weights = dict(st.weights)
-    p_main = st.p_main
-    if xvar is None:
-        p_main = p_main * pair_sum(touched, st.fixed, ivars, st.weights)
-    else:
-        old = weights[xvar]
-        table = [ZERO] * 4
-        for i, j in value_combos(st, xvar):
-            block = pair_sum(touched, (f0 | {xvar: i}, f1 | {xvar: j}), ivars, st.weights)
-            table[2 * i + j] = old[2 * i + j] * block
-        weights[xvar] = tuple(table)
-    for v in ivars:
-        weights.pop(v)
-    st = PairState(
-        tuple(cl for cl in st.clauses if not clause_vars(cl) & I),
-        ({k: v for k, v in f0.items() if k not in I}, {k: v for k, v in f1.items() if k not in I}),
-        st.V - I,
-        p_main,
-        weights,
-    )
-    if xvar is not None and xvar not in st.occurring():
-        st = fold_free(st, frozenset({xvar}))
-    return st
+    return simplify_fixpoint(st, counts, block=(si.I, min(si.J, default=None)))
 
 
 def branch_semiisolated_2(
@@ -241,11 +206,9 @@ def branch_semiisolated_2(
     )
     if x is None:
         raise InternalError("no boundary variable with an outside clause")
-    wvar = next(v for v in sorted(si.J) if v != x)
-    rest = SemiIsolated(si.I, frozenset({wvar}))
+    w = next(v for v in sorted(si.J) if v != x)
     children = [
-        simplify_fixpoint(eliminate_semiisolated_1(assign_value(st, x, i, j), rest), counts)
-        for i, j in value_combos(st, x)
+        simplify_fixpoint(st, counts, ((x, i, j),), (si.I, w)) for i, j in value_combos(st, x)
     ]
     return _finish_children(st, children, [5] * len(children), debug)
 
@@ -269,8 +232,8 @@ def branch_semiisolated_3(
     trio = sorted(clause_vars(c))
     jpair = clause_vars(c) & si.J
     evar = (clause_vars(c) & si.I).pop()
-    rest = frozenset(si.J - jpair)
-    inner = frozenset(si.I - {evar})
+    (w,) = si.J - jpair
+    block = (si.I - {evar}, w)
     bit = {v: 1 << t for t, v in enumerate(trio)}
     pos1, pos2 = (true_positions(c, st.fixed[side], side, bit) for side in (0, 1))
     children = []
@@ -280,11 +243,8 @@ def branch_semiisolated_3(
         for m2 in pos2:
             if m2 is None:
                 continue
-            child = st
-            for t, v in enumerate(trio):
-                child = assign_value(child, v, m1 >> t & 1, m2 >> t & 1)
-            child = eliminate_semiisolated_1(child, SemiIsolated(inner, rest))
-            children.append(simplify_fixpoint(child, counts))
+            assignments = [(v, m1 >> t & 1, m2 >> t & 1) for t, v in enumerate(trio)]
+            children.append(simplify_fixpoint(st, counts, assignments, block))
     return _finish_children(st, children, [8] * len(children), debug)
 
 

@@ -2,28 +2,28 @@
 factorisation, heuristic balanced bisection, cut-variable branching and the
 brute-force base case.
 
-The clause graph, the component split and the base case read the state's
-class index (`PairState.index`): its classes and their shared variables
-are the graph, and its variables are the clause variables.
+The clause graph and the component split read the state's class index
+(`PairState.index`): its classes and their shared variables are the
+graph. Like the branching rules, the cut branch builds each child with
+one `simplify_fixpoint` call, and the base case rewrites nothing: it
+takes one `pair_sum` over all of V.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
-from typing import MutableMapping
+from typing import MutableMapping, NamedTuple
 
 from .errors import InternalError
 from .model import PairState, pair_sum
 from .poly import ONE, HDPoly
-from .simplify import fold_free, simplify_fixpoint, value_combos
+from .simplify import simplify_fixpoint, value_combos
 
 Counts = MutableMapping[str, int] | None
 
 
-@dataclass(frozen=True)
-class ClauseGraph:
+class ClauseGraph(NamedTuple):
     """Vertices are dissimilar clause classes; an edge joins two classes
     sharing at least one variable and is labelled with the shared set."""
 
@@ -96,8 +96,7 @@ def connected_components(st: PairState) -> list[PairState]:
     return out
 
 
-@dataclass(frozen=True)
-class Bisection:
+class Bisection(NamedTuple):
     sides: tuple[int, ...]
     cut_vars: frozenset[int]
     cut_size: int
@@ -196,10 +195,7 @@ def branch_cut_variables(
 
 
 def brute_force_base(st: PairState) -> HDPoly:
-    """Exact evaluation of a small state: fold the variables in no clause
-    into p_main, then take the weighted `pair_sum` over the side solutions
-    on the clause variables."""
-    occ = st.occurring()
-    if len(occ) < len(st.V):
-        st = fold_free(st, st.V - occ)
-    return st.p_main * pair_sum(st.clauses, st.fixed, sorted(occ), st.weights)
+    """Exact evaluation of a small state: p_main times the weighted
+    `pair_sum` over the side solutions on V, in which a variable in no
+    clause takes every value its forced values allow."""
+    return st.p_main * pair_sum(st.clauses, st.fixed, sorted(st.V), st.weights)

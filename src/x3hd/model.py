@@ -16,8 +16,8 @@ from it.
 Exactly-one enumeration: `true_positions` is the one enumeration of which
 literal of a clause is the true one, as value masks over a variable ->
 bit map. `side_solutions` folds those masks across clauses, and every
-other reader (the unsat fallback, the small-clause table in `simplify`,
-the clause-splitting branches in `branching`) goes through one of the two.
+other reader (`pair_sum`, the small-clause table in `simplify`, the
+clause-splitting branches in `branching`) goes through one of the two.
 
 Class index: every branching case and the Case 2 decomposition read one
 structure of a state, its dissimilar clause classes and the variables
@@ -111,6 +111,30 @@ def true_positions(
     return out
 
 
+def _side_unsatisfiable(clause: Clause, forced: Mapping[int, int], side: int) -> bool:
+    """`clause_unsatisfiable` on one side, free variables repeated or not.
+
+    A free variable with a sign-0 and b sign-1 literals makes a of them
+    true or b, so at least min(a, b). The side is satisfiable iff the
+    pinned count plus these minima is 1, or it is 0 and some free variable
+    occurs once (every other free variable then takes its minimum, 0).
+    """
+    least = 0
+    signs: dict[int, list[int]] = {}
+    for p in clause:
+        sign = p >> side & 1
+        if p < 4:
+            least += sign
+            continue
+        val = forced.get(p >> 2)
+        if val is None:
+            signs.setdefault(p >> 2, [0, 0])[sign] += 1
+        else:
+            least += val ^ sign
+    least += sum(min(a, b) for a, b in signs.values())
+    return least > 1 or (least == 0 and all(a + b != 1 for a, b in signs.values()))
+
+
 def clause_unsatisfiable(
     clause: Clause, fixed: tuple[Mapping[int, int], Mapping[int, int]]
 ) -> bool:
@@ -118,15 +142,15 @@ def clause_unsatisfiable(
     forced values (`fixed[side]`) makes exactly one literal of `clause`
     true.
 
-    Both sides are read in one pass. With the free variables distinct this
-    is closed form: each free literal can be set either way, so a side is
-    unsatisfiable iff more than one literal is pinned true there, or none
-    is and no free literal is left. A side on which the clause repeats a
-    free variable defers to `side_solutions`.
+    Both sides are read in one pass. With the free variables distinct,
+    each free literal can be set either way, so a side is unsatisfiable
+    iff more than one literal is pinned true there, or none is and no free
+    literal is left. A clause that repeats a free variable is checked side
+    by side by `_side_unsatisfiable`, which counts each free variable's
+    fewest true literals.
     """
     f0, f1 = fixed
     pinned0 = pinned1 = free0 = free1 = 0
-    repeat0 = repeat1 = False
     seen = []
     for p in clause:
         if p < 4:
@@ -144,19 +168,10 @@ def clause_unsatisfiable(
             free1 += 1
         else:
             pinned1 += val1 ^ (p >> 1 & 1)
-        if v in seen:
-            repeat0 |= val0 is None
-            repeat1 |= val1 is None
+        if v in seen and (val0 is None or val1 is None):
+            return _side_unsatisfiable(clause, f0, 0) or _side_unsatisfiable(clause, f1, 1)
         seen.append(v)
-    if repeat0 or repeat1:
-        variables = sorted(clause_vars(clause))
-        if repeat0 and not side_solutions((clause,), f0, variables, 0):
-            return True
-        if repeat1 and not side_solutions((clause,), f1, variables, 1):
-            return True
-    return (not repeat0 and (pinned0 > 1 or not (pinned0 or free0))) or (
-        not repeat1 and (pinned1 > 1 or not (pinned1 or free1))
-    )
+    return pinned0 > 1 or not (pinned0 or free0) or pinned1 > 1 or not (pinned1 or free1)
 
 
 def side_solutions(
@@ -342,9 +357,6 @@ class PairState:
             self._index = class_index(self.clauses)
         return self._index
 
-    def occurring(self) -> set[int]:
-        return set(self.index().var_to_classes)
-
 
 def initial_state(f: Formula) -> PairState:
     variables = frozenset(range(1, f.n_vars + 1))
@@ -361,7 +373,7 @@ def check_state(st: PairState) -> None:
     """Full debug validation of a PairState."""
     if st._index is not None and st._index != class_index(st.clauses):
         raise InternalError("cached class index differs from the clauses")
-    occ = st.occurring()
+    occ = st.index().var_to_classes.keys()
     if not occ <= st.V:
         raise InternalError(f"clause variables {occ - st.V} missing from V")
     if set(st.weights) != set(st.V):

@@ -1,28 +1,25 @@
-"""Non-branching rewrites, applied to a fixpoint in priority order.
+"""Non-branching rewrites, applied to a fixpoint in priority order, and
+the one place where a state is rewritten.
 
 Every rewrite here preserves the state's defining sum exactly (the
 conservation property); a return value of None means the state evaluates
-to the zero polynomial. `assign_value` fixes one value pair: it is a
-rewrite when the forced values allow no other pair, and otherwise gives
-one child of a branch over `value_combos`.
+to the zero polynomial.
 
 Priority inside the fixpoint: unsatisfiable clause detection, duplicate
-clause removal, elimination of variables (case1_ii: `assign_value` for a
-variable determined on both sides, `fold_free` for those in no clause),
+clause removal, elimination of variables (case1_ii: fix a variable
+determined on both sides, fold those in no clause into p_main),
 small-clause normalisation, then resolution of clause pairs sharing
 exactly two variables.
 
-Every rewrite has one implementation, a method of `_Work`: a mutable
-working copy of a `PairState` that the method edits in place.
-`simplify_fixpoint` thaws its input once, applies each rule that fires to
-the same working copy and freezes one `PairState` when no rule fires any
-more; it returns the input itself when none fired at all. A branch
-child's value pairs go in as `assignments`, fixed on the same copy before
-the first round: one thaw and one freeze per child. The public rewrites
-(`assign_value`, `fold_free`, `link_variables`, `apply_small_clause`,
-`resolve_shared_pair`) are thin wrappers for the branching rules and the
-tests: thaw, apply one method, freeze. Thawing copies every dict and set,
-so no input state is ever written.
+Every rewrite is a method of `_Work`: a mutable working copy of a
+`PairState` that the method edits in place. In the package,
+`simplify_fixpoint` is their only caller: it thaws its input once,
+applies to the same working copy a branch child's value pairs
+(`assignments`), then a case (vi) block elimination (`block`), then each
+rule that fires, and freezes one `PairState` when no rule fires any
+more; it returns the input itself when there was nothing to do. Every
+child a search node builds is one call, one thaw and one freeze.
+Thawing copies every dict and set, so no input state is ever written.
 
 A round of the fixpoint costs only what the last rule changed. The
 working copy keeps each clause in a fixed slot and maintains, as each
@@ -40,10 +37,8 @@ shared pair only when no earlier rule fires. Variables in no clause fold
 into p_main in one step: grouped by weight table and forced values, each
 group's factor summed once and equal factors raised to a power at once.
 Small clauses are classified once per shape, up to the names of their at
-most two variables, from each side's `side_solutions` rows: the
-small-clause table, like the unsat check's fallback for a repeated
-variable, reads `model.true_positions`, the one enumeration of a clause's
-true literal.
+most two variables, from each side's `side_solutions` rows, which read
+`model.true_positions`, the one enumeration of a clause's true literal.
 """
 
 from __future__ import annotations
@@ -59,9 +54,10 @@ from .model import (
     WeightTable,
     clause_unsatisfiable,
     clause_vars,
+    pair_sum,
     side_solutions,
 )
-from .poly import HDPoly
+from .poly import ZERO, HDPoly
 
 
 def _values(forced: int | None) -> tuple[int, ...]:
@@ -340,34 +336,48 @@ class _Work:
                 return a, min(pairs)
         return None
 
+    def eliminate(self, block: set[int] | frozenset[int], x: int | None) -> None:
+        """Sum out `block`, whose clauses hold no variable outside it but x
+        (case (vi)): for each value pair (i, j) that x's forced values
+        allow, the `pair_sum` over the block of those clauses with x forced
+        to i and j scales x's table entry 2*i + j, and the entries x cannot
+        take become zero; with no x the one `pair_sum` scales p_main. The
+        block's clauses and variables are then dropped, and x folds into
+        p_main when it occurs nowhere else. A zero entry evaluates the
+        affected branch to zero downstream."""
+        slots = sorted(set().union(*(self.occ.get(v, ()) for v in block)))
+        touched = [self.clauses[k] for k in slots]
+        ivars = sorted(block)
+        f0, f1 = fixed = self.fixed
+        weights = self.weights
+        if x is None:
+            self.p_main = self.p_main * pair_sum(touched, fixed, ivars, weights)
+        else:
+            old = weights[x]
+            table = [ZERO] * 4
+            for i in _values(f0.get(x)):
+                for j in _values(f1.get(x)):
+                    total = pair_sum(touched, (f0 | {x: i}, f1 | {x: j}), ivars, weights)
+                    table[2 * i + j] = old[2 * i + j] * total
+            weights[x] = tuple(table)
+        for k in slots:
+            self.remove(k)
+        for v in ivars:
+            del weights[v]
+            f0.pop(v, None)
+            f1.pop(v, None)
+        self.V -= block
+        self.free -= block
+        self.determined -= block
+        if x is not None and x not in self.occ:
+            self.fold({x})
+
 
 def value_combos(st: PairState, x: int) -> list[tuple[int, int]]:
     """The (side 0, side 1) value pairs for x consistent with its forced
     values, in the fixed order (0,0), (0,1), (1,0), (1,1)."""
     f0, f1 = st.fixed
     return [(i, j) for i in _values(f0.get(x)) for j in _values(f1.get(x))]
-
-
-def assign_value(st: PairState, x: int, i: int, j: int) -> PairState:
-    """st with x fixed to i on side 0 and j on side 1 (`_Work.assign`)."""
-    work = _Work(st)
-    work.assign(x, i, j)
-    return work.freeze()
-
-
-def fold_free(st: PairState, free: frozenset[int]) -> PairState:
-    """st with the variables of `free`, none of which occurs in a clause,
-    folded into p_main (`_Work.fold`)."""
-    work = _Work(st)
-    work.fold(free)
-    return work.freeze()
-
-
-def link_variables(st: PairState, keep: int, drop: int, pol1: int, pol2: int) -> PairState | None:
-    """st with `drop` replaced by `keep` (`_Work.link`); None when their
-    forced values contradict the link."""
-    work = _Work(st)
-    return work.freeze() if work.link(keep, drop, pol1, pol2) else None
 
 
 class SmallClauseAction(NamedTuple):
@@ -441,13 +451,6 @@ def normalize_small_clause(clause: Clause) -> SmallClauseAction:
     )
 
 
-def apply_small_clause(st: PairState, idx: int, action: SmallClauseAction) -> PairState | None:
-    """st with the small clause at `idx` replaced by its action
-    (`_Work.apply_small`); None when the state evaluates to zero."""
-    work = _Work(st)
-    return work.freeze() if work.apply_small(idx, action) else None
-
-
 def _sign_of(clause: Clause, var: int, side: int) -> int:
     for p in clause:
         if p >> 2 == var:
@@ -455,24 +458,20 @@ def _sign_of(clause: Clause, var: int, side: int) -> int:
     raise InternalError(f"variable {var} not in clause")
 
 
-def resolve_shared_pair(st: PairState, i: int, j: int) -> PairState | None:
-    """st with the clauses at i and j resolved (`_Work.resolve_pair`); None
-    when a forced value contradicts the resolution."""
-    work = _Work(st)
-    return work.freeze() if work.resolve_pair(i, j) else None
-
-
 def simplify_fixpoint(
     st: PairState,
     counts: MutableMapping[str, int] | None = None,
     assignments: Sequence[tuple[int, int, int]] = (),
+    block: tuple[frozenset[int], int | None] | None = None,
 ) -> PairState | None:
-    """Fix each (x, i, j) of `assignments` as `assign_value` does, then
-    apply the non-branching rules in priority order until none fires, all
-    on one working copy. Each application removes a variable, a clause, or
-    determines a value, so the loop terminates. Returns None when the
-    state evaluates to zero, the input itself when there were no
-    assignments and no rule fired.
+    """The state that `st` rewrites to, built on one working copy: fix x to
+    i on side 0 and j on side 1 for each (x, i, j) of `assignments`, then
+    sum out the semiisolated `block` = (I, x) through its boundary
+    variable x or None (`_Work.eliminate`, not counted), then apply the
+    non-branching rules in priority order until none fires. Each rule
+    removes a variable, a clause, or determines a value, so the loop
+    terminates. Returns None when the state evaluates to zero, the input
+    itself when there was nothing to apply and no rule fired.
     """
 
     def bump(key: str, n: int = 1) -> None:
@@ -482,6 +481,8 @@ def simplify_fixpoint(
     work = _Work(st)
     for x, i, j in assignments:
         work.assign(x, i, j)
+    if block is not None:
+        work.eliminate(*block)
     clauses, fixed, occ, keys, by_key = work.clauses, work.fixed, work.occ, work.keys, work.by_key
     dirty, changed, free, determined, small = (
         work.dirty, work.changed, work.free, work.determined, work.small
@@ -538,4 +539,4 @@ def simplify_fixpoint(
                 return None
             continue
         # every earlier round fired a rule
-        return work.freeze() if rounds or assignments else st
+        return work.freeze() if rounds or assignments or block else st

@@ -109,8 +109,8 @@ def _node(
     """One search node: apply the first rule that fires to a state at its
     fixpoint, or None for a state that evaluates to zero; returns the
     polynomial and the leaf count. Every state arrives simplified: the
-    root and the block elimination of case1_vi1 through a fixpoint call
-    here, a branch child as the result of one, and a component as a subset
+    root through a fixpoint call here, a branch child and the block
+    elimination of case1_vi1 as the result of one, and a component as a subset
     of the clauses of a state at its fixpoint, with their variables, on
     which no rule fires that did not on the whole. Debug mode checks this
     at every node."""
@@ -138,7 +138,7 @@ def _node(
     if isinstance(config, SemiIsolated):
         if len(config.J) <= 1:
             stats.rules["case1_vi1"] += 1
-            child = simplify_fixpoint(eliminate_semiisolated_1(st, config), stats.rules)
+            child = eliminate_semiisolated_1(st, config, stats.rules)
             return _node(child, opts, stats, depth + 1)
         if len(config.J) == 2:
             stats.rules["case1_vi2"] += 1

@@ -30,13 +30,14 @@ from x3hd.decompose import (
 )
 from x3hd.model import PairState, check_state, clause_unsatisfiable, from_dimacs, pristine_weights
 from x3hd.poly import ONE, ZERO, HDPoly
-from x3hd.simplify import (
-    apply_small_clause,
-    assign_value,
-    fold_free,
-    normalize_small_clause,
-    resolve_shared_pair,
-)
+from x3hd.simplify import _Work, normalize_small_clause
+
+
+def rewrite(st: PairState, method: str, *args) -> PairState | None:
+    """st rewritten by one `_Work` method: thaw, call it, freeze; None when
+    the method returns False (the state evaluates to zero)."""
+    work = _Work(st)
+    return None if getattr(work, method)(*args) is False else work.freeze()
 
 
 def detect_unsat(st: PairState) -> bool:
@@ -226,12 +227,12 @@ def case1_ii(seed: int) -> RuleCase:
             fixed = (dict(st.fixed[0]), dict(st.fixed[1]))
             fixed[rng.randrange(2)][x] = rng.randrange(2)
             st = replace(st, fixed=fixed)
-        child = fold_free(st, frozenset({x}))
+        child = rewrite(st, "fold", {x})
     else:
         x = mapping[rng.randint(1, 5)]
         i, j = rng.randrange(2), rng.randrange(2)
         st = replace(st, fixed=(st.fixed[0] | {x: i}, st.fixed[1] | {x: j}))
-        child = assign_value(st, x, i, j)
+        child = rewrite(st, "assign", x, i, j)
     return RuleCase("case1_ii", st, [child], "sum")
 
 
@@ -266,7 +267,7 @@ def case1_iii(seed: int) -> RuleCase:
     if detect_unsat(st):
         return RuleCase("case1_i", st, [], "sum")
     action = normalize_small_clause(st.clauses[0])
-    child = apply_small_clause(st, 0, action)
+    child = rewrite(st, "apply_small", 0, action)
     return RuleCase("case1_iii", st, [child] if child is not None else [], "sum")
 
 
@@ -278,7 +279,7 @@ def case1_iv(seed: int) -> RuleCase:
     st = fuzz_one_sided_values(st, rng)
     if detect_unsat(st):
         return RuleCase("case1_i", st, [], "sum")
-    child = resolve_shared_pair(st, 0, 1)
+    child = rewrite(st, "resolve_pair", 0, 1)
     return RuleCase("case1_iv", st, [child] if child is not None else [], "sum")
 
 

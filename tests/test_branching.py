@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rulestates import FAMILIES, build_paired, clause, mkstate
+from rulestates import FAMILIES, build_paired, clause, mkstate, rewrite
 from x3hd.branching import (
     SemiIsolated,
     SevenNeighbourPattern,
@@ -13,7 +13,7 @@ from x3hd.branching import (
 )
 from x3hd.oracle import state_eval
 from x3hd.poly import U, ZERO, HDPoly
-from x3hd.simplify import assign_value, value_combos
+from x3hd.simplify import value_combos
 
 
 def conserve_sum(case):
@@ -24,7 +24,7 @@ def conserve_sum(case):
 
 def test_assign_value_scales_and_substitutes():
     st = mkstate([clause(1, 2, 3)])
-    child = assign_value(st, 1, 0, 1)
+    child = rewrite(st, "assign", 1, 0, 1)
     assert child.p_main == U
     assert child.clauses[0][0] == 2  # false on side 0, true on side 1
     assert 1 not in child.V and 1 not in child.weights

@@ -217,7 +217,7 @@ def test_state_index_is_built_once_per_state():
     index = st0.index()
     assert index == class_index(st0.clauses)
     assert st0.index() is index
-    assert st0.occurring() == set(range(1, 8))
+    assert set(st0.index().var_to_classes) == set(range(1, 8))
     # a copy made by replace builds its own index from its own clauses
     copy = replace(st0, clauses=st0.clauses[:2])
     assert copy.index() == class_index(st0.clauses[:2])

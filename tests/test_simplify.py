@@ -17,6 +17,7 @@ from rulestates import (
     fuzz_weights,
     mkstate,
     pair_clause,
+    rewrite,
 )
 from x3hd.instances import generate
 from x3hd.model import PRISTINE, Formula, PairState, clause_vars, initial_state
@@ -25,12 +26,7 @@ from x3hd.poly import ONE, U, ZERO, HDPoly
 from x3hd.simplify import (
     _classify_small_clause,
     _Work,
-    apply_small_clause,
-    assign_value,
-    fold_free,
-    link_variables,
     normalize_small_clause,
-    resolve_shared_pair,
     simplify_fixpoint,
     value_combos,
 )
@@ -55,11 +51,11 @@ def test_detect_unsat_uses_forced_values():
 
 def test_eliminate_free_variable_scales_by_two_plus_two_u():
     st = mkstate([clause(2, 3, 4)], extra_vars=(1,))
-    out = fold_free(st, frozenset({1}))
+    out = rewrite(st, "fold", {1})
     assert out.p_main == HDPoly({0: 2, 1: 2})
     assert 1 not in out.V
     # forced on one side only: the two entries it allows are summed
-    out = fold_free(replace(st, fixed=({}, {1: 1})), frozenset({1}))
+    out = rewrite(replace(st, fixed=({}, {1: 1})), "fold", {1})
     assert out.p_main == HDPoly({0: 1, 1: 1})
     assert out.fixed == ({}, {})
 
@@ -67,7 +63,7 @@ def test_eliminate_free_variable_scales_by_two_plus_two_u():
 def test_assign_determined_opposite_values_scales_by_u():
     st = mkstate([clause(1, 2, 3)], fixed=({1: 0}, {1: 1}))
     assert value_combos(st, 1) == [(0, 1)]
-    out = assign_value(st, 1, 0, 1)
+    out = rewrite(st, "assign", 1, 0, 1)
     assert out.p_main == U
     assert out.clauses[0][0] == 2  # false on side 0, true on side 1
 
@@ -75,7 +71,7 @@ def test_assign_determined_opposite_values_scales_by_u():
 def test_assign_determined_equal_values():
     st = mkstate([clause(1, 2, 3)], fixed=({1: 1}, {1: 1}))
     assert value_combos(st, 1) == [(1, 1)]
-    out = assign_value(st, 1, 1, 1)
+    out = rewrite(st, "assign", 1, 1, 1)
     assert out.p_main == ONE
     assert out.clauses[0][0] == 3  # true on both sides
     assert 1 not in out.fixed[0] and 1 not in out.fixed[1]
@@ -124,7 +120,7 @@ def test_small_clause_actions_conserve_the_state_value():
     for cl in shapes:
         st = PairState((cl, rest), ({}, {}), frozenset(tables), HDPoly({0: 1}), dict(tables))
         action = normalize_small_clause(cl)
-        out = apply_small_clause(st, 0, action)
+        out = rewrite(st, "apply_small", 0, action)
         assert (out is None) is action.unsat, cl
         expected = ZERO if out is None else state_eval(out)
         assert state_eval(st) == expected, (cl, action)
@@ -149,7 +145,7 @@ def test_cross_side_constant_flip_mixes_force_and_link():
 
 def test_link_variables_pristine_table():
     st = mkstate([clause(1, 2, 3)])
-    out = link_variables(st, 1, 2, 1, 1)
+    out = rewrite(st, "link", 1, 2, 1, 1)
     table = out.weights[1]
     assert table[0] == ONE  # 1 * q(1,1)
     assert table[1] == U * U  # u * q(1,0)
@@ -162,7 +158,7 @@ def test_link_spec_polarity_example():
     st = mkstate([clause(1, 2)], [clause(1, -2)])
     action = normalize_small_clause(st.clauses[0])
     assert action.link == (1, 2, 1, 0)
-    out = apply_small_clause(st, 0, action)
+    out = rewrite(st, "apply_small", 0, action)
     assert out.weights[1] == (U, U, U, U)
     # conservation against direct enumeration
     assert state_eval(st) == state_eval(out) == HDPoly({1: 4})
@@ -170,16 +166,16 @@ def test_link_spec_polarity_example():
 
 def test_link_migrates_forced_values():
     st = mkstate([clause(1, 2), clause(2, 3, 4)], fixed=({2: 0}, {}))
-    out = link_variables(st, 1, 2, 0, 0)
+    out = rewrite(st, "link", 1, 2, 0, 0)
     assert out.fixed[0][1] == 0 and 2 not in out.fixed[0]
 
 
 def test_link_conflict_returns_zero():
     st = mkstate([clause(1, 2), clause(2, 3, 4)], fixed=({1: 1, 2: 1}, {}))
     # equality link forces value(1) = value(2) = 1 on side 0: fine
-    assert link_variables(st, 1, 2, 0, 0) is not None
+    assert rewrite(st, "link", 1, 2, 0, 0) is not None
     # inequality link contradicts the recorded values
-    assert link_variables(st, 1, 2, 1, 0) is None
+    assert rewrite(st, "link", 1, 2, 1, 0) is None
 
 
 @pytest.mark.parametrize(
@@ -192,7 +188,7 @@ def test_link_conflict_returns_zero():
 )
 def test_resolve_shared_pair_polarity_cases(shape1, shape2, forced, polarity):
     st = mkstate([clause(*shape1), clause(*shape2)])
-    out = resolve_shared_pair(st, 0, 1)
+    out = rewrite(st, "resolve_pair", 0, 1)
     assert out is not None
     for side, var, val in forced:
         s = out.fixed[side]
@@ -345,7 +341,7 @@ def test_fold_free_equals_the_per_variable_product():
         st = mkstate([clause(clause_var, clause_var + 1, clause_var + 2)],
                      extra_vars=range(1, 3 * k + 1))
         for v in range(k + 1, 2 * k + 1):
-            st = link_variables(st, v, v + k, rng.randrange(2), rng.randrange(2))
+            st = rewrite(st, "link", v, v + k, rng.randrange(2), rng.randrange(2))
         st = fuzz_weights(st, rng, prob=0.2)
         fixed = (dict(st.fixed[0]), dict(st.fixed[1]))
         for v in free:
@@ -354,7 +350,7 @@ def test_fold_free_equals_the_per_variable_product():
                     fixed[side][v] = rng.randrange(2)
         st = replace(st, fixed=fixed)
         shared += sum(st.weights[v] is PRISTINE for v in free) >= 2
-        out = fold_free(st, frozenset(free))
+        out = rewrite(st, "fold", set(free))
         assert out.p_main == _free_product(st, free), trial
         assert out.V == st.V - set(free)
         assert not set(free) & (out.weights.keys() | out.fixed[0].keys() | out.fixed[1].keys())
@@ -376,9 +372,9 @@ def _fixpoint_inputs(monkeypatch, seeds):
     checked to leave its input unchanged."""
     inputs = []
 
-    def recording_fixpoint(st, counts=None, assignments=()):
+    def recording_fixpoint(st, counts=None, assignments=(), block=None):
         before = _snapshot(st)
-        out = simplify_fixpoint(st, counts, assignments)
+        out = simplify_fixpoint(st, counts, assignments, block)
         assert _snapshot(st) == before
         inputs.append(st)
         return out
@@ -394,7 +390,7 @@ def _fixpoint_inputs(monkeypatch, seeds):
 
 def test_assignments_equal_chained_assign_value(monkeypatch):
     # a child built inside the fixpoint's working copy must equal the child
-    # built by one assign_value per variable and then simplified
+    # built by one `assign` rewrite per variable and then simplified
     states = _fixpoint_inputs(monkeypatch, range(24))
     states += [FAMILIES[name](seed).parent for name in FAMILIES for seed in range(12)]
     rng = random.Random(3)
@@ -408,7 +404,7 @@ def test_assignments_equal_chained_assign_value(monkeypatch):
             got = simplify_fixpoint(st, c1, assignments)
             chained = st
             for x, i, j in assignments:
-                chained = assign_value(chained, x, i, j)
+                chained = rewrite(chained, "assign", x, i, j)
             want = simplify_fixpoint(chained, c2)
             assert got is not st
             assert c1 == c2
@@ -425,30 +421,81 @@ def test_assignments_equal_chained_assign_value(monkeypatch):
     assert zero > 100 and checked - zero > 200
 
 
+def test_block_child_equals_chained_rewrites():
+    # a case (vi) child built in one fixpoint call, with its assignments
+    # and its block, must equal the child built by one `assign` rewrite per
+    # value pair, then the `eliminate` rewrite, then the fixpoint; each
+    # semiisolated block is summed out through every boundary variable in
+    # turn, the others assigned, and through none, all of them assigned
+    rng = random.Random(5)
+    checked = zero = 0
+    for name in ("case1_vi1", "case1_vi2", "case1_vi3"):
+        for seed in range(20):
+            st = FAMILIES[name](seed).parent
+            si = x3hd.branching.find_config(st)
+            for x in sorted(si.J) + [None]:
+                assignments = [(v, *rng.choice(value_combos(st, v))) for v in sorted(si.J - {x})]
+                c1, c2 = {}, {}
+                got = simplify_fixpoint(st, c1, assignments, (si.I, x))
+                chained = st
+                for a in assignments:
+                    chained = rewrite(chained, "assign", *a)
+                want = simplify_fixpoint(rewrite(chained, "eliminate", si.I, x), c2)
+                assert c1 == c2
+                if want is None:
+                    assert got is None
+                    zero += 1
+                else:
+                    assert got.clauses == want.clauses
+                    assert got.fixed == want.fixed
+                    assert got.V == want.V
+                    assert got.weights == want.weights
+                    assert got.p_main == want.p_main
+                checked += 1
+    assert zero > 20 and checked - zero > 100, (zero, checked)
+
+
+def _smallest_component(clauses):
+    """The variable set of the smallest connected component of the
+    clauses that are not None (clauses joined by a shared variable); empty
+    when no clause has a variable."""
+    parts: list[set] = []
+    for cl in clauses:
+        vs = set() if cl is None else clause_vars(cl)
+        if vs:
+            joined = [part for part in parts if part & vs]
+            parts = [part for part in parts if not part & vs] + [vs.union(*joined)]
+    return min(parts, key=len, default=set())
+
+
 def _rewrites(st):
-    """(name, call) for the fixpoint and every public rewrite that applies
-    to st."""
+    """(name, call) for the fixpoint and every `_Work` rewrite that
+    applies to st, the block elimination through the fixpoint."""
     calls = [("simplify_fixpoint", lambda: simplify_fixpoint(st, {}))]
     order = sorted(st.V)
     for x in {order[0], order[-1]} if order else ():
         i, j = value_combos(st, x)[-1]
-        calls.append(("assign_value", lambda x=x, i=i, j=j: assign_value(st, x, i, j)))
+        calls.append(("assign", lambda x=x, i=i, j=j: rewrite(st, "assign", x, i, j)))
     if order:
         assignments = [(x, *value_combos(st, x)[0]) for x in order[:3]]
         calls.append(("assignments", lambda: simplify_fixpoint(st, {}, assignments)))
-    free = frozenset(st.V - st.occurring())
+    part = _smallest_component(st.clauses)
+    if 0 < len(part) <= 12:
+        x = min(part)
+        calls.append(("block", lambda: simplify_fixpoint(st, {}, (), (part - {x}, x))))
+    free = st.V - st.index().var_to_classes.keys()
     if free:
-        calls.append(("fold_free", lambda: fold_free(st, free)))
+        calls.append(("fold", lambda: rewrite(st, "fold", free)))
     if len(order) >= 2:
-        calls.append(("link_variables", lambda: link_variables(st, order[0], order[1], 1, 0)))
+        calls.append(("link", lambda: rewrite(st, "link", order[0], order[1], 1, 0)))
     varsets = [clause_vars(cl) for cl in st.clauses]
     small = next((k for k, vs in enumerate(varsets) if len(vs) <= 2), None)
     if small is not None:
         action = normalize_small_clause(st.clauses[small])
-        calls.append(("apply_small_clause", lambda: apply_small_clause(st, small, action)))
+        calls.append(("apply_small", lambda: rewrite(st, "apply_small", small, action)))
     pair = _Work(st).shared_pair()
     if pair is not None and all(len(varsets[k]) == 3 for k in pair):
-        calls.append(("resolve_shared_pair", lambda: resolve_shared_pair(st, *pair)))
+        calls.append(("resolve_pair", lambda: rewrite(st, "resolve_pair", *pair)))
     return calls
 
 
@@ -463,7 +510,7 @@ def test_rewrites_never_write_their_input(monkeypatch):
             call()
             assert _snapshot(st) == before, name
             fired.add(name)
-    assert len(fired) == 7
+    assert len(fired) == 8, fired
 
 
 def _assert_indices(work):
@@ -506,6 +553,9 @@ def _random_step(work, rng):
     pair = work.shared_pair()
     if pair is not None and all(len(work.varsets[k]) == 3 for k in pair):
         steps.append("resolve_pair")
+    part = _smallest_component(work.clauses)
+    if 0 < len(part) <= 12:
+        steps.append("eliminate")
     if not steps:
         return None
     name = rng.choice(steps)
@@ -531,6 +581,9 @@ def _random_step(work, rng):
     elif name == "apply_small":
         k = rng.choice(sorted(work.small))
         ok = work.apply_small(k, normalize_small_clause(work.clauses[k]))
+    elif name == "eliminate":
+        x = rng.choice(sorted(part) + [None])
+        work.eliminate(part - {x}, x)
     else:
         ok = work.resolve_pair(*pair)
     return name if ok is not False else None
@@ -550,4 +603,4 @@ def test_work_indices_follow_every_rewrite(monkeypatch):
                 break
             _assert_indices(work)
             applied[name] += 1
-    assert min(applied.values()) > 20 and len(applied) == 8, applied
+    assert min(applied.values()) > 20 and len(applied) == 9, applied
