@@ -9,7 +9,6 @@ distance between two solutions and its constant term the solution count.
 from .errors import InternalError, LimitError, ParseError
 from .instances import Instance, default_clause_count, generate, parse, render
 from .model import Formula, PairState, initial_state
-from .oracle import enumerate_solutions, hd_oracle, state_eval
 from .poly import HDPoly
 from .solver import SolveOptions, SolveReport, SolveStats, mhd, solve
 
@@ -37,3 +36,15 @@ __all__ = [
 ]
 
 __version__ = "1.0.0"
+
+# the brute-force references are not on the solve path, so `oracle` is
+# imported on the first lookup of one of them, not with the package
+_ORACLE_NAMES = frozenset({"enumerate_solutions", "hd_oracle", "state_eval"})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

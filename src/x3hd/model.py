@@ -18,6 +18,11 @@ literal of a clause is the true one, as value masks over a variable ->
 bit map. `side_solutions` folds those masks across clauses, and every
 other reader (`pair_sum`, the small-clause table in `simplify`, the
 clause-splitting branches in `branching`) goes through one of the two.
+`pair_sum` is the one weighted sum over solution pairs, for the base case
+and for case (vi) block elimination. It enumerates side 0, and side 1
+only when the two sides differ in a sign, a constant or a forced value;
+it adds every pair's weight, as ints, into one degree -> coefficient dict
+and builds one polynomial from it at the end.
 
 Class index: every branching case and the Case 2 decomposition read one
 structure of a state, its dissimilar clause classes and the variables
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InternalError
-from .poly import ONE, U, ZERO, HDPoly
+from .poly import ONE, U, HDPoly
 
 Clause = tuple[int, ...]
 
@@ -291,42 +296,59 @@ def pair_sum(
     `variables` (see `side_solutions`), of the product over v of
     weights[v][2*b0[v] + b1[v]].
 
-    The solutions are int masks with bit t holding variables[t]. A PRISTINE
-    variable contributes u exactly where the two values differ, so each
-    side's masks are grouped by their bits on the other, tabled, variables
-    (row & tabled mask), keeping the PRISTINE bits (row & plain mask). A
-    pair of groups contributes the histogram of its plain masks' Hamming
-    distances, (a ^ b).bit_count(), times the product of its table entries.
+    The solutions are int masks with bit t holding variables[t]. A variable
+    whose table is PRISTINE (the object itself) contributes u exactly where
+    the two values differ, so each side's masks are grouped by their bits
+    on the other, tabled, variables (row & tabled mask), keeping the
+    PRISTINE bits (row & plain mask). When both sides read the same signs
+    and constants (every literal has p & 3 in (0, 3)) and the same forced
+    values, their solutions are the same, and side 0's groups serve side 1.
+
+    A pair of groups contributes the histogram of its plain masks' Hamming
+    distances, (a ^ b).bit_count(), times the product of its table entries;
+    a pair with a zero entry is skipped. The product is taken over the
+    entries' (degree, coefficient) items as plain ints, which for monomial
+    entries is one multiply and one add each, and every pair adds into one
+    degree -> coefficient dict, which becomes the one result polynomial.
     """
     plain_mask = 0
     tabled = []
     for t, v in enumerate(variables):
-        if weights[v] == PRISTINE:
+        table = weights[v]
+        if table is PRISTINE:
             plain_mask |= 1 << t
         else:
-            tabled.append((t, weights[v]))
+            tabled.append((t, [tuple(entry.terms().items()) for entry in table]))
+    symmetric = fixed[0] == fixed[1] and all(p & 3 in (0, 3) for cl in clauses for p in cl)
     groups: list[dict[int, list[int]]] = []
-    for side in (0, 1):
+    for side in (0,) if symmetric else (0, 1):
         grouped: dict[int, list[int]] = {}
         for row in side_solutions(clauses, fixed[side], variables, side):
             grouped.setdefault(row & ~plain_mask, []).append(row & plain_mask)
         groups.append(grouped)
-    total = ZERO
+    total: dict[int, int] = {}
     for key0, masks0 in groups[0].items():
-        for key1, masks1 in groups[1].items():
-            entries = [table[2 * (key0 >> t & 1) + (key1 >> t & 1)] for t, table in tabled]
-            if not all(entries):
-                continue
-            hist: dict[int, int] = {}
-            for a in masks0:
-                for b in masks1:
-                    d = (a ^ b).bit_count()
-                    hist[d] = hist.get(d, 0) + 1
-            term = HDPoly(hist)
-            for entry in entries:
-                term = term * entry
-            total = total + term
-    return total
+        for key1, masks1 in groups[-1].items():
+            weight = {0: 1}
+            for t, entries in tabled:
+                entry = entries[2 * (key0 >> t & 1) + (key1 >> t & 1)]
+                if not entry:
+                    break
+                product: dict[int, int] = {}
+                for d, c in weight.items():
+                    for e, f in entry:
+                        product[d + e] = product.get(d + e, 0) + c * f
+                weight = product
+            else:
+                hist: dict[int, int] = {}
+                for a in masks0:
+                    for b in masks1:
+                        h = (a ^ b).bit_count()
+                        hist[h] = hist.get(h, 0) + 1
+                for d, c in weight.items():
+                    for h, n in hist.items():
+                        total[d + h] = total.get(d + h, 0) + c * n
+    return HDPoly._trusted(total)
 
 
 @dataclass(eq=False, slots=True)

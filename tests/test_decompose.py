@@ -2,7 +2,15 @@ import gc
 import random
 from dataclasses import replace
 
-from rulestates import FAMILIES, build_paired, clause, fuzz_weights, mkstate
+from rulestates import (
+    FAMILIES,
+    build_paired,
+    clause,
+    formula_vars,
+    fuzz_weights,
+    mkstate,
+    resign,
+)
 from x3hd.decompose import (
     balanced_bisection,
     branch_cut_variables,
@@ -11,7 +19,7 @@ from x3hd.decompose import (
     connected_components,
 )
 from x3hd.instances import generate
-from x3hd.model import Formula, PairState, initial_state
+from x3hd.model import PRISTINE, Formula, PairState, initial_state
 from x3hd.oracle import state_eval
 from x3hd.poly import ONE, U, ZERO, HDPoly
 from x3hd.solver import SolveOptions, solve
@@ -236,22 +244,47 @@ def test_base_matches_reference_on_random_states():
     # prob 0 leaves every table PRISTINE and prob 1 none, the two edges of
     # pair_sum's split into bitmask and grouped variables
     rng = random.Random(7)
+    shapes = [
+        [[1, 2, 3]],
+        [[1, 2, 3], [3, 4, 5]],
+        [[1, 2, 3], [1, 4, 5], [2, 4, 6]],
+        ring(3),
+    ]
     for prob, runs in ((0.5, 60), (0.0, 20), (1.0, 20)):
         for _ in range(runs):
-            shapes = rng.choice(
-                [
-                    [[1, 2, 3]],
-                    [[1, 2, 3], [3, 4, 5]],
-                    [[1, 2, 3], [1, 4, 5], [2, 4, 6]],
-                    ring(3),
-                ]
-            )
-            st, _ = build_paired(shapes, rng, extra_vars=(20,))
+            st, _ = build_paired(rng.choice(shapes), rng, extra_vars=(20,))
             st = fuzz_weights(st, rng, prob)
             if rng.random() < 0.4:
                 v = rng.choice(sorted(st.V))
                 st = replace(st, fixed=(st.fixed[0] | {v: rng.randrange(2)}, st.fixed[1]))
             assert brute_force_base(st) == state_eval(st)
+    # both sides alike (the same signs, constants and forced values) take
+    # pair_sum's one-side path; one forced value or one sign apart, the
+    # two-side path
+    shapes.append([["F", 1, 2], [2, 3, "T"]])
+    for variant in ("symmetric", "forced value", "sign") * 30:
+        phi = [resign(clause(*cl), rng) for cl in rng.choice(shapes)]
+        variables = sorted(set().union(*(formula_vars(cl) for cl in phi)))
+        forced = {v: rng.randrange(2) for v in rng.sample(variables, rng.randrange(3))}
+        phi2, forced2 = phi, dict(forced)
+        if variant == "forced value":
+            v = rng.choice(variables)
+            forced2[v] = 1 - forced.get(v, rng.randrange(2))
+        elif variant == "sign":
+            k = rng.randrange(len(phi))
+            t = rng.choice([t for t, l in enumerate(phi[k]) if l >= 2])
+            phi2 = list(phi)
+            phi2[k] = phi[k][:t] + (phi[k][t] ^ 1,) + phi[k][t + 1 :]
+        st = mkstate(phi, phi2, extra_vars=(20,), fixed=(forced, forced2))
+        st = fuzz_weights(st, rng, rng.choice((0.0, 0.3, 1.0)))
+        assert brute_force_base(st) == state_eval(st)
+    # a table equal to PRISTINE but not PRISTINE itself is tabled, and exact
+    for shape in shapes:
+        st, _ = build_paired(shape, rng, extra_vars=(20,))
+        lookalike = (ONE, U, U, ONE)
+        assert lookalike == PRISTINE and lookalike is not PRISTINE
+        weights = dict.fromkeys(st.V, lookalike)
+        assert brute_force_base(replace(st, weights=weights)) == state_eval(st)
 
 
 def test_base_leaves_no_reference_cycle():

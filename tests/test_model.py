@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import x3hd.model as model
 from rulestates import clause, mkstate, pair_clause
 from x3hd.model import (
     Formula,
@@ -22,6 +23,7 @@ from x3hd.model import (
     to_dimacs,
     true_positions,
 )
+from x3hd.oracle import state_eval
 from x3hd.poly import ONE, U, HDPoly
 
 EXAMPLE = Formula.from_dimacs([[1, 2, 3], [1, 4, 5], [1, 6, 7], [2, 4, -6]], 7)
@@ -169,6 +171,33 @@ def test_pair_sum_conditions_on_a_forced_variable_left_out():
     assert pair_sum(clauses, ({1: 1}, {1: 1}), [2, 3], weights) == ONE
     weights[2] = (ONE, ONE, ONE, HDPoly({0: 5}))
     assert pair_sum(clauses, ({1: 0}, {1: 0}), [2, 3], weights) == HDPoly({0: 6, 1: 2})
+
+
+def test_pair_sum_enumerates_one_side_when_the_sides_agree(monkeypatch):
+    # the same signs, constants and forced values on both sides give the
+    # same side solutions, so one enumeration serves both
+    sides = []
+
+    def counted(clauses, fixed, variables, side):
+        sides.append(side)
+        return real(clauses, fixed, variables, side)
+
+    real = model.side_solutions
+    monkeypatch.setattr(model, "side_solutions", counted)
+    phi = [clause("F", 1, 2), clause(-2, 3, 4)]
+    cases = [
+        (mkstate(phi), [0]),
+        (mkstate(phi, fixed=({3: 0}, {3: 0})), [0]),
+        (mkstate(phi, fixed=({3: 0}, {3: 1})), [0, 1]),
+        (mkstate(phi, fixed=({3: 0}, {})), [0, 1]),
+        (mkstate(phi, [clause("F", 1, 2), clause(2, 3, 4)]), [0, 1]),
+        (mkstate(phi, [clause("T", 1, 2), clause(-2, 3, 4)]), [0, 1]),
+    ]
+    for st, expected in cases:
+        sides.clear()
+        result = pair_sum(st.clauses, st.fixed, sorted(st.V), st.weights)
+        assert sides == expected
+        assert result == state_eval(st)
 
 
 def similar(a, b) -> bool:

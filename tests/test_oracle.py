@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import x3hd
 from rulestates import build_paired, fuzz_weights, mkstate
 from x3hd.errors import LimitError
 from x3hd.instances import generate
@@ -131,3 +136,26 @@ def test_state_eval_respects_one_sided_values():
     full = state_eval(st)
     partial = state_eval(constrained)
     assert partial.total() <= full.total()
+
+
+def test_package_imports_the_oracle_on_first_use():
+    # a fresh `import x3hd` leaves `oracle` unimported; its three public
+    # names still resolve from the package
+    code = (
+        "import sys, x3hd\n"
+        "assert 'x3hd.oracle' not in sys.modules\n"
+        "assert 'hd_oracle' in x3hd.__all__\n"
+        "from x3hd import enumerate_solutions, hd_oracle, state_eval\n"
+        "import x3hd.oracle as oracle\n"
+        "assert hd_oracle is oracle.hd_oracle and state_eval is oracle.state_eval\n"
+        "assert enumerate_solutions is oracle.enumerate_solutions\n"
+    )
+    src = str(Path(x3hd.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
