@@ -36,6 +36,9 @@ def _read_formula(path: str):
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: not UTF-8 text ({exc.reason} at byte {exc.start})", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
     except ParseError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None

@@ -4,9 +4,10 @@ brute-force base case.
 
 The clause graph and the component split read the state's class index
 (`PairState.index`): its classes and their shared variables are the
-graph. Like the branching rules, the cut branch builds each child with
-one `simplify_fixpoint` call, and the base case rewrites nothing: it
-takes one `pair_sum` over all of V.
+graph. `ClauseGraph` adds only what the index lacks, the variables each
+edge's two classes share. Like the branching rules, the cut branch builds
+each child with one `simplify_fixpoint` call, and the base case rewrites
+nothing: it takes one `pair_sum` over all of V.
 """
 
 from __future__ import annotations
@@ -24,15 +25,13 @@ Counts = MutableMapping[str, int] | None
 
 
 class ClauseGraph(NamedTuple):
-    """Vertices are dissimilar clause classes; an edge joins two classes
-    sharing at least one variable and is labelled with the shared set."""
+    """Vertices are the state's dissimilar clause classes, numbered as in
+    its class index; an edge (a, b), a < b, joins two classes sharing at
+    least one variable and is labelled with the shared set. The members
+    and neighbours of a vertex are in the index (`PairState.index`)."""
 
-    members: tuple[tuple[int, ...], ...]
-    adjacency: tuple[frozenset[int], ...]
+    n_vertices: int
     edge_vars: dict[tuple[int, int], frozenset[int]]
-
-    def n_vertices(self) -> int:
-        return len(self.members)
 
 
 def build_clause_graph(st: PairState, debug: bool = False) -> ClauseGraph:
@@ -53,7 +52,7 @@ def build_clause_graph(st: PairState, debug: bool = False) -> ClauseGraph:
         for shared in edge_vars.values():
             if len(shared) >= 2:
                 raise InternalError("dissimilar classes sharing two variables survived")
-    return ClauseGraph(index.classes, neighbours, edge_vars)
+    return ClauseGraph(len(class_vars), edge_vars)
 
 
 def connected_components(st: PairState) -> list[PairState]:
@@ -80,7 +79,7 @@ def connected_components(st: PairState) -> list[PairState]:
         if len(group) == len(classes) and var_to_classes and len(var_to_classes) == len(st.V):
             # one component holding every variable: share the parent's
             # clauses and dicts, which no state writes
-            return [PairState(st.clauses, st.fixed, st.V, ONE, st.weights)]
+            return [PairState(st.clauses, st.fixed, ONE, st.weights)]
         order = sorted({v for k in group for v in class_vars[k]})
         indices = sorted(idx for k in group for idx in classes[k])
         for part in [indices] if order else [[idx] for idx in indices]:
@@ -88,7 +87,6 @@ def connected_components(st: PairState) -> list[PairState]:
                 PairState(
                     clauses=tuple(st.clauses[idx] for idx in part),
                     fixed=({v: f0[v] for v in order if v in f0}, {v: f1[v] for v in order if v in f1}),
-                    V=frozenset(order),
                     p_main=ONE,
                     weights={v: st.weights[v] for v in order},
                 )
@@ -107,11 +105,13 @@ def _cut_size(g: ClauseGraph, sides: list[int]) -> int:
 
 
 def balanced_bisection(g: ClauseGraph, seed: int = 0) -> Bisection:
-    """Seeded local search for a small balanced cut: random balanced
-    starts, greedy pair swaps, then the exchange repair so that at most
-    one vertex has all of its neighbours across the cut. Correctness of
+    """Seeded local search for a small balanced cut: four random balanced
+    starts, each improved by greedy pair swaps (the move set of Kernighan
+    and Lin, 1970) until no swap of one vertex from each side shrinks the
+    cut, and the smallest of the four kept. The sides differ in size by at
+    most one, and no such swap shrinks the returned cut. Correctness of
     the caller never depends on the cut size."""
-    n = g.n_vertices()
+    n = g.n_vertices
     if n < 2:
         raise InternalError("bisection needs at least two vertices")
     rng = random.Random(seed)
@@ -145,37 +145,11 @@ def balanced_bisection(g: ClauseGraph, seed: int = 0) -> Bisection:
         cut = _cut_size(g, sides)
         if best_cut is None or cut < best_cut:
             best_cut, best_sides = cut, sides
-    sides = best_sides
-
-    # repair: two vertices with all neighbours across the cut can be
-    # exchanged to shrink it; degenerate graphs may not admit the move
-    for _ in range(n):
-        stranded = [
-            v for v in range(n)
-            if g.adjacency[v] and all(sides[u] != sides[v] for u in g.adjacency[v])
-        ]
-        if len(stranded) <= 1:
-            break
-        a, b = stranded[0], stranded[1]
-        before = _cut_size(g, sides)
-        saved = list(sides)
-        if sides[a] != sides[b]:
-            sides[a], sides[b] = sides[b], sides[a]
-        else:
-            partner = min(g.adjacency[b])
-            sides[a] ^= 1
-            sides[partner] ^= 1
-        if _cut_size(g, sides) >= before:
-            # the exchange argument needs degree conditions this graph
-            # lacks; keep the balanced cut we already have
-            sides = saved
-            break
-
     cut_vars: set[int] = set()
     for (a, b), shared in g.edge_vars.items():
-        if sides[a] != sides[b]:
+        if best_sides[a] != best_sides[b]:
             cut_vars |= shared
-    return Bisection(tuple(sides), frozenset(cut_vars), _cut_size(g, sides))
+    return Bisection(tuple(best_sides), frozenset(cut_vars), best_cut)
 
 
 def branch_cut_variables(

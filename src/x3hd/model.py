@@ -33,7 +33,7 @@ it, which holds because a state is never written after it is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, KeysView, Mapping, NamedTuple, Sequence
 
 from .errors import InternalError
 from .poly import ONE, U, HDPoly
@@ -282,10 +282,6 @@ WeightTable = tuple[HDPoly, HDPoly, HDPoly, HDPoly]
 PRISTINE: WeightTable = (ONE, U, U, ONE)
 
 
-def pristine_weights(variables: Iterable[int]) -> dict[int, WeightTable]:
-    return {v: PRISTINE for v in variables}
-
-
 def pair_sum(
     clauses: Sequence[Clause],
     fixed: tuple[Mapping[int, int], Mapping[int, int]],
@@ -356,22 +352,28 @@ class PairState:
     """One node of the search: the clauses of both formulas as pair
     literals, plus bookkeeping.
 
-    fixed[side] maps a variable to the value forced on that side, side 0
-    being phi(x) and side 1 phi(y), as in the pair literals; a variable
-    determined on both sides is eliminated. A state is never written after
-    it is built: the rewrites in `simplify` work on a copy of a state and
-    build a new one, never writing the dicts of their input. That contract
-    lets `index()` build the state's `ClassIndex` on first use and keep it
-    in `_index` for every later reader; `dataclasses.replace` yields a new
-    state with none.
+    weights maps each variable of the state to its weight table, and its
+    keys are the state's variables: `V` is that key view, not a second
+    copy. fixed[side] maps a variable to the value forced on that side,
+    side 0 being phi(x) and side 1 phi(y), as in the pair literals; a
+    variable determined on both sides is eliminated. A state is never
+    written after it is built: the rewrites in `simplify` work on a copy
+    of a state and build a new one, never writing the dicts of their
+    input. That contract lets `index()` build the state's `ClassIndex` on
+    first use and keep it in `_index` for every later reader;
+    `dataclasses.replace` yields a new state with none.
     """
 
     clauses: tuple[Clause, ...]
     fixed: tuple[dict[int, int], dict[int, int]]
-    V: frozenset[int]
     p_main: HDPoly
     weights: dict[int, WeightTable] = field(repr=False)
     _index: ClassIndex | None = field(init=False, default=None, repr=False)
+
+    @property
+    def V(self) -> KeysView[int]:
+        """The state's variables: the keys of `weights`."""
+        return self.weights.keys()
 
     def index(self) -> ClassIndex:
         """The dissimilar-class index of the clauses, built once."""
@@ -381,13 +383,11 @@ class PairState:
 
 
 def initial_state(f: Formula) -> PairState:
-    variables = frozenset(range(1, f.n_vars + 1))
     return PairState(
         clauses=tuple(tuple(4 * (lit >> 1) + 3 * (lit & 1) for lit in cl) for cl in f.clauses),
         fixed=({}, {}),
-        V=variables,
         p_main=ONE,
-        weights=pristine_weights(sorted(variables)),
+        weights=dict.fromkeys(range(1, f.n_vars + 1), PRISTINE),
     )
 
 
@@ -398,8 +398,6 @@ def check_state(st: PairState) -> None:
     occ = st.index().var_to_classes.keys()
     if not occ <= st.V:
         raise InternalError(f"clause variables {occ - st.V} missing from V")
-    if set(st.weights) != set(st.V):
-        raise InternalError("weight table keys differ from V")
     for s in st.fixed:
-        if not set(s) <= st.V:
+        if not s.keys() <= st.V:
             raise InternalError("assignment mentions eliminated variables")

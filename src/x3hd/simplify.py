@@ -83,9 +83,9 @@ _PRISTINE_LINKS = tuple(_link_table(PRISTINE, PRISTINE, p1, p2) for p1 in (0, 1)
 class _Work:
     """A mutable working copy of one PairState, rewritten in place.
 
-    The copy owns its forced-value dicts, variable set and weight dict;
-    `freeze` hands them to the PairState it builds, after which the copy
-    is not used again. A method returning bool returns False when the
+    The copy owns its forced-value dicts and its weight dict, whose keys
+    are the state's variables; `freeze` hands them to the PairState it
+    builds, after which the copy is not used again. A method returning bool returns False when the
     state evaluates to zero; the copy is then abandoned half-rewritten.
 
     Clauses sit in fixed slots: a removed clause leaves None, and `freeze`
@@ -98,8 +98,8 @@ class _Work:
     - `occ`: variable -> the slots holding it, only for variables that
       occur;
     - `small`: the slots with at most two variables;
-    - `free`: the variables of V in no clause;
-    - `determined`: the variables of V forced on both sides.
+    - `free`: the variables of `weights` in no clause;
+    - `determined`: the variables of `weights` forced on both sides.
 
     Two more sets tell the fixpoint's next round what changed: `dirty`,
     the slots rewritten since it last looked, and `changed`, the variables
@@ -107,14 +107,13 @@ class _Work:
     """
 
     __slots__ = (
-        "clauses", "fixed", "V", "weights", "p_main", "varsets", "keys", "by_key", "occ",
+        "clauses", "fixed", "weights", "p_main", "varsets", "keys", "by_key", "occ",
         "small", "free", "determined", "dirty", "changed",
     )
 
     def __init__(self, st: PairState):
         self.clauses: list[Clause | None] = list(st.clauses)
         f0, f1 = self.fixed = (dict(st.fixed[0]), dict(st.fixed[1]))
-        self.V = set(st.V)
         self.weights = dict(st.weights)
         self.p_main = st.p_main
         self.varsets: list[set[int] | None] = []
@@ -137,18 +136,14 @@ class _Work:
             key = tuple(sorted(cl))
             keys.append(key)
             by_key.setdefault(key, []).append(k)
-        self.free = self.V - occ.keys()
-        self.determined = self.V & f0.keys() & f1.keys()
+        self.free = self.weights.keys() - occ.keys()
+        self.determined = self.weights.keys() & f0.keys() & f1.keys()
         self.dirty = set(range(len(self.clauses)))
         self.changed: set[int] = set()
 
     def freeze(self) -> PairState:
         return PairState(
-            tuple(cl for cl in self.clauses if cl is not None),
-            self.fixed,
-            frozenset(self.V),
-            self.p_main,
-            self.weights,
+            tuple(cl for cl in self.clauses if cl is not None), self.fixed, self.p_main, self.weights
         )
 
     def _unkey(self, k: int) -> None:
@@ -159,11 +154,11 @@ class _Work:
             same.remove(k)
 
     def substitute(self, old: int, new: int, i: int, j: int) -> None:
-        """Replace variable `old` by `new`, where value(old) = value(new) ^ i
-        on side 0 and ^ j on side 1; with new = 0 this sets old to the
-        constant pair (i, j), and remove old from V. Only the slots in old's
-        occurrence list are rewritten."""
-        self.V.discard(old)
+        """Replace variable `old` by `new` in the clauses and indices, where
+        value(old) = value(new) ^ i on side 0 and ^ j on side 1; with new = 0
+        this sets old to the constant pair (i, j). The caller has already
+        popped old's weight. Only the slots in old's occurrence list are
+        rewritten."""
         self.free.discard(old)
         self.determined.discard(old)
         slots = self.occ.pop(old, None)
@@ -248,7 +243,6 @@ class _Work:
             powers[factor] = powers.get(factor, 0) + k
         for factor, k in powers.items():
             self.p_main = self.p_main * factor**k
-        self.V -= free
         self.determined -= free
         self.free -= free
 
@@ -257,9 +251,9 @@ class _Work:
         pol per side. The dropped variable's weight folds into the kept
         one. False when a forced value of drop contradicts one already
         recorded for keep."""
-        if keep == drop or keep not in self.V or drop not in self.V:
-            raise InternalError(f"bad link {keep}~{drop}")
         weights = self.weights
+        if keep == drop or keep not in weights or drop not in weights:
+            raise InternalError(f"bad link {keep}~{drop}")
         kept = weights[keep]
         dropped = weights.pop(drop)
         if kept is PRISTINE and dropped is PRISTINE:
@@ -366,7 +360,6 @@ class _Work:
             del weights[v]
             f0.pop(v, None)
             f1.pop(v, None)
-        self.V -= block
         self.free -= block
         self.determined -= block
         if x is not None and x not in self.occ:

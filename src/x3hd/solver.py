@@ -181,7 +181,7 @@ def _node(
         stats.rules["base"] += 1
         return brute_force_base(st), 1
     graph = build_clause_graph(st, opts.debug)
-    if graph.n_vertices() < 2:
+    if graph.n_vertices < 2:
         stats.rules["base"] += 1
         return brute_force_base(st), 1
     stats.rules["case2_split"] += 1

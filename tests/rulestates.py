@@ -28,7 +28,14 @@ from x3hd.decompose import (
     build_clause_graph,
     connected_components,
 )
-from x3hd.model import PairState, check_state, clause_unsatisfiable, from_dimacs, pristine_weights
+from x3hd.model import (
+    PRISTINE,
+    PairState,
+    WeightTable,
+    check_state,
+    clause_unsatisfiable,
+    from_dimacs,
+)
 from x3hd.poly import ONE, ZERO, HDPoly
 from x3hd.simplify import _Work, normalize_small_clause
 
@@ -44,6 +51,10 @@ def detect_unsat(st: PairState) -> bool:
     """True iff some clause cannot be satisfied on some side by any
     assignment that is consistent with that side's forced values."""
     return any(clause_unsatisfiable(cl, st.fixed) for cl in st.clauses)
+
+
+def pristine_weights(variables) -> dict[int, WeightTable]:
+    return {v: PRISTINE for v in variables}
 
 
 def lit(token) -> int:
@@ -92,7 +103,6 @@ def mkstate(phi1, phi2=None, extra_vars=(), fixed=({}, {})) -> PairState:
     st = PairState(
         clauses=clauses,
         fixed=(dict(fixed[0]), dict(fixed[1])),
-        V=frozenset(variables),
         p_main=ONE,
         weights=pristine_weights(sorted(variables)),
     )

@@ -40,7 +40,7 @@ def ring(size, first_var=1):
 def test_graph_shapes():
     st = mkstate([clause(1, 2, 3), clause(4, 5, 6)])
     g = build_clause_graph(st)
-    assert g.n_vertices() == 2 and not g.edge_vars
+    assert g.n_vertices == 2 and not g.edge_vars
 
     st2 = mkstate([clause(1, 2, 3), clause(1, 4, 5)])
     g2 = build_clause_graph(st2)
@@ -49,8 +49,8 @@ def test_graph_shapes():
     # similar clauses collapse into one vertex
     st3 = mkstate([clause(1, 2, 3), clause(-1, 2, -3), clause(2, 4, 5)])
     g3 = build_clause_graph(st3)
-    assert g3.n_vertices() == 2
-    assert g3.members[0] == (0, 1)
+    assert g3.n_vertices == 2
+    assert st3.index().classes[0] == (0, 1)
 
 
 def test_graph_density_bound():
@@ -60,7 +60,7 @@ def test_graph_density_bound():
         st, _ = build_paired(ring(6), rng)
         g = build_clause_graph(st, debug=True)
         n = len(st.V)
-        assert g.n_vertices() <= (2 * n + 2) // 3
+        assert g.n_vertices <= (2 * n + 2) // 3
 
 
 def test_components_split_and_multiply():
@@ -118,7 +118,7 @@ def loose_state(rng):
         ))
     fixed = tuple({v: rng.randrange(2) for v in variables if rng.random() < 0.3} for _ in range(2))
     weights = {v: (ONE, ONE, ONE, HDPoly({0: v})) for v in variables}
-    return PairState(tuple(clauses), fixed, frozenset(variables), HDPoly({1: 2}), weights)
+    return PairState(tuple(clauses), fixed, HDPoly({1: 2}), weights)
 
 
 def reference_components(clauses):
@@ -185,22 +185,51 @@ def test_bisection_path_and_clique():
         [clause(1, 2, 3), clause(1, 4, 5), clause(2, 4, 6), clause(3, 5, 6)]
     )
     g4 = build_clause_graph(st4)
-    assert all(len(g4.adjacency[v]) == 3 for v in range(4))
+    assert all(len(st4.index().neighbours[v]) == 3 for v in range(4))
     bis4 = balanced_bisection(g4, seed=1)
     assert bis4.cut_size == 4
 
 
-def test_bisection_repair_limits_stranded_vertices():
+def test_bisection_is_a_pair_swap_local_optimum():
+    # balanced, and no swap of one vertex from each side shrinks the cut,
+    # so no exchange of two stranded vertices can shrink it either
+    rng = random.Random(21)
+    graphs = [build_clause_graph(build_paired(ring(size), rng)[0]) for size in range(2, 15)]
+    graphs += [build_clause_graph(FAMILIES["case2_split"](seed).parent) for seed in range(8)]
+    checked = 0
+    for g in graphs:
+        n = g.n_vertices
+
+        def cut(sides):
+            return sum(1 for a, b in g.edge_vars if sides[a] != sides[b])
+
+        for seed in range(6):
+            bis = balanced_bisection(g, seed=seed)
+            sides = list(bis.sides)
+            assert sorted(set(sides)) == [0, 1] and abs(2 * sum(sides) - n) <= 1
+            assert bis.cut_size == cut(sides)
+            for a in range(n):
+                for b in range(n):
+                    if sides[a] == 0 and sides[b] == 1:
+                        sides[a], sides[b] = 1, 0
+                        assert cut(sides) >= bis.cut_size, (a, b)
+                        sides[a], sides[b] = 0, 1
+            checked += 1
+    assert checked == 126
+
+
+def test_bisection_leaves_at_most_one_stranded_vertex():
     rng = random.Random(33)
     for seed in range(12):
         st, _ = build_paired(ring(5), rng)
         g = build_clause_graph(st)
         bis = balanced_bisection(g, seed=seed)
+        neighbours = st.index().neighbours
         stranded = [
             v
-            for v in range(g.n_vertices())
-            if g.adjacency[v]
-            and all(bis.sides[u] != bis.sides[v] for u in g.adjacency[v])
+            for v in range(g.n_vertices)
+            if neighbours[v]
+            and all(bis.sides[u] != bis.sides[v] for u in neighbours[v])
         ]
         assert len(stranded) <= 1
 
@@ -229,7 +258,7 @@ def test_cut_branch_group_size_bound():
     for seed in range(8):
         st, _ = build_paired(ring(6), rng)
         g = build_clause_graph(st)
-        m = g.n_vertices()
+        m = g.n_vertices
         bis = balanced_bisection(g, seed=seed)
         k = bis.cut_size
         bound = (m - k + 2) / 2
@@ -237,7 +266,7 @@ def test_cut_branch_group_size_bound():
             if child is None:
                 continue
             for comp in connected_components(child):
-                assert len(build_clause_graph(comp).members) <= bound
+                assert build_clause_graph(comp).n_vertices <= bound
 
 
 def test_base_matches_reference_on_random_states():

@@ -118,7 +118,7 @@ def test_small_clause_actions_conserve_the_state_value():
     shapes = [cl for arity in (1, 2, 3) for cl in product(lits, repeat=arity)]
     assert len(shapes) == 1884
     for cl in shapes:
-        st = PairState((cl, rest), ({}, {}), frozenset(tables), HDPoly({0: 1}), dict(tables))
+        st = PairState((cl, rest), ({}, {}), HDPoly({0: 1}), dict(tables))
         action = normalize_small_clause(cl)
         out = rewrite(st, "apply_small", 0, action)
         assert (out is None) is action.unsat, cl
@@ -363,7 +363,7 @@ def test_fold_free_equals_the_per_variable_product():
 
 
 def _snapshot(st):
-    return copy.deepcopy((st.clauses, st.fixed, st.V, st.weights, st.p_main))
+    return copy.deepcopy((st.clauses, st.fixed, st.weights, st.p_main))
 
 
 def _fixpoint_inputs(monkeypatch, seeds):
@@ -528,8 +528,8 @@ def _assert_indices(work):
     assert work.occ == occ
     assert {key: sorted(slots) for key, slots in work.by_key.items()} == by_key
     assert work.small == {k for k, cl in live.items() if len(clause_vars(cl)) <= 2}
-    assert work.free == work.V - occ.keys()
-    assert work.determined == work.V & work.fixed[0].keys() & work.fixed[1].keys()
+    assert work.free == work.weights.keys() - occ.keys()
+    assert work.determined == work.weights.keys() & work.fixed[0].keys() & work.fixed[1].keys()
     assert work.dirty <= live.keys()
 
 
@@ -537,7 +537,7 @@ def _random_step(work, rng):
     """Apply one `_Work` method that fits the copy, chosen at random, and
     return its name; None when none fits or the method returned False,
     after which the fixpoint abandons a copy too."""
-    order = sorted(work.V)
+    order = sorted(work.weights)
     live = [k for k, cl in enumerate(work.clauses) if cl is not None]
     steps = []
     if order:
@@ -569,6 +569,7 @@ def _random_step(work, rng):
     elif name == "substitute":
         old = rng.choice(order)
         new = rng.choice([0] + [v for v in order if v != old])
+        del work.weights[old]
         work.substitute(old, new, rng.randrange(2), rng.randrange(2))
     elif name == "link":
         keep, drop = rng.sample(order, 2)

@@ -221,6 +221,14 @@ def test_cli_parse_error_reports_line(tmp_path):
     assert "line 2" in err
 
 
+def test_cli_non_utf8_file_is_an_input_error(tmp_path):
+    path = tmp_path / "utf16.x3s"
+    path.write_bytes(b"\xff\xfe" + "p x3sat 1 1\n1 0\n".encode("utf-16-le"))
+    code, out, err = run_cli(["solve", str(path)])
+    assert code == 1 and not out
+    assert err.startswith(f"error: {path}: not UTF-8 text")
+
+
 def test_cli_internal_error_exit_code(tmp_path, monkeypatch):
     import x3hd.cli as cli
     from x3hd.errors import InternalError
