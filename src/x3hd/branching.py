@@ -1,13 +1,27 @@
 """Branching rules and the detector that chooses between them.
 
-A branch op returns the list of children produced for one parent state;
-None entries are children whose subtree evaluates to zero. The parent's
-value is always the exact sum of the children's values. This module
-decides which children to build and never rewrites a state itself: each
-child, and the single state of the case (vi) block elimination
-(`eliminate_semiisolated_1`), is one `simplify_fixpoint` call with the
-child's value pairs and, in case (vi), the block to sum out and its
-boundary variable, so every child is at its fixpoint.
+A branch op returns one entry per child of one parent state: the child,
+None for a child whose subtree evaluates to zero, or a `Mirror` marker for
+a child that was not built. The parent's value is always the exact sum of
+the children's values, a marker counting as its twin. This module decides
+which children to build and never rewrites a state itself: each op lists
+its children's assignment lists, and `build_children` makes each child one
+`simplify_fixpoint` call with those value pairs and, in case (vi), the
+block to sum out and its boundary variable, so every child is at its
+fixpoint. So is the single state of the case (vi) block elimination
+(`eliminate_semiisolated_1`).
+
+The mirror rule is applied in `build_children`, and only there. At a
+symmetric parent (`model.is_symmetric`), swapping the two sides maps the
+child of a list A = [(v, i, j), ...] onto the child of its swap
+A' = [(v, j, i), ...], so the two have one value. Of each such pair only
+the first is built: one of the four children of a free variable (case1_v,
+case1_vi2), three of the nine of the clause split in case1_vi3, the
+children (ppos, others[k]) and (others[k], ppos) of the six-way split
+(case1_vii), and (4^c - 2^c)/2 of the 4^c children of c free cut
+variables (case2_split, in `decompose`). This is symmetry breaking in the
+sense of Crawford, Ginsberg, Luks and Roy (KR 1996); the symmetry is the
+problem's own, so nothing has to detect it.
 
 Detection (`pick_high_degree_var`, `find_config`) and the boundary search
 of `branch_semiisolated_2` read the state's class index (`PairState.index`)
@@ -21,25 +35,91 @@ variables.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import MutableMapping, NamedTuple
+from typing import Callable, MutableMapping, NamedTuple, Sequence
 
 from .errors import InternalError
-from .model import ClassIndex, PairState, clause_vars, true_positions
+from .model import ClassIndex, PairState, clause_vars, is_symmetric, true_positions
 from .simplify import simplify_fixpoint, value_combos
 
 Counts = MutableMapping[str, int] | None
+Assignments = Sequence[tuple[int, int, int]]
+
+
+class Mirror(NamedTuple):
+    """A child that was not built: the mirror of the child at index `twin`
+    of the same list, which has the same value. In debug mode `state` is
+    the child built anyway, for the solver to search and compare."""
+
+    twin: int
+    state: PairState | None = None
+
+
+Child = PairState | Mirror | None
+
+
+def build_children(
+    fixpoint: Callable[..., PairState | None],
+    st: PairState,
+    lists: Sequence[Assignments],
+    counts: Counts = None,
+    debug: bool = False,
+    block: tuple[frozenset[int], int | None] | None = None,
+) -> list[Child]:
+    """One child per assignment list A: `fixpoint(st, counts, A, block)`,
+    where `fixpoint` is the caller's own `simplify_fixpoint` binding, the
+    name that `perfbench/tracing.py` wraps in each module.
+
+    The mirror rule (module docstring): at a symmetric state, a list whose
+    swap comes earlier is not built. Its entry is Mirror(index of the
+    swap), and the simplify counts of building its twin are added to
+    `counts` again: the rules choose by variable id, slot and class, never
+    by sign, so they fire alike on a child and its mirror. Debug mode
+    builds it anyway and raises InternalError unless it is None exactly
+    when its twin is, with the same simplify counts.
+    """
+    twins: list[int | None] = [None] * len(lists)
+    if is_symmetric(st):
+        first: dict[tuple, int] = {}
+        for k, A in enumerate(lists):
+            twins[k] = first.get(tuple((v, j, i) for v, i, j in A))
+            first.setdefault(tuple(A), k)
+    if all(t is None for t in twins):
+        return [fixpoint(st, counts, A, block) for A in lists]
+    children: list[Child] = []
+    built: list[dict[str, int]] = []
+    for A, t in zip(lists, twins):
+        if t is None:
+            own: dict[str, int] = {}
+            children.append(fixpoint(st, own, A, block))
+        else:
+            own = built[t]
+            state = None
+            if debug:
+                check: dict[str, int] = {}
+                state = fixpoint(st, check, A, block)
+                if (state is None) != (children[t] is None) or check != own:
+                    raise InternalError("a mirror child differs from its twin")
+            children.append(Mirror(t, state))
+        built.append(own)
+        if counts is not None:
+            for key, n in own.items():
+                counts[key] = counts.get(key, 0) + n
+    return children
 
 
 def _finish_children(
     parent: PairState,
-    children: list[PairState | None],
+    children: list[Child],
     floors: list[int] | None,
     debug: bool,
-) -> list[PairState | None]:
+) -> list[Child]:
     """The children, after checking in debug mode that each one removed
-    at least its floor of variables."""
+    at least its floor of variables (a mirror child, the one built to
+    check it)."""
     if debug and floors is not None:
         for child, floor in zip(children, floors):
+            if isinstance(child, Mirror):
+                child = child.state
             removed = floor if child is None else len(parent.V) - len(child.V)
             if removed < floor:
                 raise InternalError(f"child eliminated {removed} variables, expected >= {floor}")
@@ -58,10 +138,11 @@ def pick_high_degree_var(st: PairState) -> int | None:
 
 def branch_high_degree_var(
     st: PairState, x: int, counts: Counts = None, debug: bool = False
-) -> list[PairState | None]:
+) -> list[Child]:
     """Four-way (or fewer) split on a variable in >= 4 dissimilar classes.
     Each child then links away one further variable per class of x."""
-    children = [simplify_fixpoint(st, counts, ((x, i, j),)) for i, j in value_combos(st, x)]
+    lists = [((x, i, j),) for i, j in value_combos(st, x)]
+    children = build_children(simplify_fixpoint, st, lists, counts, debug)
     return _finish_children(st, children, [5] * len(children), debug)
 
 
@@ -191,7 +272,7 @@ def eliminate_semiisolated_1(
 
 def branch_semiisolated_2(
     st: PairState, si: SemiIsolated, counts: Counts = None, debug: bool = False
-) -> list[PairState | None]:
+) -> list[Child]:
     """|J| = 2: branch on the boundary variable that also sits in an
     outside clause, then eliminate I through the remaining one."""
     block = si.I | si.J
@@ -207,15 +288,14 @@ def branch_semiisolated_2(
     if x is None:
         raise InternalError("no boundary variable with an outside clause")
     w = next(v for v in sorted(si.J) if v != x)
-    children = [
-        simplify_fixpoint(st, counts, ((x, i, j),), (si.I, w)) for i, j in value_combos(st, x)
-    ]
+    lists = [((x, i, j),) for i, j in value_combos(st, x)]
+    children = build_children(simplify_fixpoint, st, lists, counts, debug, (si.I, w))
     return _finish_children(st, children, [5] * len(children), debug)
 
 
 def branch_semiisolated_3(
     st: PairState, si: SemiIsolated, counts: Counts = None, debug: bool = False
-) -> list[PairState | None]:
+) -> list[Child]:
     """|J| = 3: nine-way (or fewer) split on the clause joining two
     boundary variables with a block variable, then block elimination."""
     cidx = next(
@@ -236,21 +316,20 @@ def branch_semiisolated_3(
     block = (si.I - {evar}, w)
     bit = {v: 1 << t for t, v in enumerate(trio)}
     pos1, pos2 = (true_positions(c, st.fixed[side], side, bit) for side in (0, 1))
-    children = []
-    for m1 in pos1:
-        if m1 is None:
-            continue
-        for m2 in pos2:
-            if m2 is None:
-                continue
-            assignments = [(v, m1 >> t & 1, m2 >> t & 1) for t, v in enumerate(trio)]
-            children.append(simplify_fixpoint(st, counts, assignments, block))
+    lists = [
+        [(v, m1 >> t & 1, m2 >> t & 1) for t, v in enumerate(trio)]
+        for m1 in pos1
+        if m1 is not None
+        for m2 in pos2
+        if m2 is not None
+    ]
+    children = build_children(simplify_fixpoint, st, lists, counts, debug, block)
     return _finish_children(st, children, [8] * len(children), debug)
 
 
 def branch_four_neighbour(
     st: PairState, pattern: SevenNeighbourPattern, counts: Counts = None, debug: bool = False
-) -> list[PairState | None]:
+) -> list[Child]:
     """Six-way (or fewer) split on a clause with four dissimilar neighbour
     classes: one child makes the pivot literal false on both sides, the
     other five make it true on at least one side."""
@@ -260,14 +339,14 @@ def branch_four_neighbour(
     others = [t for t in range(len(c)) if t != ppos]
     trio = sorted(clause_vars(c))
     generic = pattern.shape == "generic"
-    children: list[PairState | None] = []
+    lists: list[Assignments] = []
     floors: list[int] = []
 
     # the pivot literal is false where the pivot's value equals its sign
     i0 = c[ppos] & 1
     j0 = (c[ppos] >> 1) & 1
     if (i0, j0) in value_combos(st, pivot):
-        children.append(simplify_fixpoint(st, counts, ((pivot, i0, j0),)))
+        lists.append(((pivot, i0, j0),))
         floors.append(4)
 
     bit = {v: 1 << t for t, v in enumerate(trio)}
@@ -277,8 +356,8 @@ def branch_four_neighbour(
         m1, m2 = pos1[p1], pos2[p2]
         if m1 is None or m2 is None:
             continue
-        assignments = [(v, m1 >> t & 1, m2 >> t & 1) for t, v in enumerate(trio)]
-        children.append(simplify_fixpoint(st, counts, assignments))
+        lists.append([(v, m1 >> t & 1, m2 >> t & 1) for t, v in enumerate(trio)])
         floors.append(7)
 
+    children = build_children(simplify_fixpoint, st, lists, counts, debug)
     return _finish_children(st, children, None if generic else floors, debug)

@@ -70,7 +70,8 @@ def _print_report(f, poly: HDPoly, stats: SolveStats | None, args) -> None:
         rules = " ".join(f"{k}={v}" for k, v in info["rules"].items() if v)
         print(
             f"nodes = {info['nodes']}, leaves = {info['leaves']}, "
-            f"max_depth = {info['max_depth']}, branched_vars = {info['branched_vars']}"
+            f"max_depth = {info['max_depth']}, branched_vars = {info['branched_vars']}, "
+            f"mirrored = {info['mirrored']}"
         )
         print(f"rules: {rules if rules else 'none'}")
 

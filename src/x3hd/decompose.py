@@ -16,6 +16,7 @@ import random
 from itertools import product
 from typing import MutableMapping, NamedTuple
 
+from .branching import Child, build_children
 from .errors import InternalError
 from .model import PairState, pair_sum
 from .poly import ONE, HDPoly
@@ -153,19 +154,19 @@ def balanced_bisection(g: ClauseGraph, seed: int = 0) -> Bisection:
 
 
 def branch_cut_variables(
-    st: PairState, bis: Bisection, counts: Counts = None
-) -> list[PairState | None]:
+    st: PairState, bis: Bisection, counts: Counts = None, debug: bool = False
+) -> list[Child]:
     """Branch on every value combination of the cut variables; after
     simplification each child's clause set falls apart into the two
-    bisection groups, handled by component factorisation upstream."""
+    bisection groups, handled by component factorisation upstream. At a
+    symmetric state, the mirror rule (`branching.build_children`) builds
+    2^c + (4^c - 2^c)/2 of the 4^c children of c free cut variables."""
     cut = sorted(bis.cut_vars)
     if not cut:
         raise InternalError("empty cut cannot make progress")
     options = [value_combos(st, v) for v in cut]
-    return [
-        simplify_fixpoint(st, counts, [(v, i, j) for v, (i, j) in zip(cut, combo)])
-        for combo in product(*options)
-    ]
+    lists = [[(v, i, j) for v, (i, j) in zip(cut, combo)] for combo in product(*options)]
+    return build_children(simplify_fixpoint, st, lists, counts, debug)
 
 
 def brute_force_base(st: PairState) -> HDPoly:

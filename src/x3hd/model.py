@@ -22,7 +22,8 @@ clause-splitting branches in `branching`) goes through one of the two.
 and for case (vi) block elimination. It enumerates side 0, and side 1
 only when the two sides differ in a sign, a constant or a forced value;
 it adds every pair's weight, as ints, into one degree -> coefficient dict
-and builds one polynomial from it at the end.
+and builds one polynomial from it at the end. With one enumeration for
+both sides it measures each unordered pair of solutions once.
 
 Class index: every branching case and the Case 2 decomposition read one
 structure of a state, its dissimilar clause classes and the variables
@@ -33,6 +34,7 @@ it, which holds because a state is never written after it is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, product
 from typing import Iterable, KeysView, Mapping, NamedTuple, Sequence
 
 from .errors import InternalError
@@ -306,45 +308,67 @@ def pair_sum(
     entries' (degree, coefficient) items as plain ints, which for monomial
     entries is one multiply and one add each, and every pair adds into one
     degree -> coefficient dict, which becomes the one result polynomial.
+
+    With one enumeration for both sides, a group paired with itself
+    measures each unordered pair of its masks once and counts it twice, and
+    its n pairs of a mask with itself at distance 0. When every table's
+    entries for (0, 1) and (1, 0) are also equal, the group pairs (g, h)
+    and (h, g) have the same weight and histogram, so each unordered pair
+    of groups is visited once and counted twice.
     """
     plain_mask = 0
     tabled = []
+    transposable = True
     for t, v in enumerate(variables):
         table = weights[v]
         if table is PRISTINE:
             plain_mask |= 1 << t
         else:
             tabled.append((t, [tuple(entry.terms().items()) for entry in table]))
-    symmetric = fixed[0] == fixed[1] and all(p & 3 in (0, 3) for cl in clauses for p in cl)
-    groups: list[dict[int, list[int]]] = []
+            transposable = transposable and table[1] == table[2]
+    symmetric = sides_agree(clauses, fixed)
+    groups: list[list[tuple[int, list[int]]]] = []
     for side in (0,) if symmetric else (0, 1):
         grouped: dict[int, list[int]] = {}
         for row in side_solutions(clauses, fixed[side], variables, side):
             grouped.setdefault(row & ~plain_mask, []).append(row & plain_mask)
-        groups.append(grouped)
+        groups.append(list(grouped.items()))
+    halve = symmetric and transposable
     total: dict[int, int] = {}
-    for key0, masks0 in groups[0].items():
-        for key1, masks1 in groups[-1].items():
+    for g, (key0, masks0) in enumerate(groups[0]):
+        for key1, masks1 in groups[0][g:] if halve else groups[-1]:
             weight = {0: 1}
             for t, entries in tabled:
                 entry = entries[2 * (key0 >> t & 1) + (key1 >> t & 1)]
                 if not entry:
                     break
-                product: dict[int, int] = {}
+                prod: dict[int, int] = {}
                 for d, c in weight.items():
                     for e, f in entry:
-                        product[d + e] = product.get(d + e, 0) + c * f
-                weight = product
+                        prod[d + e] = prod.get(d + e, 0) + c * f
+                weight = prod
             else:
                 hist: dict[int, int] = {}
-                for a in masks0:
-                    for b in masks1:
-                        h = (a ^ b).bit_count()
-                        hist[h] = hist.get(h, 0) + 1
+                if masks0 is masks1:
+                    hist[0] = len(masks0)
+                    pairs, step = combinations(masks0, 2), 2
+                else:
+                    pairs, step = product(masks0, masks1), 2 if halve else 1
+                for a, b in pairs:
+                    h = (a ^ b).bit_count()
+                    hist[h] = hist.get(h, 0) + step
                 for d, c in weight.items():
                     for h, n in hist.items():
                         total[d + h] = total.get(d + h, 0) + c * n
     return HDPoly._trusted(total)
+
+
+def sides_agree(
+    clauses: Iterable[Clause], fixed: tuple[Mapping[int, int], Mapping[int, int]]
+) -> bool:
+    """True when both sides read the same signs, constants and forced
+    values, so that their solutions are the same."""
+    return fixed[0] == fixed[1] and all(p & 3 in (0, 3) for cl in clauses for p in cl)
 
 
 @dataclass(eq=False, slots=True)
@@ -380,6 +404,18 @@ class PairState:
         if self._index is None:
             self._index = class_index(self.clauses)
         return self._index
+
+
+def is_symmetric(st: PairState) -> bool:
+    """True when the state equals its mirror, the state with its two sides
+    swapped: each literal's b1 and b2, fixed[0] and fixed[1], and entries
+    (0, 1) and (1, 0) of each weight table. A state and its mirror have the
+    same value, because the polynomial counts ordered pairs. The root is
+    symmetric, and so is every child of a symmetric state that assigns
+    (i, i) pairs only."""
+    return sides_agree(st.clauses, st.fixed) and all(
+        t is PRISTINE or t[1] == t[2] for t in st.weights.values()
+    )
 
 
 def initial_state(f: Formula) -> PairState:

@@ -1,5 +1,13 @@
 """Recursion driver: priority dispatch over all rules, result assembly and
-search-tree instrumentation."""
+search-tree instrumentation.
+
+Side-swap symmetry: at a symmetric branching node, a child that is the
+mirror of an earlier sibling is not built; the branch op leaves a `Mirror`
+marker naming that twin (`branching.build_children`). `_sum_children` adds
+the twin's polynomial, leaves and search counts once more in its place, so
+`SolveStats` keeps counting the logical tree. Debug mode searches each such
+child as well and checks it against its twin.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +15,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .branching import (
+    Mirror,
     SemiIsolated,
     SevenNeighbourPattern,
     branch_four_neighbour,
@@ -58,6 +67,12 @@ class SolveOptions:
 class SolveStats:
     """Search-tree accounting.
 
+    `nodes`, `leaves`, `max_depth`, `branched_vars` and `rules` describe
+    the logical tree, the one the recursion defines, which is the same
+    with or without reuse: a child answered by its mirror twin counts as
+    if it had been built and searched. `mirrored` counts the children
+    answered that way, whose subtrees were not searched; it is not a rule.
+
     `leaves` counts the leaves of the sequentialised search tree: sums add
     child leaf counts, independent component factors multiply them (as if
     the components were solved nested). With `branched_vars` the total
@@ -69,6 +84,7 @@ class SolveStats:
     leaves: int = 0
     max_depth: int = 0
     branched_vars: int = 0
+    mirrored: int = 0
     rules: dict[str, int] = field(default_factory=lambda: {k: 0 for k in RULE_KEYS})
 
     def as_dict(self) -> dict:
@@ -77,8 +93,16 @@ class SolveStats:
             "leaves": self.leaves,
             "max_depth": self.max_depth,
             "branched_vars": self.branched_vars,
+            "mirrored": self.mirrored,
             "rules": {k: self.rules.get(k, 0) for k in RULE_KEYS},
         }
+
+    def add_tree(self, sub: "SolveStats") -> None:
+        """Add the logical-tree counts of a subtree counted apart."""
+        self.nodes += sub.nodes
+        self.branched_vars += sub.branched_vars
+        for key, n in sub.rules.items():
+            self.rules[key] += n
 
 
 @dataclass(frozen=True)
@@ -90,14 +114,40 @@ class SolveReport:
 
 
 def _sum_children(children, opts, stats, depth) -> tuple[HDPoly, int]:
+    """The sum of the children's polynomials and leaf counts. A twin, the
+    child some Mirror names, is counted apart so that each of its mirrors
+    adds its polynomial, leaves and counts again; debug mode searches the
+    mirror child as well and raises InternalError unless all three match."""
     total = ZERO
     leaves = 0
-    for child in children:
+    twins = {child.twin for child in children if isinstance(child, Mirror)}
+    results: dict[int, tuple[HDPoly, int, SolveStats]] = {}
+    for k, child in enumerate(children):
         if child is None:
             stats.nodes += 1
             leaves += 1
+            if k in twins:
+                results[k] = ZERO, 1, SolveStats(nodes=1)
             continue
-        poly, sub_leaves = _node(child, opts, stats, depth + 1)
+        if isinstance(child, Mirror):
+            poly, sub_leaves, sub = results[child.twin]
+            if opts.debug and child.state is not None:
+                own = SolveStats()
+                if _node(child.state, opts, own, depth + 1) != (poly, sub_leaves) or (
+                    own.as_dict() != sub.as_dict()
+                ):
+                    raise InternalError("a mirror child's search differs from its twin's")
+            stats.add_tree(sub)
+            stats.mirrored += 1
+        elif k in twins:
+            sub = SolveStats()
+            poly, sub_leaves = _node(child, opts, sub, depth + 1)
+            results[k] = poly, sub_leaves, sub
+            stats.add_tree(sub)
+            stats.mirrored += sub.mirrored
+            stats.max_depth = max(stats.max_depth, sub.max_depth)
+        else:
+            poly, sub_leaves = _node(child, opts, stats, depth + 1)
         total = total + poly
         leaves += sub_leaves
     return total, max(leaves, 1)
@@ -188,7 +238,7 @@ def _node(
     bisection = balanced_bisection(graph, opts.seed)
     stats.branched_vars += len(bisection.cut_vars)
     return _sum_children(
-        branch_cut_variables(st, bisection, stats.rules),
+        branch_cut_variables(st, bisection, stats.rules, opts.debug),
         opts, stats, depth,
     )
 

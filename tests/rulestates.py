@@ -136,9 +136,11 @@ def build_paired(base, rng, extra_vars=()):
     return mkstate(phi1, phi2, extra_vars=[mapping[v] for v in extra_vars]), mapping
 
 
-def fuzz_weights(st: PairState, rng, prob=0.5) -> PairState:
+def fuzz_weights(st: PairState, rng, prob=0.5, transposable=False) -> PairState:
     """Replace some pristine weight tables with small arbitrary polynomials,
-    as happens mid-recursion after links and block eliminations."""
+    as happens mid-recursion after links and block eliminations; with
+    `transposable`, each new table's entries (0, 1) and (1, 0) are equal, as
+    in a symmetric state."""
     weights = dict(st.weights)
     for v in sorted(weights):
         if rng.random() >= prob:
@@ -153,6 +155,8 @@ def fuzz_weights(st: PairState, rng, prob=0.5) -> PairState:
                 table.append(HDPoly({0: rng.randint(1, 2), rng.randint(1, 2): 1}))
             else:
                 table.append(ZERO)
+        if transposable:
+            table[2] = table[1]
         weights[v] = tuple(table)
     return replace(st, weights=weights)
 

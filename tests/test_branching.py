@@ -4,6 +4,7 @@ import pytest
 
 from rulestates import FAMILIES, build_paired, clause, mkstate, rewrite
 from x3hd.branching import (
+    Mirror,
     SemiIsolated,
     SevenNeighbourPattern,
     branch_high_degree_var,
@@ -52,7 +53,12 @@ def test_branch_high_degree_children_and_floor():
     st = mkstate([clause(1, 2, 3), clause(1, 4, 5), clause(1, 6, 7), clause(-1, 8, 9)])
     children = branch_high_degree_var(st, 1, debug=True)
     assert len(children) == 4
+    # the state is symmetric: the (1, 0) child is the mirror of (0, 1), and
+    # debug mode builds it to check the skip
+    assert children[2] == Mirror(1, children[2].state)
     for child in children:
+        if isinstance(child, Mirror):
+            child = child.state
         assert child is not None
         assert len(st.V) - len(child.V) >= 5
 

@@ -19,7 +19,7 @@ from x3hd.decompose import (
     connected_components,
 )
 from x3hd.instances import generate
-from x3hd.model import PRISTINE, Formula, PairState, initial_state
+from x3hd.model import PRISTINE, Formula, PairState, initial_state, is_symmetric
 from x3hd.oracle import state_eval
 from x3hd.poly import ONE, U, ZERO, HDPoly
 from x3hd.solver import SolveOptions, solve
@@ -306,6 +306,16 @@ def test_base_matches_reference_on_random_states():
             phi2[k] = phi[k][:t] + (phi[k][t] ^ 1,) + phi[k][t + 1 :]
         st = mkstate(phi, phi2, extra_vars=(20,), fixed=(forced, forced2))
         st = fuzz_weights(st, rng, rng.choice((0.0, 0.3, 1.0)))
+        assert brute_force_base(st) == state_eval(st)
+    # symmetric states whose tables are not PRISTINE but have equal entries
+    # (0, 1) and (1, 0): one histogram per unordered pair of groups
+    for prob in (0.3, 1.0) * 15:
+        phi = [resign(clause(*cl), rng) for cl in rng.choice(shapes)]
+        variables = sorted(set().union(*(formula_vars(cl) for cl in phi)))
+        forced = {v: rng.randrange(2) for v in rng.sample(variables, rng.randrange(3))}
+        st = mkstate(phi, extra_vars=(20,), fixed=(forced, forced))
+        st = fuzz_weights(st, rng, prob, transposable=True)
+        assert is_symmetric(st)
         assert brute_force_base(st) == state_eval(st)
     # a table equal to PRISTINE but not PRISTINE itself is tabled, and exact
     for shape in shapes:

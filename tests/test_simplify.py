@@ -500,7 +500,7 @@ def _rewrites(st):
 
 
 def test_rewrites_never_write_their_input(monkeypatch):
-    inputs = _fixpoint_inputs(monkeypatch, range(48))
+    inputs = _fixpoint_inputs(monkeypatch, range(64))
     assert len(inputs) > 100
     states = inputs + [FAMILIES[name](seed).parent for name in FAMILIES for seed in range(12)]
     fired = set()

@@ -2,16 +2,28 @@ import hashlib
 import json
 import random
 import sys
+from dataclasses import replace
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import x3hd.solver
+from rulestates import clause, fuzz_weights, mkstate, resign
+from x3hd.branching import (
+    Mirror,
+    branch_four_neighbour,
+    branch_high_degree_var,
+    branch_semiisolated_2,
+    find_config,
+    pick_high_degree_var,
+)
+from x3hd.decompose import balanced_bisection, branch_cut_variables, build_clause_graph
 from x3hd.instances import generate
 from x3hd.model import Formula, initial_state
-from x3hd.oracle import hd_oracle
-from x3hd.poly import ZERO, HDPoly
+from x3hd.oracle import hd_oracle, state_eval
+from x3hd.poly import ONE, U, ZERO, HDPoly
 from x3hd.solver import SolveOptions, mhd, solve
 
 EXAMPLE = Formula.from_dimacs([[1, 2, 3], [1, 4, 5], [1, 6, 7], [2, 4, -6]], 7)
@@ -263,7 +275,7 @@ def test_debug_mode_confirms_skipped_fixpoints():
     formulas = [Formula.from_dimacs(clauses, n) for _, n, clauses in RARE_RULE_INSTANCES]
     formulas += [generate(n, m, seed=s, planted=True).formula
                  for n in range(12, 22) for m in range(5, 11) for s in range(3)]
-    reached = 0
+    reached = mirrored = 0
     for f in formulas:
         debug = solve(f, SolveOptions(debug=True))
         release = solve(f)
@@ -271,7 +283,120 @@ def test_debug_mode_confirms_skipped_fixpoints():
         assert debug.stats.as_dict() == release.stats.as_dict()
         rules = debug.stats.rules
         reached += any(rules[k] for k in ("case1_v", "case1_vi2", "case1_vii", "component_split"))
+        mirrored += debug.stats.mirrored
     assert reached >= 30
+    # debug mode also searched every child answered by its twin
+    assert mirrored > 0
+
+
+# Symmetric parents: both sides read the same signs and forced values, and
+# every table has equal entries (0, 1) and (1, 0). The bases are those of
+# the case1_v, case1_vii and case2_split families in tests/rulestates.py.
+MIRROR_BASES = {
+    "case1_v": [[[1, 2, 3], [1, 4, 5], [1, 6, 7], [1, 8, 9]]],
+    "case1_vii": [[[1, 2, 3], [1, 4, 5], [-1, 6, 7], [2, 8, 9], [-2, 10, 11]],
+                  [[1, 2, 3], [1, 4, 5], [-1, 6, 7], [2, 8, 9], [3, 10, 11]],
+                  [[1, 2, 3], [1, 4, 5], [-1, 6, 7], [2, 4, 6], [-2, 8, 9]]],
+    "case2_split": [[[1, 7, 2], [2, 8, 3], [3, 9, 4], [4, 10, 5], [5, 11, 6], [6, 12, 1]]],
+}
+
+
+def _symmetric_parent(rule, rng):
+    phi = [resign(clause(*cl), rng) for cl in rng.choice(MIRROR_BASES[rule])]
+    return fuzz_weights(mkstate(phi), rng, 0.5, transposable=True)
+
+
+def _branch(rule, st, debug):
+    if rule == "case1_v":
+        return branch_high_degree_var(st, pick_high_degree_var(st), debug=debug)
+    if rule == "case1_vii":
+        return branch_four_neighbour(st, find_config(st), debug=debug)
+    bisection = balanced_bisection(build_clause_graph(st), seed=0)
+    return branch_cut_variables(st, bisection, debug=debug)
+
+
+def _check_mirrors(parent, children):
+    """Check each Mirror entry of a children list built in debug mode
+    against its twin with `state_eval`, and the parent's value against the
+    children's, a mirror counting its twin's; returns the Mirror count."""
+    total = ZERO
+    marks = 0
+    for child in children:
+        if isinstance(child, Mirror):
+            twin = children[child.twin]
+            assert not isinstance(twin, Mirror)
+            assert (child.state is None) == (twin is None)
+            value = ZERO if twin is None else state_eval(twin)
+            if child.state is not None:
+                assert state_eval(child.state) == value
+            marks += 1
+        else:
+            value = ZERO if child is None else state_eval(child)
+        total = total + value
+    assert total == state_eval(parent)
+    return marks
+
+
+def test_mirror_children_equal_their_twins(monkeypatch):
+    rng = random.Random(31)
+    marked = dict.fromkeys(MIRROR_BASES, 0)
+    for rule in list(MIRROR_BASES) * 12:
+        st = _symmetric_parent(rule, rng)
+        if rule == "case2_split" and rng.random() < 0.5:
+            # a cut variable forced alike on both sides leaves c - 1 free
+            v = min(balanced_bisection(build_clause_graph(st), seed=0).cut_vars)
+            b = rng.randrange(2)
+            st = replace(st, fixed=({v: b}, {v: b}))
+        children = _branch(rule, st, debug=True)
+        marks = _check_mirrors(st, children)
+        # release mode marks the same children and builds none of them
+        release = _branch(rule, st, debug=False)
+        assert [c if isinstance(c, Mirror) else None for c in release] == [
+            Mirror(c.twin) if isinstance(c, Mirror) else None for c in children
+        ]
+        if rule == "case2_split":
+            cut = balanced_bisection(build_clause_graph(st), seed=0).cut_vars
+            c = len(cut - st.fixed[0].keys())
+            assert len(children) == 4**c
+            assert marks == (4**c - 2**c) // 2
+        marked[rule] += marks
+    # case1_vi2 fires only on formulas; record its parents during solve()
+    recorded = []
+
+    def recording(st, config, counts=None, debug=False):
+        children = branch_semiisolated_2(st, config, counts, debug)
+        recorded.append((st, children))
+        return children
+
+    monkeypatch.setattr(x3hd.solver, "branch_semiisolated_2", recording)
+    for rule, n, clauses in RARE_RULE_INSTANCES:
+        if rule == "case1_vi2":
+            solve(Formula.from_dimacs(clauses, n), SolveOptions(debug=True))
+    marked["case1_vi2"] = sum(_check_mirrors(st, children) for st, children in recorded)
+    assert all(marked.values()), marked
+
+
+def test_asymmetric_parents_get_no_mirror_children():
+    # the swapped children of a parent that differs from its mirror in one
+    # forced value, one sign or one table have different values: each is
+    # built and searched
+    rng = random.Random(8)
+    for rule in list(MIRROR_BASES) * 4:
+        st = _symmetric_parent(rule, rng)
+        assert any(isinstance(c, Mirror) for c in _branch(rule, st, debug=False))
+        # the largest variable is in one clause, none of the branched ones
+        v = max(st.V)
+        k, t = next((k, t) for k, cl in enumerate(st.clauses)
+                    for t, p in enumerate(cl) if p >> 2 == v)
+        signed = list(st.clauses)
+        signed[k] = signed[k][:t] + (signed[k][t] ^ 2,) + signed[k][t + 1:]
+        variants = [
+            replace(st, fixed=({v: rng.randrange(2)}, {})),
+            replace(st, clauses=tuple(signed)),
+            replace(st, weights=st.weights | {v: (ONE, U, HDPoly({1: 2}), ONE)}),
+        ]
+        for variant in variants:
+            assert not any(isinstance(c, Mirror) for c in _branch(rule, variant, debug=True))
 
 
 @settings(max_examples=30)

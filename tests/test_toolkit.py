@@ -119,7 +119,7 @@ def test_cli_solve_json_schema(tmp_path):
     assert payload["max_hd"] == 4
     assert payload["solutions"] == "4"
     assert set(payload["stats"]) == {
-        "nodes", "leaves", "max_depth", "branched_vars", "rules",
+        "nodes", "leaves", "max_depth", "branched_vars", "mirrored", "rules",
     }
 
 
@@ -138,7 +138,7 @@ def test_cli_solve_stats_flag(tmp_path):
     path.write_text(EXAMPLE_TEXT)
     code, out, _ = run_cli(["solve", str(path), "--stats", "--base-threshold", "3"])
     assert code == 0
-    assert "nodes =" in out and "rules:" in out
+    assert "nodes =" in out and "mirrored =" in out and "rules:" in out
 
 
 def test_cli_oracle_and_refusal(tmp_path):
