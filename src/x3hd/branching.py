@@ -1,9 +1,8 @@
 """Branching rules and the detector that chooses between them.
 
 A branch op returns one entry per child of one parent state: the child,
-None for a child whose subtree evaluates to zero, or a `Mirror` marker for
-a child that was not built. The parent's value is always the exact sum of
-the children's values, a marker counting as its twin. This module decides
+or None for a child whose subtree evaluates to zero. The parent's value is
+always the exact sum of the children's values. This module decides
 which children to build and never rewrites a state itself: each op lists
 its children's assignment lists, and `build_children` makes each child one
 `simplify_fixpoint` call with those value pairs and, in case (vi), the
@@ -19,9 +18,10 @@ the first is built: one of the four children of a free variable (case1_v,
 case1_vi2), three of the nine of the clause split in case1_vi3, the
 children (ppos, others[k]) and (others[k], ppos) of the six-way split
 (case1_vii), and (4^c - 2^c)/2 of the 4^c children of c free cut
-variables (case2_split, in `decompose`). This is symmetry breaking in the
-sense of Crawford, Ginsberg, Luks and Roy (KR 1996); the symmetry is the
-problem's own, so nothing has to detect it.
+variables (case2_split, in `decompose`). A skipped child's slot holds its
+twin's own entry, the same `PairState` object or None. This is symmetry
+breaking in the sense of Crawford, Ginsberg, Luks and Roy (KR 1996); the
+symmetry is the problem's own, so nothing has to detect it.
 
 Detection (`pick_high_degree_var`, `find_config`) and the boundary search
 of `branch_semiisolated_2` read the state's class index (`PairState.index`)
@@ -38,23 +38,13 @@ from itertools import combinations
 from typing import Callable, MutableMapping, NamedTuple, Sequence
 
 from .errors import InternalError
-from .model import ClassIndex, PairState, clause_vars, is_symmetric, true_positions
+from .model import (
+    ClassIndex, PairState, clause_vars, is_symmetric, mirror, same_state, true_positions
+)
 from .simplify import simplify_fixpoint, value_combos
 
 Counts = MutableMapping[str, int] | None
 Assignments = Sequence[tuple[int, int, int]]
-
-
-class Mirror(NamedTuple):
-    """A child that was not built: the mirror of the child at index `twin`
-    of the same list, which has the same value. In debug mode `state` is
-    the child built anyway, for the solver to search and compare."""
-
-    twin: int
-    state: PairState | None = None
-
-
-Child = PairState | Mirror | None
 
 
 def build_children(
@@ -64,63 +54,49 @@ def build_children(
     counts: Counts = None,
     debug: bool = False,
     block: tuple[frozenset[int], int | None] | None = None,
-) -> list[Child]:
+    floors: Sequence[int] | None = None,
+) -> list[PairState | None]:
     """One child per assignment list A: `fixpoint(st, counts, A, block)`,
     where `fixpoint` is the caller's own `simplify_fixpoint` binding, the
     name that `perfbench/tracing.py` wraps in each module.
 
     The mirror rule (module docstring): at a symmetric state, a list whose
-    swap comes earlier is not built. Its entry is Mirror(index of the
-    swap), and the simplify counts of building its twin are added to
-    `counts` again: the rules choose by variable id, slot and class, never
-    by sign, so they fire alike on a child and its mirror. Debug mode
-    builds it anyway and raises InternalError unless it is None exactly
-    when its twin is, with the same simplify counts.
+    swap comes earlier is not built. Its slot holds its twin's entry, and
+    the simplify counts of building the twin are added to `counts` again:
+    the rules choose by variable id, slot and class, never by sign, so
+    they fire alike on a child and its mirror. Debug mode builds it anyway,
+    and raises InternalError unless it equals the twin's `mirror` with the
+    same simplify counts, or if a child removed fewer variables than its
+    floor.
     """
-    twins: list[int | None] = [None] * len(lists)
-    if is_symmetric(st):
-        first: dict[tuple, int] = {}
-        for k, A in enumerate(lists):
-            twins[k] = first.get(tuple((v, j, i) for v, i, j in A))
+    symmetric = is_symmetric(st)
+    first: dict[tuple, int] = {}
+    children: list[PairState | None] = []
+    built: list[Counts] = []
+    for k, A in enumerate(lists):
+        twin = None
+        if symmetric:
+            twin = first.get(tuple((v, j, i) for v, i, j in A))
             first.setdefault(tuple(A), k)
-    if all(t is None for t in twins):
-        return [fixpoint(st, counts, A, block) for A in lists]
-    children: list[Child] = []
-    built: list[dict[str, int]] = []
-    for A, t in zip(lists, twins):
-        if t is None:
-            own: dict[str, int] = {}
+        if twin is None:
+            own = {} if symmetric else counts
             children.append(fixpoint(st, own, A, block))
         else:
-            own = built[t]
-            state = None
+            own = built[twin]
+            child = children[twin]
             if debug:
                 check: dict[str, int] = {}
                 state = fixpoint(st, check, A, block)
-                if (state is None) != (children[t] is None) or check != own:
-                    raise InternalError("a mirror child differs from its twin")
-            children.append(Mirror(t, state))
+                if check != own or not same_state(state, None if child is None else mirror(child)):
+                    raise InternalError("a mirror child differs from its twin's mirror")
+            children.append(child)
         built.append(own)
-        if counts is not None:
+        if symmetric and counts is not None:
             for key, n in own.items():
                 counts[key] = counts.get(key, 0) + n
-    return children
-
-
-def _finish_children(
-    parent: PairState,
-    children: list[Child],
-    floors: list[int] | None,
-    debug: bool,
-) -> list[Child]:
-    """The children, after checking in debug mode that each one removed
-    at least its floor of variables (a mirror child, the one built to
-    check it)."""
     if debug and floors is not None:
         for child, floor in zip(children, floors):
-            if isinstance(child, Mirror):
-                child = child.state
-            removed = floor if child is None else len(parent.V) - len(child.V)
+            removed = floor if child is None else len(st.V) - len(child.V)
             if removed < floor:
                 raise InternalError(f"child eliminated {removed} variables, expected >= {floor}")
     return children
@@ -138,12 +114,11 @@ def pick_high_degree_var(st: PairState) -> int | None:
 
 def branch_high_degree_var(
     st: PairState, x: int, counts: Counts = None, debug: bool = False
-) -> list[Child]:
+) -> list[PairState | None]:
     """Four-way (or fewer) split on a variable in >= 4 dissimilar classes.
     Each child then links away one further variable per class of x."""
     lists = [((x, i, j),) for i, j in value_combos(st, x)]
-    children = build_children(simplify_fixpoint, st, lists, counts, debug)
-    return _finish_children(st, children, [5] * len(children), debug)
+    return build_children(simplify_fixpoint, st, lists, counts, debug, floors=[5] * len(lists))
 
 
 class SemiIsolated(NamedTuple):
@@ -272,7 +247,7 @@ def eliminate_semiisolated_1(
 
 def branch_semiisolated_2(
     st: PairState, si: SemiIsolated, counts: Counts = None, debug: bool = False
-) -> list[Child]:
+) -> list[PairState | None]:
     """|J| = 2: branch on the boundary variable that also sits in an
     outside clause, then eliminate I through the remaining one."""
     block = si.I | si.J
@@ -289,13 +264,14 @@ def branch_semiisolated_2(
         raise InternalError("no boundary variable with an outside clause")
     w = next(v for v in sorted(si.J) if v != x)
     lists = [((x, i, j),) for i, j in value_combos(st, x)]
-    children = build_children(simplify_fixpoint, st, lists, counts, debug, (si.I, w))
-    return _finish_children(st, children, [5] * len(children), debug)
+    return build_children(
+        simplify_fixpoint, st, lists, counts, debug, (si.I, w), [5] * len(lists)
+    )
 
 
 def branch_semiisolated_3(
     st: PairState, si: SemiIsolated, counts: Counts = None, debug: bool = False
-) -> list[Child]:
+) -> list[PairState | None]:
     """|J| = 3: nine-way (or fewer) split on the clause joining two
     boundary variables with a block variable, then block elimination."""
     cidx = next(
@@ -323,13 +299,12 @@ def branch_semiisolated_3(
         for m2 in pos2
         if m2 is not None
     ]
-    children = build_children(simplify_fixpoint, st, lists, counts, debug, block)
-    return _finish_children(st, children, [8] * len(children), debug)
+    return build_children(simplify_fixpoint, st, lists, counts, debug, block, [8] * len(lists))
 
 
 def branch_four_neighbour(
     st: PairState, pattern: SevenNeighbourPattern, counts: Counts = None, debug: bool = False
-) -> list[Child]:
+) -> list[PairState | None]:
     """Six-way (or fewer) split on a clause with four dissimilar neighbour
     classes: one child makes the pivot literal false on both sides, the
     other five make it true on at least one side."""
@@ -359,5 +334,6 @@ def branch_four_neighbour(
         lists.append([(v, m1 >> t & 1, m2 >> t & 1) for t, v in enumerate(trio)])
         floors.append(7)
 
-    children = build_children(simplify_fixpoint, st, lists, counts, debug)
-    return _finish_children(st, children, None if generic else floors, debug)
+    return build_children(
+        simplify_fixpoint, st, lists, counts, debug, floors=None if generic else floors
+    )

@@ -31,7 +31,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_formula(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return parse(handle.read())
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)

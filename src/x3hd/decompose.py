@@ -16,7 +16,7 @@ import random
 from itertools import product
 from typing import MutableMapping, NamedTuple
 
-from .branching import Child, build_children
+from .branching import build_children
 from .errors import InternalError
 from .model import PairState, pair_sum
 from .poly import ONE, HDPoly
@@ -155,7 +155,7 @@ def balanced_bisection(g: ClauseGraph, seed: int = 0) -> Bisection:
 
 def branch_cut_variables(
     st: PairState, bis: Bisection, counts: Counts = None, debug: bool = False
-) -> list[Child]:
+) -> list[PairState | None]:
     """Branch on every value combination of the cut variables; after
     simplification each child's clause set falls apart into the two
     bisection groups, handled by component factorisation upstream. At a

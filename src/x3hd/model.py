@@ -418,6 +418,25 @@ def is_symmetric(st: PairState) -> bool:
     )
 
 
+def mirror(st: PairState) -> PairState:
+    """The state with its two sides swapped (see `is_symmetric`). A
+    PRISTINE table stays the object itself."""
+    return PairState(
+        tuple(tuple((p & ~3) | (p & 1) << 1 | (p >> 1 & 1) for p in cl) for cl in st.clauses),
+        (st.fixed[1], st.fixed[0]),
+        st.p_main,
+        {v: t if t is PRISTINE else (t[0], t[2], t[1], t[3]) for v, t in st.weights.items()},
+    )
+
+
+def same_state(a: PairState | None, b: PairState | None) -> bool:
+    """True when two states are equal field by field, or both None; a
+    `PairState` itself compares by identity."""
+    if a is None or b is None:
+        return a is b
+    return (a.clauses, a.fixed, a.p_main, a.weights) == (b.clauses, b.fixed, b.p_main, b.weights)
+
+
 def initial_state(f: Formula) -> PairState:
     return PairState(
         clauses=tuple(tuple(4 * (lit >> 1) + 3 * (lit & 1) for lit in cl) for cl in f.clauses),

@@ -1,21 +1,19 @@
 """Recursion driver: priority dispatch over all rules, result assembly and
 search-tree instrumentation.
 
-Side-swap symmetry: at a symmetric branching node, a child that is the
-mirror of an earlier sibling is not built; the branch op leaves a `Mirror`
-marker naming that twin (`branching.build_children`). `_sum_children` adds
-the twin's polynomial, leaves and search counts once more in its place, so
-`SolveStats` keeps counting the logical tree. Debug mode searches each such
-child as well and checks it against its twin.
+Side-swap symmetry: a skipped mirror child's slot holds its twin's own
+entry (`branching` module docstring). `_sum_children` searches a state that
+fills several slots once and counts it once per slot, so `SolveStats` keeps
+counting the logical tree.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .branching import (
-    Mirror,
     SemiIsolated,
     SevenNeighbourPattern,
     branch_four_neighbour,
@@ -34,7 +32,7 @@ from .decompose import (
     connected_components,
 )
 from .errors import InternalError
-from .model import Formula, PairState, check_state, initial_state
+from .model import Formula, PairState, check_state, initial_state, mirror
 from .poly import ZERO, HDPoly
 from .simplify import simplify_fixpoint
 
@@ -70,8 +68,9 @@ class SolveStats:
     `nodes`, `leaves`, `max_depth`, `branched_vars` and `rules` describe
     the logical tree, the one the recursion defines, which is the same
     with or without reuse: a child answered by its mirror twin counts as
-    if it had been built and searched. `mirrored` counts the children
-    answered that way, whose subtrees were not searched; it is not a rule.
+    if it had been built and searched. `mirrored` counts the slots answered
+    by an earlier sibling's search (a dead twin's mirror needs none and is
+    not counted); it is not a rule.
 
     `leaves` counts the leaves of the sequentialised search tree: sums add
     child leaf counts, independent component factors multiply them (as if
@@ -114,40 +113,39 @@ class SolveReport:
 
 
 def _sum_children(children, opts, stats, depth) -> tuple[HDPoly, int]:
-    """The sum of the children's polynomials and leaf counts. A twin, the
-    child some Mirror names, is counted apart so that each of its mirrors
-    adds its polynomial, leaves and counts again; debug mode searches the
-    mirror child as well and raises InternalError unless all three match."""
+    """The sum of the children's polynomials and leaf counts. A state that
+    fills more than one slot is searched once into its own `SolveStats`,
+    and each further slot adds its polynomial, leaves and counts again;
+    debug mode searches its mirror as well and raises InternalError unless
+    all three match."""
     total = ZERO
     leaves = 0
-    twins = {child.twin for child in children if isinstance(child, Mirror)}
-    results: dict[int, tuple[HDPoly, int, SolveStats]] = {}
-    for k, child in enumerate(children):
+    slots = Counter(children)
+    results: dict[PairState, tuple[HDPoly, int, SolveStats]] = {}
+    for child in children:
         if child is None:
             stats.nodes += 1
             leaves += 1
-            if k in twins:
-                results[k] = ZERO, 1, SolveStats(nodes=1)
             continue
-        if isinstance(child, Mirror):
-            poly, sub_leaves, sub = results[child.twin]
-            if opts.debug and child.state is not None:
+        if slots[child] == 1:
+            poly, sub_leaves = _node(child, opts, stats, depth + 1)
+        elif child in results:
+            poly, sub_leaves, sub = results[child]
+            stats.add_tree(sub)
+            stats.mirrored += 1
+        else:
+            sub = SolveStats()
+            poly, sub_leaves = _node(child, opts, sub, depth + 1)
+            if opts.debug:
                 own = SolveStats()
-                if _node(child.state, opts, own, depth + 1) != (poly, sub_leaves) or (
+                if _node(mirror(child), opts, own, depth + 1) != (poly, sub_leaves) or (
                     own.as_dict() != sub.as_dict()
                 ):
                     raise InternalError("a mirror child's search differs from its twin's")
-            stats.add_tree(sub)
-            stats.mirrored += 1
-        elif k in twins:
-            sub = SolveStats()
-            poly, sub_leaves = _node(child, opts, sub, depth + 1)
-            results[k] = poly, sub_leaves, sub
+            results[child] = poly, sub_leaves, sub
             stats.add_tree(sub)
             stats.mirrored += sub.mirrored
             stats.max_depth = max(stats.max_depth, sub.max_depth)
-        else:
-            poly, sub_leaves = _node(child, opts, stats, depth + 1)
         total = total + poly
         leaves += sub_leaves
     return total, max(leaves, 1)

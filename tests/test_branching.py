@@ -4,7 +4,6 @@ import pytest
 
 from rulestates import FAMILIES, build_paired, clause, mkstate, rewrite
 from x3hd.branching import (
-    Mirror,
     SemiIsolated,
     SevenNeighbourPattern,
     branch_high_degree_var,
@@ -12,6 +11,7 @@ from x3hd.branching import (
     find_config,
     pick_high_degree_var,
 )
+from x3hd.model import mirror
 from x3hd.oracle import state_eval
 from x3hd.poly import U, ZERO, HDPoly
 from x3hd.simplify import value_combos
@@ -53,12 +53,12 @@ def test_branch_high_degree_children_and_floor():
     st = mkstate([clause(1, 2, 3), clause(1, 4, 5), clause(1, 6, 7), clause(-1, 8, 9)])
     children = branch_high_degree_var(st, 1, debug=True)
     assert len(children) == 4
-    # the state is symmetric: the (1, 0) child is the mirror of (0, 1), and
-    # debug mode builds it to check the skip
-    assert children[2] == Mirror(1, children[2].state)
+    # the state is symmetric: the (1, 0) child is the mirror of (0, 1), so
+    # its slot holds the (0, 1) child itself, which has the mirror's value
+    assert value_combos(st, 1)[1:3] == [(0, 1), (1, 0)]
+    assert children[2] is children[1]
+    assert state_eval(mirror(children[1])) == state_eval(children[1])
     for child in children:
-        if isinstance(child, Mirror):
-            child = child.state
         assert child is not None
         assert len(st.V) - len(child.V) >= 5
 

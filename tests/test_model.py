@@ -3,12 +3,21 @@ from dataclasses import replace
 from itertools import chain, product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import x3hd.model as model
-from rulestates import clause, mkstate, pair_clause, pristine_weights
+from rulestates import (
+    clause,
+    fuzz_one_sided_values,
+    fuzz_weights,
+    mkstate,
+    pair_clause,
+    pristine_weights,
+    resign,
+)
 from x3hd.model import (
+    PRISTINE,
     Formula,
     check_state,
     class_index,
@@ -17,11 +26,15 @@ from x3hd.model import (
     clause_vars,
     from_dimacs,
     initial_state,
+    is_symmetric,
+    mirror,
     pair_sum,
+    same_state,
     side_solutions,
     to_dimacs,
     true_positions,
 )
+from x3hd.instances import generate
 from x3hd.oracle import state_eval
 from x3hd.poly import ONE, U, HDPoly
 
@@ -329,3 +342,23 @@ def test_check_state_catches_misalignment():
     stale.clauses = stale.clauses[:1]
     with pytest.raises(InternalError):
         check_state(stale)
+
+
+@settings(max_examples=80)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_mirror_swaps_the_sides(seed):
+    # states whose sides differ in signs, forced values or tables, and some
+    # that agree: the mirror has the state's value, is an involution, and
+    # equals the state exactly when the state is symmetric
+    rng = random.Random(seed)
+    f = generate(rng.randint(3, 9), rng.randint(1, 5), seed=seed).formula
+    phi1 = [resign(cl, rng) for cl in f.clauses]
+    phi2 = phi1 if rng.random() < 0.5 else [resign(cl, rng) for cl in f.clauses]
+    state = mkstate(phi1, phi2, extra_vars=range(1, f.n_vars + 1))
+    state = fuzz_weights(state, rng, 0.5, transposable=rng.random() < 0.5)
+    state = fuzz_one_sided_values(state, rng, 0.5)
+    swapped = mirror(state)
+    assert state_eval(swapped) == state_eval(state)
+    assert same_state(mirror(swapped), state)
+    assert is_symmetric(state) == same_state(swapped, state)
+    assert all(swapped.weights[v] is t for v, t in state.weights.items() if t is PRISTINE)

@@ -9,19 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import x3hd.branching
+import x3hd.decompose
 import x3hd.solver
 from rulestates import clause, fuzz_weights, mkstate, resign
 from x3hd.branching import (
-    Mirror,
     branch_four_neighbour,
     branch_high_degree_var,
     branch_semiisolated_2,
+    branch_semiisolated_3,
+    build_children,
     find_config,
     pick_high_degree_var,
 )
+from x3hd.errors import InternalError
 from x3hd.decompose import balanced_bisection, branch_cut_variables, build_clause_graph
 from x3hd.instances import generate
-from x3hd.model import Formula, initial_state
+from x3hd.model import Formula, PairState, initial_state, is_symmetric, mirror
 from x3hd.oracle import hd_oracle, state_eval
 from x3hd.poly import ONE, U, ZERO, HDPoly
 from x3hd.solver import SolveOptions, mhd, solve
@@ -285,15 +289,58 @@ def test_debug_mode_confirms_skipped_fixpoints():
         reached += any(rules[k] for k in ("case1_v", "case1_vi2", "case1_vii", "component_split"))
         mirrored += debug.stats.mirrored
     assert reached >= 30
-    # debug mode also searched every child answered by its twin
+    # debug mode also built every skipped child and searched its twin's mirror
+    assert mirrored > 0
+
+
+def _perturbed_mirror(state):
+    """The mirror with one table entry changed."""
+    swapped = mirror(state)
+    v = min(swapped.weights)
+    table = swapped.weights[v]
+    return replace(swapped, weights=swapped.weights | {v: (table[0] + U, *table[1:])})
+
+
+@pytest.mark.parametrize("module", [x3hd.branching, x3hd.solver])
+def test_debug_mode_catches_a_wrong_mirror(monkeypatch, module):
+    # branching checks each skipped child against its twin's mirror, and
+    # the solver searches that mirror against the twin
+    f = next(f for f in (generate(n, n // 3, seed=s, planted=True).formula
+                         for n in range(24, 37) for s in range(5))
+             if solve(f).stats.mirrored > 0)
+    monkeypatch.setattr(module, "mirror", _perturbed_mirror)
+    with pytest.raises(InternalError):
+        solve(f, SolveOptions(debug=True))
+
+
+def test_reuse_keeps_every_count_but_mirrored(monkeypatch):
+    # the same solves with no state taken as symmetric search every child
+    formulas = [Formula.from_dimacs(clauses, n) for _, n, clauses in RARE_RULE_INSTANCES]
+    formulas += [generate(n, n // 3, seed=s, planted=True).formula
+                 for n in range(24, 37) for s in range(3)]
+    # n = 70, m = 0.4n: the two seeds of the pinned scale set that reuse most
+    formulas += [generate(70, 28, seed=s, planted=True).formula for s in (1, 4)]
+    reused = [solve(f) for f in formulas]
+    monkeypatch.setattr(x3hd.branching, "is_symmetric", lambda st: False)
+    mirrored = 0
+    for f, on in zip(formulas, reused):
+        off = solve(f)
+        assert off.poly == on.poly
+        assert off.stats.mirrored == 0
+        assert off.stats.as_dict() == on.stats.as_dict() | {"mirrored": 0}
+        mirrored += on.stats.mirrored
     assert mirrored > 0
 
 
 # Symmetric parents: both sides read the same signs and forced values, and
 # every table has equal entries (0, 1) and (1, 0). The bases are those of
-# the case1_v, case1_vii and case2_split families in tests/rulestates.py.
+# the rule families of the five branch ops in tests/rulestates.py.
 MIRROR_BASES = {
     "case1_v": [[[1, 2, 3], [1, 4, 5], [1, 6, 7], [1, 8, 9]]],
+    "case1_vi2": [[[1, 2, 3], [1, 4, 5], [-1, 6, 7], [2, 4, 6], [3, 5, 7], [6, 8, 9],
+                   [7, 9, 10]]],
+    "case1_vi3": [[[1, 2, 3], [1, 4, 5], [-1, 6, 7], [2, 4, 6], [3, 5, 8], [6, 9, 10],
+                   [7, 10, 11], [8, 11, 9]]],
     "case1_vii": [[[1, 2, 3], [1, 4, 5], [-1, 6, 7], [2, 8, 9], [-2, 10, 11]],
                   [[1, 2, 3], [1, 4, 5], [-1, 6, 7], [2, 8, 9], [3, 10, 11]],
                   [[1, 2, 3], [1, 4, 5], [-1, 6, 7], [2, 4, 6], [-2, 8, 9]]],
@@ -309,29 +356,69 @@ def _symmetric_parent(rule, rng):
 def _branch(rule, st, debug):
     if rule == "case1_v":
         return branch_high_degree_var(st, pick_high_degree_var(st), debug=debug)
+    if rule == "case1_vi2":
+        return branch_semiisolated_2(st, find_config(st), debug=debug)
+    if rule == "case1_vi3":
+        return branch_semiisolated_3(st, find_config(st), debug=debug)
     if rule == "case1_vii":
         return branch_four_neighbour(st, find_config(st), debug=debug)
     bisection = balanced_bisection(build_clause_graph(st), seed=0)
     return branch_cut_variables(st, bisection, debug=debug)
 
 
-def _check_mirrors(parent, children):
-    """Check each Mirror entry of a children list built in debug mode
-    against its twin with `state_eval`, and the parent's value against the
-    children's, a mirror counting its twin's; returns the Mirror count."""
+def _with_lists(monkeypatch, branch):
+    """The children of `branch()`, the assignment lists it passed to
+    `build_children`, and how many children it built."""
+    recorded = []
+    built = []
+
+    def recording(fixpoint, parent, lists, *args, **kwargs):
+        recorded.append(lists)
+
+        def counting(*call):
+            built.append(call)
+            return fixpoint(*call)
+
+        return build_children(counting, parent, lists, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(x3hd.branching, "build_children", recording)
+        m.setattr(x3hd.decompose, "build_children", recording)
+        children = branch()
+    (lists,) = recorded
+    return children, lists, len(built)
+
+
+def _repeats(children):
+    """Whether some state fills more than one slot."""
+    states = [c for c in children if c is not None]
+    return len({id(c) for c in states}) < len(states)
+
+
+def _first_slots(children):
+    """Per slot, the first slot holding the same entry."""
+    return [next(j for j in range(k + 1) if children[j] is c) for k, c in enumerate(children)]
+
+
+def _check_mirrors(parent, children, lists):
+    """Check that at a symmetric parent each slot whose swapped list comes
+    earlier holds that twin's own entry, whose mirror has its value under
+    `state_eval`, and that the parent's value is the sum of the slots';
+    returns the number of such slots."""
+    assert len(children) == len(lists)
+    assert all(c is None or isinstance(c, PairState) for c in children)
+    first: dict[tuple, int] = {}
     total = ZERO
     marks = 0
-    for child in children:
-        if isinstance(child, Mirror):
-            twin = children[child.twin]
-            assert not isinstance(twin, Mirror)
-            assert (child.state is None) == (twin is None)
-            value = ZERO if twin is None else state_eval(twin)
-            if child.state is not None:
-                assert state_eval(child.state) == value
+    for k, (A, child) in enumerate(zip(lists, children)):
+        twin = first.get(tuple((v, j, i) for v, i, j in A))
+        first.setdefault(tuple(A), k)
+        value = ZERO if child is None else state_eval(child)
+        if twin is not None and is_symmetric(parent):
+            assert child is children[twin]
+            if child is not None:
+                assert state_eval(mirror(child)) == value
             marks += 1
-        else:
-            value = ZERO if child is None else state_eval(child)
         total = total + value
     assert total == state_eval(parent)
     return marks
@@ -347,43 +434,47 @@ def test_mirror_children_equal_their_twins(monkeypatch):
             v = min(balanced_bisection(build_clause_graph(st), seed=0).cut_vars)
             b = rng.randrange(2)
             st = replace(st, fixed=({v: b}, {v: b}))
-        children = _branch(rule, st, debug=True)
-        marks = _check_mirrors(st, children)
-        # release mode marks the same children and builds none of them
-        release = _branch(rule, st, debug=False)
-        assert [c if isinstance(c, Mirror) else None for c in release] == [
-            Mirror(c.twin) if isinstance(c, Mirror) else None for c in children
-        ]
+        children, lists, _ = _with_lists(monkeypatch, lambda: _branch(rule, st, debug=True))
+        marks = _check_mirrors(st, children, lists)
+        # release mode repeats the same slots, every entry a state or None,
+        # and builds none of the repeats
+        release, _, built = _with_lists(monkeypatch, lambda: _branch(rule, st, debug=False))
+        assert all(c is None or isinstance(c, PairState) for c in release)
+        assert _first_slots(release) == _first_slots(children)
+        assert built == len(lists) - marks
         if rule == "case2_split":
             cut = balanced_bisection(build_clause_graph(st), seed=0).cut_vars
             c = len(cut - st.fixed[0].keys())
             assert len(children) == 4**c
             assert marks == (4**c - 2**c) // 2
         marked[rule] += marks
-    # case1_vi2 fires only on formulas; record its parents during solve()
+    # case1_vi2 also fires on formulas; record its parents during solve()
     recorded = []
 
     def recording(st, config, counts=None, debug=False):
-        children = branch_semiisolated_2(st, config, counts, debug)
-        recorded.append((st, children))
+        children, lists, _ = _with_lists(
+            monkeypatch, lambda: branch_semiisolated_2(st, config, counts, debug)
+        )
+        recorded.append((st, children, lists))
         return children
 
     monkeypatch.setattr(x3hd.solver, "branch_semiisolated_2", recording)
     for rule, n, clauses in RARE_RULE_INSTANCES:
         if rule == "case1_vi2":
             solve(Formula.from_dimacs(clauses, n), SolveOptions(debug=True))
-    marked["case1_vi2"] = sum(_check_mirrors(st, children) for st, children in recorded)
+    marked["case1_vi2"] += sum(_check_mirrors(*args) for args in recorded)
     assert all(marked.values()), marked
 
 
-def test_asymmetric_parents_get_no_mirror_children():
+def test_asymmetric_parents_get_no_mirror_children(monkeypatch):
     # the swapped children of a parent that differs from its mirror in one
     # forced value, one sign or one table have different values: each is
     # built and searched
     rng = random.Random(8)
     for rule in list(MIRROR_BASES) * 4:
         st = _symmetric_parent(rule, rng)
-        assert any(isinstance(c, Mirror) for c in _branch(rule, st, debug=False))
+        _, lists, built = _with_lists(monkeypatch, lambda: _branch(rule, st, debug=False))
+        assert built < len(lists)
         # the largest variable is in one clause, none of the branched ones
         v = max(st.V)
         k, t = next((k, t) for k, cl in enumerate(st.clauses)
@@ -396,7 +487,9 @@ def test_asymmetric_parents_get_no_mirror_children():
             replace(st, weights=st.weights | {v: (ONE, U, HDPoly({1: 2}), ONE)}),
         ]
         for variant in variants:
-            assert not any(isinstance(c, Mirror) for c in _branch(rule, variant, debug=True))
+            _, lists, built = _with_lists(monkeypatch, lambda: _branch(rule, variant, debug=False))
+            assert built == len(lists)
+            assert not _repeats(_branch(rule, variant, debug=True))
 
 
 @settings(max_examples=30)

@@ -11,6 +11,7 @@ from x3hd.errors import ParseError
 from x3hd.instances import default_clause_count, generate, parse, render
 from x3hd.model import Formula
 from x3hd.oracle import hd_oracle
+from x3hd.poly import HDPoly
 
 EXAMPLE_TEXT = """c worked example
 p x3sat 7 4
@@ -227,6 +228,16 @@ def test_cli_non_utf8_file_is_an_input_error(tmp_path):
     code, out, err = run_cli(["solve", str(path)])
     assert code == 1 and not out
     assert err.startswith(f"error: {path}: not UTF-8 text")
+
+
+def test_cli_reads_a_file_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.x3s"
+    path.write_bytes(b"\xef\xbb\xbfp x3sat 3 1\n1 2 3 0\n")
+    for argv in (["solve", "--json"], ["oracle"], ["diff"]):
+        code, out, err = run_cli([argv[0], str(path), *argv[1:]])
+        assert code == 0 and not err, (argv, err)
+    code, out, _ = run_cli(["solve", str(path), "--json"])
+    assert json.loads(out)["poly"] == HDPoly({0: 3, 2: 6}).to_pairs()
 
 
 def test_cli_internal_error_exit_code(tmp_path, monkeypatch):
