@@ -26,20 +26,20 @@ symmetry is the problem's own, so nothing has to detect it.
 Detection (`pick_high_degree_var`, `find_config`) and the boundary search
 of `branch_semiisolated_2` read the state's class index (`PairState.index`)
 instead of scanning its clauses. The two clause splits
-(`branch_four_neighbour`, `branch_semiisolated_3`) take each side's true
-positions of the split clause from `model.true_positions`, the one
-enumeration of a clause's true literal, as value masks over the clause's
-variables.
+(`branch_four_neighbour`, `branch_semiisolated_3`) share `_clause_split`,
+which takes each side's true positions of the split clause from
+`model.true_positions`, the one enumeration of a clause's true literal,
+as value masks over the clause's variables.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Callable, MutableMapping, NamedTuple, Sequence
+from itertools import combinations, product
+from typing import Callable, Iterable, MutableMapping, NamedTuple, Sequence
 
 from .errors import InternalError
 from .model import (
-    ClassIndex, PairState, clause_vars, is_symmetric, mirror, same_state, true_positions
+    Clause, ClassIndex, PairState, clause_vars, is_symmetric, mirror, same_state, true_positions
 )
 from .simplify import simplify_fixpoint, value_combos
 
@@ -60,9 +60,10 @@ def build_children(
     where `fixpoint` is the caller's own `simplify_fixpoint` binding, the
     name that `perfbench/tracing.py` wraps in each module.
 
-    The mirror rule (module docstring): at a symmetric state, a list whose
-    swap comes earlier is not built. Its slot holds its twin's entry, and
-    the simplify counts of building the twin are added to `counts` again:
+    Each built child's simplify counts go to a dict of its own, which is
+    then added to `counts`. The mirror rule (module docstring): at a
+    symmetric state, a list whose swap comes earlier is not built. Its slot
+    holds its twin's entry, and the twin's dict is added to `counts` again:
     the rules choose by variable id, slot and class, never by sign, so
     they fire alike on a child and its mirror. Debug mode builds it anyway,
     and raises InternalError unless it equals the twin's `mirror` with the
@@ -72,14 +73,14 @@ def build_children(
     symmetric = is_symmetric(st)
     first: dict[tuple, int] = {}
     children: list[PairState | None] = []
-    built: list[Counts] = []
+    built: list[dict[str, int]] = []
     for k, A in enumerate(lists):
         twin = None
         if symmetric:
             twin = first.get(tuple((v, j, i) for v, i, j in A))
             first.setdefault(tuple(A), k)
         if twin is None:
-            own = {} if symmetric else counts
+            own: dict[str, int] = {}
             children.append(fixpoint(st, own, A, block))
         else:
             own = built[twin]
@@ -91,7 +92,7 @@ def build_children(
                     raise InternalError("a mirror child differs from its twin's mirror")
             children.append(child)
         built.append(own)
-        if symmetric and counts is not None:
+        if counts is not None:
             for key, n in own.items():
                 counts[key] = counts.get(key, 0) + n
     if debug and floors is not None:
@@ -269,6 +270,24 @@ def branch_semiisolated_2(
     )
 
 
+def _clause_split(
+    st: PairState, c: Clause, pairs: Iterable[tuple[int, int]]
+) -> list[Assignments]:
+    """The assignment list of each position pair (p1, p2) of `pairs`, in
+    order, that makes literal p1 of clause c the true one on side 0 and
+    literal p2 on side 1: every variable of c takes the values of those two
+    true positions (`model.true_positions`). A pair that a side rules out
+    gives no list."""
+    trio = sorted(clause_vars(c))
+    bit = {v: 1 << t for t, v in enumerate(trio)}
+    pos1, pos2 = (true_positions(c, st.fixed[side], side, bit) for side in (0, 1))
+    return [
+        [(v, pos1[p1] >> t & 1, pos2[p2] >> t & 1) for t, v in enumerate(trio)]
+        for p1, p2 in pairs
+        if pos1[p1] is not None and pos2[p2] is not None
+    ]
+
+
 def branch_semiisolated_3(
     st: PairState, si: SemiIsolated, counts: Counts = None, debug: bool = False
 ) -> list[PairState | None]:
@@ -285,20 +304,11 @@ def branch_semiisolated_3(
     if cidx is None:
         raise InternalError("no clause joins two boundary variables with the block")
     c = st.clauses[cidx]
-    trio = sorted(clause_vars(c))
     jpair = clause_vars(c) & si.J
     evar = (clause_vars(c) & si.I).pop()
     (w,) = si.J - jpair
     block = (si.I - {evar}, w)
-    bit = {v: 1 << t for t, v in enumerate(trio)}
-    pos1, pos2 = (true_positions(c, st.fixed[side], side, bit) for side in (0, 1))
-    lists = [
-        [(v, m1 >> t & 1, m2 >> t & 1) for t, v in enumerate(trio)]
-        for m1 in pos1
-        if m1 is not None
-        for m2 in pos2
-        if m2 is not None
-    ]
+    lists = _clause_split(st, c, product(range(len(c)), repeat=2))
     return build_children(simplify_fixpoint, st, lists, counts, debug, block, [8] * len(lists))
 
 
@@ -312,7 +322,6 @@ def branch_four_neighbour(
     pivot = pattern.pivot
     ppos = next(t for t, p in enumerate(c) if p >> 2 == pivot)
     others = [t for t in range(len(c)) if t != ppos]
-    trio = sorted(clause_vars(c))
     generic = pattern.shape == "generic"
     lists: list[Assignments] = []
     floors: list[int] = []
@@ -324,15 +333,10 @@ def branch_four_neighbour(
         lists.append(((pivot, i0, j0),))
         floors.append(4)
 
-    bit = {v: 1 << t for t, v in enumerate(trio)}
-    pos1, pos2 = (true_positions(c, st.fixed[side], side, bit) for side in (0, 1))
-    for p1, p2 in [(ppos, ppos), (ppos, others[0]), (ppos, others[1]),
-                   (others[0], ppos), (others[1], ppos)]:
-        m1, m2 = pos1[p1], pos2[p2]
-        if m1 is None or m2 is None:
-            continue
-        lists.append([(v, m1 >> t & 1, m2 >> t & 1) for t, v in enumerate(trio)])
-        floors.append(7)
+    split = _clause_split(st, c, [(ppos, ppos), (ppos, others[0]), (ppos, others[1]),
+                                  (others[0], ppos), (others[1], ppos)])
+    lists += split
+    floors += [7] * len(split)
 
     return build_children(
         simplify_fixpoint, st, lists, counts, debug, floors=None if generic else floors

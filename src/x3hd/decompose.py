@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import random
 from itertools import product
-from typing import MutableMapping, NamedTuple
+from typing import NamedTuple
 
-from .branching import build_children
+from .branching import Counts, build_children
 from .errors import InternalError
 from .model import PairState, pair_sum
 from .poly import ONE, HDPoly
 from .simplify import simplify_fixpoint, value_combos
-
-Counts = MutableMapping[str, int] | None
 
 
 class ClauseGraph(NamedTuple):

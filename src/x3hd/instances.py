@@ -21,14 +21,6 @@ class Instance:
     formula: Formula
     meta: dict = field(default_factory=dict, compare=False)
 
-    @property
-    def n(self) -> int:
-        return self.formula.n_vars
-
-    @property
-    def m(self) -> int:
-        return len(self.formula.clauses)
-
 
 def parse(text: str) -> Formula:
     n_vars = None

@@ -7,7 +7,7 @@ to the zero polynomial.
 
 Priority inside the fixpoint: unsatisfiable clause detection, duplicate
 clause removal, elimination of variables (case1_ii: fix a variable
-determined on both sides, fold those in no clause into p_main),
+forced on both sides, fold those in no clause into p_main),
 small-clause normalisation, then resolution of clause pairs sharing
 exactly two variables.
 
@@ -25,17 +25,18 @@ A round of the fixpoint costs only what the last rule changed. The
 working copy keeps each clause in a fixed slot and maintains, as each
 rewrite edits it, every index a round reads: the slots' variable sets and
 dedup keys, a variable -> slots occurrence index (the occurrence lists of
-Chaff, Moskewicz et al., DAC 2001), the slots with at most two variables,
-the variables in no clause and those determined on both sides. A
-substitution rewrites the slots in the replaced variable's occurrence
-list and nothing else. A round checks for an unsatisfiable clause
-(closed form on both sides at once, `model.clause_unsatisfiable`) and for
-a duplicate only among the slots rewritten since the last round and the
-slots of a variable whose forced value changed; it reads its variable
-target and its small clause off the maintained sets, and searches for a
-shared pair only when no earlier rule fires. Variables in no clause fold
-into p_main in one step: grouped by weight table and forced values, each
-group's factor summed once and equal factors raised to a power at once.
+Chaff, Moskewicz et al., DAC 2001), the slots with at most two variables
+and the variables in no clause. A substitution rewrites the slots in the
+replaced variable's occurrence list and nothing else, and a force marks
+the forced variable's occurrence list as the slots to recheck. A round
+checks for an unsatisfiable clause (closed form on both sides at once,
+`model.clause_unsatisfiable`) and for a duplicate only among the slots
+rewritten or marked since the last round; it reads its variable target
+off the free set and the variables forced on both sides, its small clause
+off the maintained set, and searches for a shared pair only when no
+earlier rule fires. Variables in no clause fold into p_main in one step:
+grouped by weight table and forced values, each group's factor summed
+once and equal factors raised to a power at once.
 Small clauses are classified once per shape, up to the names of their at
 most two variables, from each side's `side_solutions` rows, which read
 `model.true_positions`, the one enumeration of a clause's true literal.
@@ -98,22 +99,21 @@ class _Work:
     - `occ`: variable -> the slots holding it, only for variables that
       occur;
     - `small`: the slots with at most two variables;
-    - `free`: the variables of `weights` in no clause;
-    - `determined`: the variables of `weights` forced on both sides.
+    - `free`: the variables of `weights` in no clause.
 
-    Two more sets tell the fixpoint's next round what changed: `dirty`,
-    the slots rewritten since it last looked, and `changed`, the variables
-    whose forced value this copy has set since then.
+    `fixed` holds no variable outside `weights`. One more set tells the
+    fixpoint's next round what changed: `dirty`, the slots rewritten since
+    it last looked and those of a variable forced since then.
     """
 
     __slots__ = (
         "clauses", "fixed", "weights", "p_main", "varsets", "keys", "by_key", "occ",
-        "small", "free", "determined", "dirty", "changed",
+        "small", "free", "dirty",
     )
 
     def __init__(self, st: PairState):
         self.clauses: list[Clause | None] = list(st.clauses)
-        f0, f1 = self.fixed = (dict(st.fixed[0]), dict(st.fixed[1]))
+        self.fixed = (dict(st.fixed[0]), dict(st.fixed[1]))
         self.weights = dict(st.weights)
         self.p_main = st.p_main
         self.varsets: list[set[int] | None] = []
@@ -137,9 +137,7 @@ class _Work:
             keys.append(key)
             by_key.setdefault(key, []).append(k)
         self.free = self.weights.keys() - occ.keys()
-        self.determined = self.weights.keys() & f0.keys() & f1.keys()
         self.dirty = set(range(len(self.clauses)))
-        self.changed: set[int] = set()
 
     def freeze(self) -> PairState:
         return PairState(
@@ -157,10 +155,9 @@ class _Work:
         """Replace variable `old` by `new` in the clauses and indices, where
         value(old) = value(new) ^ i on side 0 and ^ j on side 1; with new = 0
         this sets old to the constant pair (i, j). The caller has already
-        popped old's weight. Only the slots in old's occurrence list are
-        rewritten."""
+        popped old's weight and forced values. Only the slots in old's
+        occurrence list are rewritten."""
         self.free.discard(old)
-        self.determined.discard(old)
         slots = self.occ.pop(old, None)
         if not slots:
             return
@@ -198,15 +195,14 @@ class _Work:
         self.dirty.discard(k)
 
     def force(self, forces) -> bool:
-        """Record (side, variable, value) forces; False on a contradiction."""
+        """Record (side, variable, value) forces, marking the slots of each
+        newly forced variable dirty; False on a contradiction."""
         for side, var, val in forces:
             s = self.fixed[side]
             have = s.get(var)
             if have is None:
                 s[var] = val
-                self.changed.add(var)
-                if var in self.fixed[1 - side]:
-                    self.determined.add(var)
+                self.dirty.update(self.occ.get(var, ()))
             elif have != val:
                 return False
         return True
@@ -243,7 +239,6 @@ class _Work:
             powers[factor] = powers.get(factor, 0) + k
         for factor, k in powers.items():
             self.p_main = self.p_main * factor**k
-        self.determined -= free
         self.free -= free
 
     def link(self, keep: int, drop: int, pol1: int, pol2: int) -> bool:
@@ -361,7 +356,6 @@ class _Work:
             f0.pop(v, None)
             f1.pop(v, None)
         self.free -= block
-        self.determined -= block
         if x is not None and x not in self.occ:
             self.fold({x})
 
@@ -476,21 +470,13 @@ def simplify_fixpoint(
         work.assign(x, i, j)
     if block is not None:
         work.eliminate(*block)
-    clauses, fixed, occ, keys, by_key = work.clauses, work.fixed, work.occ, work.keys, work.by_key
-    dirty, changed, free, determined, small = (
-        work.dirty, work.changed, work.free, work.determined, work.small
-    )
+    clauses, fixed, keys, by_key = work.clauses, work.fixed, work.keys, work.by_key
+    dirty, free, small = work.dirty, work.free, work.small
     for rounds in count():
         # a verdict depends only on the clause and the forced values of its
-        # variables, so only rewritten slots and those of a variable whose
-        # forced value changed need a check; a new duplicate holds a
+        # variables, so only the dirty slots, those rewritten and those of a
+        # newly forced variable, need a check; a new duplicate holds a
         # rewritten slot
-        if changed:
-            for v in changed:
-                slots = occ.get(v)
-                if slots:
-                    dirty |= slots
-            changed.clear()
         if dirty:
             dups: set[int] = set()
             for k in dirty:
@@ -507,6 +493,7 @@ def simplify_fixpoint(
                     work.remove(k)
                 bump("dedup")
                 continue
+        determined = fixed[0].keys() & fixed[1].keys()
         if free or determined:
             target = min(free | determined)
             if target not in free:

@@ -529,7 +529,7 @@ def _assert_indices(work):
     assert {key: sorted(slots) for key, slots in work.by_key.items()} == by_key
     assert work.small == {k for k, cl in live.items() if len(clause_vars(cl)) <= 2}
     assert work.free == work.weights.keys() - occ.keys()
-    assert work.determined == work.weights.keys() & work.fixed[0].keys() & work.fixed[1].keys()
+    assert work.fixed[0].keys() | work.fixed[1].keys() <= work.weights.keys()
     assert work.dirty <= live.keys()
 
 
@@ -569,7 +569,10 @@ def _random_step(work, rng):
     elif name == "substitute":
         old = rng.choice(order)
         new = rng.choice([0] + [v for v in order if v != old])
+        # as assign and link do first
         del work.weights[old]
+        for s in work.fixed:
+            s.pop(old, None)
         work.substitute(old, new, rng.randrange(2), rng.randrange(2))
     elif name == "link":
         keep, drop = rng.sample(order, 2)
@@ -595,13 +598,25 @@ def test_work_indices_follow_every_rewrite(monkeypatch):
     states += [FAMILIES[name](seed).parent for name in FAMILIES for seed in range(12)]
     rng = random.Random(13)
     applied = Counter()
+    forced = Counter()
     for st in states:
         work = _Work(st)
         _assert_indices(work)
         for _ in range(8):
+            before = [set(s) for s in work.fixed]
+            # as a round of the fixpoint does, so that what the step marks
+            # for the next round shows
+            work.dirty.clear()
             name = _random_step(work, rng)
             if name is None:
                 break
             _assert_indices(work)
             applied[name] += 1
+            # a newly forced variable's slots are rechecked next round
+            for side in (0, 1):
+                for v in work.fixed[side].keys() - before[side]:
+                    slots = work.occ.get(v, set())
+                    assert slots <= work.dirty, (name, v, slots - work.dirty)
+                    forced[name] += bool(slots)
     assert min(applied.values()) > 20 and len(applied) == 9, applied
+    assert all(forced[name] for name in ("force", "link", "apply_small", "resolve_pair")), forced

@@ -251,7 +251,10 @@ def test_search_counts_are_pinned_at_scale():
 # through solve(); the first two are generate(13, 9, seed=2452,
 # planted=True) and generate(13, 8, seed=2874, planted=True), the
 # case1_vi2 ones generate(9, 6, seed=170, planted=True) and
-# generate(10, 7, seed=59, planted=False).
+# generate(10, 7, seed=59, planted=False). The case1_vi3 one is built by
+# hand: class {1, 2, 3} has four neighbour classes and matches no case
+# (vii) pattern, and the block {1..8} has the boundary J = {6, 7, 8}, each
+# of whose variables sits in a clause outside it.
 RARE_RULE_INSTANCES = [
     ("prop3_fallback", 13, [[-7, 4, -11], [-6, -11, -5], [8, 3, 4], [3, -9, 13], [6, 3, -7],
                             [1, -13, -11], [-11, 3, 1], [3, 2, -7], [-5, 1, -12]]),
@@ -262,6 +265,8 @@ RARE_RULE_INSTANCES = [
     ("case1_vi2", 9, [[7, 5, 8], [2, -6, -5], [-1, -3, 7], [-6, 3, -4], [-3, 9, 8], [8, 1, -6]]),
     ("case1_vi2", 10, [[4, 2, -8], [-1, -10, -8], [3, 6, -10], [1, 6, 5], [-2, 10, 5],
                        [6, 3, -7], [-5, -9, -4]]),
+    ("case1_vi3", 14, [[1, 2, 3], [1, 4, 5], [1, 6, 7], [2, 4, 6], [3, 5, 8], [6, 9, 10],
+                       [7, 11, 12], [8, 13, 14]]),
 ]
 
 
