@@ -154,11 +154,12 @@ def clause_unsatisfiable(
     iff more than one literal is pinned true there, or none is and no free
     literal is left. A clause that repeats a free variable is checked side
     by side by `_side_unsatisfiable`, which counts each free variable's
-    fewest true literals.
+    fewest true literals; a clause has at most three literals, so a repeat
+    is one of the two variables before it.
     """
     f0, f1 = fixed
     pinned0 = pinned1 = free0 = free1 = 0
-    seen = []
+    last = before = 0
     for p in clause:
         if p < 4:
             pinned0 += p & 1
@@ -175,9 +176,9 @@ def clause_unsatisfiable(
             free1 += 1
         else:
             pinned1 += val1 ^ (p >> 1 & 1)
-        if v in seen and (val0 is None or val1 is None):
+        if (v == last or v == before) and (val0 is None or val1 is None):
             return _side_unsatisfiable(clause, f0, 0) or _side_unsatisfiable(clause, f1, 1)
-        seen.append(v)
+        last, before = v, last
     return pinned0 > 1 or not (pinned0 or free0) or pinned1 > 1 or not (pinned1 or free1)
 
 

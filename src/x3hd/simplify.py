@@ -36,7 +36,8 @@ off the free set and the variables forced on both sides, its small clause
 off the maintained set, and searches for a shared pair only when no
 earlier rule fires. Variables in no clause fold into p_main in one step:
 grouped by weight table and forced values, each group's factor summed
-once and equal factors raised to a power at once.
+once, or for a table shared by many variables read from a table built at
+import (`_FACTORS`), and equal factors raised to a power at once.
 Small clauses are classified once per shape, up to the names of their at
 most two variables, from each side's `side_solutions` rows, which read
 `model.true_positions`, the one enumeration of a clause's true literal.
@@ -58,7 +59,7 @@ from .model import (
     pair_sum,
     side_solutions,
 )
-from .poly import ZERO, HDPoly
+from .poly import ONE, ZERO, HDPoly
 
 
 def _values(forced: int | None) -> tuple[int, ...]:
@@ -79,6 +80,21 @@ def _link_table(kept: WeightTable, dropped: WeightTable, pol1: int, pol2: int) -
 # most links join two of them, and one shared object per polarity pair
 # lets `fold` group the linked variables by table identity.
 _PRISTINE_LINKS = tuple(_link_table(PRISTINE, PRISTINE, p1, p2) for p1 in (0, 1) for p2 in (0, 1))
+
+
+def _fold_factor(table: WeightTable, i: int | None, j: int | None) -> HDPoly:
+    """The sum of the table entries that forced values i and j allow."""
+    return sum(table[2 * a + b] for a in _values(i) for b in _values(j))
+
+
+# `fold`'s factor of each shared table (PRISTINE and the four link tables)
+# for each pair of forced values, by `fold`'s group key: 45 entries.
+_FACTORS = {
+    (id(table), i, j): _fold_factor(table, i, j)
+    for table in (PRISTINE, *_PRISTINE_LINKS)
+    for i in (None, 0, 1)
+    for j in (None, 0, 1)
+}
 
 
 class _Work:
@@ -210,7 +226,9 @@ class _Work:
     def assign(self, x: int, i: int, j: int) -> None:
         """Fix x to i on side 0 and j on side 1: scale p_main by the
         matching weight entry, substitute the constants, drop x."""
-        self.p_main = self.p_main * self.weights.pop(x)[2 * i + j]
+        entry = self.weights.pop(x)[2 * i + j]
+        if entry is not ONE:
+            self.p_main = self.p_main * entry
         for s in self.fixed:
             s.pop(x, None)
         self.substitute(x, 0, i, j)
@@ -219,9 +237,10 @@ class _Work:
         """Fold the variables of `free`, none of which occurs in a clause,
         into p_main. Each contributes the sum of the weight entries its
         forced values allow; the variables are grouped by (table object,
-        forced values) so each group's sum is taken once, and equal
-        factors are merged and raised to their multiplicity. `free` may be
-        the copy's own free set, which this empties."""
+        forced values) so each group's sum is taken once, or read from
+        `_FACTORS` for a shared table, and equal factors are merged and
+        raised to their multiplicity. `free` may be the copy's own free
+        set, which this empties."""
         f0, f1 = self.fixed
         weights = self.weights
         groups: dict[tuple[int, int | None, int | None], list] = {}
@@ -234,8 +253,12 @@ class _Work:
             else:
                 group[1] += 1
         powers: dict[HDPoly, int] = {}
-        for (_, i, j), (table, k) in groups.items():
-            factor = sum(table[2 * a + b] for a in _values(i) for b in _values(j))
+        for key, (table, k) in groups.items():
+            factor = _FACTORS.get(key) or _fold_factor(table, key[1], key[2])
+            if len(groups) == 1:
+                # no other factor to merge with
+                self.p_main = self.p_main * factor**k
+                break
             powers[factor] = powers.get(factor, 0) + k
         for factor, k in powers.items():
             self.p_main = self.p_main * factor**k
@@ -424,11 +447,13 @@ def normalize_small_clause(clause: Clause) -> SmallClauseAction:
     """Classify a pair clause with <= 2 distinct variables into the joint
     action to apply to both sides."""
     names = sorted(clause_vars(clause))
-    rank = {v: k for k, v in enumerate(names, 1)}
-    shape = tuple(4 * rank[p >> 2] + (p & 3) if p >= 4 else p for p in clause)
+    first = names[0] if names else 0
+    shape = tuple((4 if p >> 2 == first else 8) + (p & 3) if p >= 4 else p for p in clause)
     action = _SHAPES.get(shape)
     if action is None:
         action = _SHAPES[shape] = _classify_small_clause(shape)
+    if not action.forces and action.link is None:  # names no variable
+        return action
     real = (0, *names)
     link = action.link
     return SmallClauseAction(
@@ -471,6 +496,7 @@ def simplify_fixpoint(
     if block is not None:
         work.eliminate(*block)
     clauses, fixed, keys, by_key = work.clauses, work.fixed, work.keys, work.by_key
+    f0, f1 = fixed
     dirty, free, small = work.dirty, work.free, work.small
     for rounds in count():
         # a verdict depends only on the clause and the forced values of its
@@ -493,18 +519,19 @@ def simplify_fixpoint(
                     work.remove(k)
                 bump("dedup")
                 continue
-        determined = fixed[0].keys() & fixed[1].keys()
-        if free or determined:
-            target = min(free | determined)
-            if target not in free:
-                work.assign(target, fixed[0][target], fixed[1][target])
-                bump("case1_ii")
-            else:
-                # folding leaves the clauses unchanged, so folding one such
-                # variable per round would fire the same rules in between:
-                # fold them all now and count each one
-                bump("case1_ii", len(free))
-                work.fold(free)
+        # the smallest variable forced on both sides is assigned unless a
+        # smaller or equal one is in no clause
+        target = min(f0.keys() & f1.keys(), default=None) if f0 and f1 else None
+        if target is not None and not (free and min(free) <= target):
+            work.assign(target, f0[target], f1[target])
+            bump("case1_ii")
+            continue
+        if free:
+            # folding leaves the clauses unchanged, so folding one such
+            # variable per round would fire the same rules in between:
+            # fold them all now and count each one
+            bump("case1_ii", len(free))
+            work.fold(free)
             continue
         if small:
             idx = min(small)

@@ -152,16 +152,21 @@ def _sum_children(children, opts, stats, depth) -> tuple[HDPoly, int]:
 
 
 def _node(
-    st: PairState | None, opts: SolveOptions, stats: SolveStats, depth: int
+    st: PairState | None, opts: SolveOptions, stats: SolveStats, depth: int, part: bool = False
 ) -> tuple[HDPoly, int]:
     """One search node: apply the first rule that fires to a state at its
     fixpoint, or None for a state that evaluates to zero; returns the
     polynomial and the leaf count. Every state arrives simplified: the
     root through a fixpoint call here, a branch child and the block
-    elimination of case1_vi1 as the result of one, and a component as a subset
-    of the clauses of a state at its fixpoint, with their variables, on
-    which no rule fires that did not on the whole. Debug mode checks this
-    at every node."""
+    elimination of case1_vi1 as the result of one, and a part of a
+    component split as a subset of the clauses of a state at its fixpoint,
+    with their variables. A part (`part=True`) goes straight to `_case2`:
+    it holds whole classes of a state on which no rule fired, each of its
+    variables with all its classes and each class with all its neighbours,
+    and it is connected, so `pick_high_degree_var`, `find_config` and
+    `connected_components` would find nothing on it either. Debug mode
+    checks the fixpoint at every node and re-runs those three on every
+    part."""
     stats.nodes += 1
     if depth > stats.max_depth:
         stats.max_depth = depth
@@ -171,8 +176,16 @@ def _node(
         if simplify_fixpoint(st, {}) is not st:
             raise InternalError("a state passed as simplified is not at its fixpoint")
         check_state(st)
+        if part and (
+            pick_high_degree_var(st) is not None
+            or find_config(st) is not None
+            or len(connected_components(st)) > 1
+        ):
+            raise InternalError("a rule fires on a part of a component split")
     if not st.V:
         return st.p_main, 1
+    if part:
+        return _case2(st, opts, stats, depth)
 
     x = pick_high_degree_var(st)
     if x is not None:
@@ -218,13 +231,17 @@ def _node(
         poly = st.p_main
         leaves = 1
         for comp in components:
-            sub_poly, sub_leaves = _node(comp, opts, stats, depth + 1)
+            sub_poly, sub_leaves = _node(comp, opts, stats, depth + 1, part=True)
             poly = poly * sub_poly
             leaves *= sub_leaves
             if poly.is_zero() and not opts.debug:
                 break
         return poly, leaves
+    return _case2(st, opts, stats, depth)
 
+
+def _case2(st: PairState, opts: SolveOptions, stats: SolveStats, depth: int) -> tuple[HDPoly, int]:
+    """A connected state on which no Case 1 rule fires: base case or cut branch."""
     if len(st.V) <= opts.base_threshold:
         stats.rules["base"] += 1
         return brute_force_base(st), 1

@@ -12,6 +12,8 @@ from rulestates import (
     resign,
 )
 from x3hd.decompose import (
+    Bisection,
+    ClauseGraph,
     balanced_bisection,
     branch_cut_variables,
     brute_force_base,
@@ -216,6 +218,64 @@ def test_bisection_is_a_pair_swap_local_optimum():
                         sides[a], sides[b] = 0, 1
             checked += 1
     assert checked == 126
+
+
+def _recount_bisection(g, seed):
+    """`balanced_bisection` as it scored each swap before per-vertex
+    gains: by counting the crossing edges after the swap."""
+
+    def cut(sides):
+        return sum(1 for a, b in g.edge_vars if sides[a] != sides[b])
+
+    n = g.n_vertices
+    rng = random.Random(seed)
+    half = (n + 1) // 2
+    best_sides = best_cut = None
+    for _ in range(4):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        sides = [0] * n
+        for pos in perm[half:]:
+            sides[pos] = 1
+        improved = True
+        while improved:
+            improved = False
+            cur = cut(sides)
+            best_gain, best_pair = 0, None
+            zeros = [v for v in range(n) if sides[v] == 0]
+            ones = [v for v in range(n) if sides[v] == 1]
+            for a in zeros:
+                for b in ones:
+                    sides[a], sides[b] = 1, 0
+                    gain = cur - cut(sides)
+                    sides[a], sides[b] = 0, 1
+                    if gain > best_gain:
+                        best_gain, best_pair = gain, (a, b)
+            if best_pair:
+                a, b = best_pair
+                sides[a], sides[b] = 1, 0
+                improved = True
+        if best_cut is None or cut(sides) < best_cut:
+            best_cut, best_sides = cut(sides), sides
+    cut_vars = set()
+    for (a, b), shared in g.edge_vars.items():
+        if best_sides[a] != best_sides[b]:
+            cut_vars |= shared
+    return Bisection(tuple(best_sides), frozenset(cut_vars), best_cut)
+
+
+def test_bisection_matches_the_recounting_search():
+    # the per-vertex gains pick the swap that recounting every edge picks,
+    # so the whole result is the same, ties included
+    rng = random.Random(5)
+    for _ in range(1000):
+        n = rng.randint(2, 26)
+        degree = rng.choice((1.5, 3, 5))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        edges = [e for e in pairs if rng.random() < degree / max(n - 1, 1)]
+        g = ClauseGraph(n, {e: frozenset({k}) for k, e in enumerate(edges, 1)})
+        for seed in (0, 1):
+            assert balanced_bisection(g, seed) == _recount_bisection(g, seed), (g, seed)
 
 
 def test_bisection_leaves_at_most_one_stranded_vertex():

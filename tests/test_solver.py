@@ -298,6 +298,29 @@ def test_debug_mode_confirms_skipped_fixpoints():
     assert mirrored > 0
 
 
+def test_debug_mode_checks_every_part(monkeypatch):
+    # a part of a component split skips detection; debug mode re-runs it
+    # and objects to a part on which a rule fires
+    hub = mkstate([clause(1, 2, 3), clause(1, 4, 5), clause(1, 6, 7), clause(1, 8, 9)])
+    assert pick_high_degree_var(hub) == 1 and find_config(hub) is None
+    split = x3hd.solver.connected_components
+    extra = []
+
+    def with_hub(st):
+        # the first call after `extra` is filled, at the root, adds the hub
+        parts = [*extra, *split(st)]
+        extra.clear()
+        return parts
+
+    monkeypatch.setattr(x3hd.solver, "connected_components", with_hub)
+    f = Formula.from_dimacs([[10, 11, 12]], 12)
+    extra.append(hub)
+    assert solve(f).stats.rules["case1_v"] == 0
+    extra.append(hub)
+    with pytest.raises(InternalError, match="part"):
+        solve(f, SolveOptions(debug=True))
+
+
 def _perturbed_mirror(state):
     """The mirror with one table entry changed."""
     swapped = mirror(state)
