@@ -34,7 +34,7 @@ as value masks over the clause's variables.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 from typing import Callable, Iterable, MutableMapping, NamedTuple, Sequence
 
 from .errors import InternalError
@@ -132,12 +132,12 @@ class SemiIsolated(NamedTuple):
 
 class SevenNeighbourPattern(NamedTuple):
     """A clause with >= 4 dissimilar neighbour classes, plus the pivot
-    variable sitting in two of them. Shape is informational; 'generic'
-    marks a defensive match that skips the elimination-floor assertions."""
+    variable sitting in two of them. `generic` marks a defensive match
+    that skips the elimination-floor assertions."""
 
     clause: int
     pivot: int
-    shape: str
+    generic: bool
 
 
 def _extract_semiisolated(index: ClassIndex, block: frozenset[int]) -> SemiIsolated:
@@ -178,29 +178,18 @@ def _match_pattern(st: PairState, k: int):
     if len(side_classes) < 2:
         raise InternalError("fewer side neighbours than the class count promises")
     known = {pivot, y, z, *ab, *cd}
-    fresh = {q: set(class_vars[q]) - known for q in side_classes}
-
-    def shape_label(q1: int, q2: int, base: str, alt: str) -> str:
-        via = lambda q: y in class_vars[q]
-        return base if via(q1) == via(q2) else alt
-
-    for qa, qb in combinations(side_classes, 2):
-        if fresh[qa] and fresh[qb] and len(fresh[qa] | fresh[qb]) >= 2:
-            return SevenNeighbourPattern(rep, pivot, shape_label(qa, qb, "vii.2", "vii.4"))
-    rich = next((q for q in side_classes if len(fresh[q]) >= 2), None)
-    if rich is not None:
-        other = next(q for q in side_classes if q != rich)
-        return SevenNeighbourPattern(rep, pivot, shape_label(other, rich, "vii.1", "vii.3"))
-    extra = set().union(*fresh.values())
-    if len(extra) > 1:
-        raise InternalError("distinct fresh variables escaped the pattern match")
+    # two fresh variables among the side classes: one class holding both,
+    # or two classes holding one each, make the pattern
+    extra = set().union(*(class_vars[q] for q in side_classes)) - known
+    if len(extra) >= 2:
+        return SevenNeighbourPattern(rep, pivot, False)
     return frozenset(known | extra), ab[0], ab[1], n1_cls
 
 
 def _generic_pattern(st: PairState, k: int) -> SevenNeighbourPattern:
     classes, class_vars, var_to_classes, _ = st.index()
     pivot = next(v for v in class_vars[k] if len(var_to_classes[v] - {k}) >= 2)
-    return SevenNeighbourPattern(classes[k][0], pivot, "generic")
+    return SevenNeighbourPattern(classes[k][0], pivot, True)
 
 
 def find_config(st: PairState):
@@ -322,7 +311,6 @@ def branch_four_neighbour(
     pivot = pattern.pivot
     ppos = next(t for t, p in enumerate(c) if p >> 2 == pivot)
     others = [t for t in range(len(c)) if t != ppos]
-    generic = pattern.shape == "generic"
     lists: list[Assignments] = []
     floors: list[int] = []
 
@@ -339,5 +327,5 @@ def branch_four_neighbour(
     floors += [7] * len(split)
 
     return build_children(
-        simplify_fixpoint, st, lists, counts, debug, floors=None if generic else floors
+        simplify_fixpoint, st, lists, counts, debug, floors=None if pattern.generic else floors
     )

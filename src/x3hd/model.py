@@ -16,8 +16,10 @@ from it.
 Exactly-one enumeration: `true_positions` is the one enumeration of which
 literal of a clause is the true one, as value masks over a variable ->
 bit map. `side_solutions` folds those masks across clauses, and every
-other reader (`pair_sum`, the small-clause table in `simplify`, the
-clause-splitting branches in `branching`) goes through one of the two.
+other reader goes through one of the two: `pair_sum`, the shape table in
+`simplify` that gives the actions of case (iii) and case (iv), the
+clause-splitting branches in `branching`, and `clause_unsatisfiable` on a
+clause that repeats a free variable.
 `pair_sum` is the one weighted sum over solution pairs, for the base case
 and for case (vi) block elimination. It enumerates side 0, and side 1
 only when the two sides differ in a sign, a constant or a forced value;
@@ -118,30 +120,6 @@ def true_positions(
     return out
 
 
-def _side_unsatisfiable(clause: Clause, forced: Mapping[int, int], side: int) -> bool:
-    """`clause_unsatisfiable` on one side, free variables repeated or not.
-
-    A free variable with a sign-0 and b sign-1 literals makes a of them
-    true or b, so at least min(a, b). The side is satisfiable iff the
-    pinned count plus these minima is 1, or it is 0 and some free variable
-    occurs once (every other free variable then takes its minimum, 0).
-    """
-    least = 0
-    signs: dict[int, list[int]] = {}
-    for p in clause:
-        sign = p >> side & 1
-        if p < 4:
-            least += sign
-            continue
-        val = forced.get(p >> 2)
-        if val is None:
-            signs.setdefault(p >> 2, [0, 0])[sign] += 1
-        else:
-            least += val ^ sign
-    least += sum(min(a, b) for a, b in signs.values())
-    return least > 1 or (least == 0 and all(a + b != 1 for a, b in signs.values()))
-
-
 def clause_unsatisfiable(
     clause: Clause, fixed: tuple[Mapping[int, int], Mapping[int, int]]
 ) -> bool:
@@ -152,10 +130,9 @@ def clause_unsatisfiable(
     Both sides are read in one pass. With the free variables distinct,
     each free literal can be set either way, so a side is unsatisfiable
     iff more than one literal is pinned true there, or none is and no free
-    literal is left. A clause that repeats a free variable is checked side
-    by side by `_side_unsatisfiable`, which counts each free variable's
-    fewest true literals; a clause has at most three literals, so a repeat
-    is one of the two variables before it.
+    literal is left. A clause that repeats a free variable is unsatisfiable
+    on a side where `true_positions` leaves no position; a clause has at
+    most three literals, so a repeat is one of the two variables before it.
     """
     f0, f1 = fixed
     pinned0 = pinned1 = free0 = free1 = 0
@@ -177,7 +154,11 @@ def clause_unsatisfiable(
         else:
             pinned1 += val1 ^ (p >> 1 & 1)
         if (v == last or v == before) and (val0 is None or val1 is None):
-            return _side_unsatisfiable(clause, f0, 0) or _side_unsatisfiable(clause, f1, 1)
+            bit = {u: 1 << t for t, u in enumerate(clause_vars(clause))}
+            return any(
+                all(vv is None for vv in true_positions(clause, forced, side, bit))
+                for side, forced in enumerate(fixed)
+            )
         last, before = v, last
     return pinned0 > 1 or not (pinned0 or free0) or pinned1 > 1 or not (pinned1 or free1)
 

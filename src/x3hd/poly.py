@@ -40,6 +40,9 @@ class HDPoly:
         cleaned: dict[int, int] = {}
         if coeffs:
             for deg, coeff in coeffs.items():
+                for value in (deg, coeff):
+                    if type(value) is not int:
+                        raise TypeError(f"{value!r} is not an int")
                 if deg < 0:
                     raise ValueError(f"negative degree {deg}")
                 if coeff < 0:

@@ -38,9 +38,10 @@ earlier rule fires. Variables in no clause fold into p_main in one step:
 grouped by weight table and forced values, each group's factor summed
 once, or for a table shared by many variables read from a table built at
 import (`_FACTORS`), and equal factors raised to a power at once.
-Small clauses are classified once per shape, up to the names of their at
-most two variables, from each side's `side_solutions` rows, which read
-`model.true_positions`, the one enumeration of a clause's true literal.
+Small clauses and shared pairs are classified once per shape, up to the
+names of their variables (`_SHAPES`), by one function (`_classify`) from
+each side's `side_solutions` rows, which read `model.true_positions`, the
+one enumeration of a clause's true literal.
 """
 
 from __future__ import annotations
@@ -297,38 +298,28 @@ class _Work:
 
     def resolve_pair(self, i: int, j: int) -> bool:
         """Resolve two clauses (3 distinct variables each) sharing exactly
-        two variables: the two non-shared variables are always linked, and
-        the polarity pattern of the shared literals may force values
-        first."""
+        two variables, a < b: the clauses are renamed to one flat shape (a,
+        b, then the first clause's other variable w and the second's z, as
+        1, 2, 3, 4) and its action read from `_SHAPES`, classified from the
+        two clauses' solutions on a miss. The forces come first, then w and
+        z are always linked."""
         ci, cj = self.clauses[i], self.clauses[j]
-        vi = self.varsets[i]
-        vj = self.varsets[j]
-        shared = sorted(vi & vj)
+        vi, vj = self.varsets[i], self.varsets[j]
+        shared = vi & vj
         if len(shared) != 2 or len(vi) != 3 or len(vj) != 3:
             raise InternalError("shared-pair resolution needs 3-variable clauses sharing 2")
-        w = (vi - set(shared)).pop()
-        z = (vj - set(shared)).pop()
-        forces: list[tuple[int, int, int]] = []
-        pols = []
-        for side in (0, 1):
-            flips = [_sign_of(ci, v, side) != _sign_of(cj, v, side) for v in shared]
-            gw = _sign_of(ci, w, side)
-            gz = _sign_of(cj, z, side)
-            if flips[0] and flips[1]:
-                # both shared literals flipped: the two extra literals must be false
-                rel = 0
-                forces.append((side, w, gw))
-                forces.append((side, z, gz))
-            elif not flips[0] and not flips[1]:
-                rel = 0
-            else:
-                # one flipped: the unflipped shared literal must be false
-                rel = 1
-                u = shared[0] if not flips[0] else shared[1]
-                forces.append((side, u, _sign_of(ci, u, side)))
-            pols.append(gw ^ gz ^ rel)
-        keep, drop = (w, z) if w < z else (z, w)
-        return self.force(forces) and self.link(keep, drop, pols[0], pols[1])
+        a, b = sorted(shared)
+        (w,) = vi - shared
+        (z,) = vj - shared
+        names = {a: 4, b: 8, w: 12, z: 16}
+        shape = tuple([names[p >> 2] | p & 3 for p in ci + cj])
+        action = _SHAPES.get(shape)
+        if action is None:
+            action = _SHAPES[shape] = _classify((shape[:3], shape[3:]), True)
+        real = (0, a, b, w, z)
+        return self.force([(side, real[v], val) for side, v, val in action.forces]) and self.link(
+            *sorted((w, z)), *action.link[2:]
+        )
 
     def shared_pair(self) -> tuple[int, int] | None:
         """The first slot pair (a, b), a < b, in lexicographic order whose
@@ -391,11 +382,13 @@ def value_combos(st: PairState, x: int) -> list[tuple[int, int]]:
 
 
 class SmallClauseAction(NamedTuple):
-    """Joint effect of a pair clause with at most two distinct variables.
+    """Joint effect of a pair clause with at most two distinct variables,
+    or of two clauses sharing two variables (case (iv)).
 
-    The clause is always dropped unless unsat. Forces are (side, variable,
-    value) records with side 0 or 1; the link, when present, carries a
-    per-side polarity (value(drop) = value(keep) ^ pol).
+    A small clause is always dropped unless unsat; a shared pair keeps its
+    clauses. Forces are (side, variable, value) records with side 0 or 1;
+    the link, when present, carries a per-side polarity (value(drop) =
+    value(keep) ^ pol).
     """
 
     unsat: bool
@@ -403,43 +396,43 @@ class SmallClauseAction(NamedTuple):
     link: tuple[int, int, int, int] | None = None
 
 
-def _classify_small_clause(clause: Clause) -> SmallClauseAction:
-    """The joint action of a pair clause with <= 2 distinct variables, read
-    off each side's `side_solutions` rows: a variable with one value in
-    every row is forced; two free variables form a diagonal, a link whose
-    polarity is the XOR of their bits. A fully forced side is consistent
-    with the link through its single row."""
-    variables = sorted(clause_vars(clause))
+def _classify(clauses: Sequence[Clause], link: bool) -> SmallClauseAction:
+    """The joint action of `clauses`, read off each side's `side_solutions`
+    rows: a variable with one value in every row is forced, and the last
+    two variables are linked when `link` is set or some side leaves both of
+    them free. A side's link polarity is the XOR of their bits, which must
+    be the same in every row."""
+    variables = sorted(set().union(*map(clause_vars, clauses)))
     forces = []
-    # per side, the link polarity its rows admit; None when they admit none
-    pols: list[int | None] = []
-    linked = False
+    sides = []
     for side in (0, 1):
-        rows = side_solutions((clause,), {}, variables, side)
+        rows = side_solutions(clauses, {}, variables, side)
         if not rows:
             return SmallClauseAction(True)
-        free = 0
+        free = []
         for t, v in enumerate(variables):
             values = {row >> t & 1 for row in rows}
             if len(values) == 1:
                 forces.append((side, v, values.pop()))
             else:
-                free += 1
-        if free == 2 and len(rows) != 2:
-            raise InternalError(f"unexpected satisfying set for {clause}")
-        linked |= free == 2
-        pols.append((rows[0] ^ rows[0] >> 1) & 1 if len(variables) == 2 and free != 1 else None)
-    if not linked:
+                free.append(v)
+        link |= len(variables) >= 2 and free[-2:] == variables[-2:]
+        sides.append(rows)
+    if not link:
         return SmallClauseAction(False, tuple(forces))
-    if None in pols:
-        raise InternalError("link paired with a partially free side")
-    return SmallClauseAction(False, tuple(forces), (*variables, *pols))
+    t = len(variables) - 2
+    pols = [{(row >> t ^ row >> t + 1) & 1 for row in rows} for rows in sides]
+    if len(pols[0]) != 1 or len(pols[1]) != 1:
+        raise InternalError(f"no single link polarity for {clauses}")
+    return SmallClauseAction(False, tuple(forces), (*variables[t:], *pols[0], *pols[1]))
 
 
-# Small-clause actions by shape: the clause with its variables renamed to
-# 1 and 2 in sorted order. Filled on first sight of a shape; at most
-# 12 + 12**2 + 12**3 entries (four constant pairs and two variables with
-# four sign pairs per literal position).
+# Actions by shape, filled on first sight of a shape. A small clause's
+# shape is the clause with its variables renamed to 1 and 2 in sorted
+# order: at most 12 + 12**2 + 12**3 of them (four constant pairs and two
+# variables with four sign pairs per literal position). A shared pair's is
+# the flat 6-literal shape of `_Work.resolve_pair`: at most 36 variable
+# orders times 4**6 sign pairs, 147,456. So at most 149,340 entries.
 _SHAPES: dict[Clause, SmallClauseAction] = {}
 
 
@@ -451,7 +444,7 @@ def normalize_small_clause(clause: Clause) -> SmallClauseAction:
     shape = tuple((4 if p >> 2 == first else 8) + (p & 3) if p >= 4 else p for p in clause)
     action = _SHAPES.get(shape)
     if action is None:
-        action = _SHAPES[shape] = _classify_small_clause(shape)
+        action = _SHAPES[shape] = _classify((shape,), False)
     if not action.forces and action.link is None:  # names no variable
         return action
     real = (0, *names)
@@ -461,13 +454,6 @@ def normalize_small_clause(clause: Clause) -> SmallClauseAction:
         tuple((side, real[v], val) for side, v, val in action.forces),
         link and (real[link[0]], real[link[1]], link[2], link[3]),
     )
-
-
-def _sign_of(clause: Clause, var: int, side: int) -> int:
-    for p in clause:
-        if p >> 2 == var:
-            return (p >> side) & 1
-    raise InternalError(f"variable {var} not in clause")
 
 
 def simplify_fixpoint(

@@ -215,7 +215,7 @@ def _node(
             opts, stats, depth,
         )
     if isinstance(config, SevenNeighbourPattern):
-        if config.shape == "generic":
+        if config.generic:
             stats.rules["prop3_fallback"] += 1
         stats.rules["case1_vii"] += 1
         stats.branched_vars += 3

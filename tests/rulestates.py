@@ -368,7 +368,7 @@ def case1_vii(seed: int) -> RuleCase:
     st = fuzz_weights(st, rng)
     st = fuzz_one_sided_values(st, rng)
     config = find_config(st)
-    assert isinstance(config, SevenNeighbourPattern) and config.shape != "generic", config
+    assert isinstance(config, SevenNeighbourPattern) and not config.generic, config
     children = branch_four_neighbour(st, config, debug=True)
     return RuleCase("case1_vii", st, children, "sum")
 

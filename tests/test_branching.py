@@ -82,7 +82,7 @@ def test_find_config_pattern_example():
     config = find_config(st)
     assert isinstance(config, SevenNeighbourPattern)
     assert config.clause == 0 and config.pivot == 1
-    assert config.shape == "vii.2"
+    assert not config.generic
 
 
 def test_find_config_semiisolated_example():

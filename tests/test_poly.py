@@ -52,6 +52,12 @@ def test_rejects_negative():
         HDPoly({-1: 2})
 
 
+@pytest.mark.parametrize("coeffs", [{0: 1.5}, {1.5: 2}, {0: True}, {"1": 1}])
+def test_rejects_a_degree_or_coefficient_that_is_not_an_int(coeffs):
+    with pytest.raises(TypeError, match="is not an int"):
+        HDPoly(coeffs)
+
+
 def test_zero_coefficients_dropped():
     assert HDPoly({3: 0, 1: 2}) == poly_from({1: 2})
 

@@ -2,7 +2,7 @@ import copy
 import random
 from collections import Counter
 from dataclasses import replace
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -23,8 +23,9 @@ from x3hd.instances import generate
 from x3hd.model import PRISTINE, Formula, PairState, clause_vars, initial_state
 from x3hd.oracle import state_eval
 from x3hd.poly import ONE, U, ZERO, HDPoly
+import x3hd.simplify
 from x3hd.simplify import (
-    _classify_small_clause,
+    _classify,
     _Work,
     normalize_small_clause,
     simplify_fixpoint,
@@ -101,7 +102,7 @@ def test_small_clause_shape_table_matches_classification():
         lits = [0, 1, 2, 3] + [4 * v + signs for v in (a, b) for signs in range(4)]
         for arity in (1, 2, 3):
             for cl in product(lits, repeat=arity):
-                assert normalize_small_clause(cl) == _classify_small_clause(cl), cl
+                assert normalize_small_clause(cl) == _classify((cl,), False), cl
 
 
 def test_small_clause_actions_conserve_the_state_value():
@@ -200,6 +201,79 @@ def test_resolve_shared_pair_polarity_cases(shape1, shape2, forced, polarity):
     substituted = [p for p in out.clauses[1] if p >> 2 == 3]
     assert substituted and substituted[0] & 1 == polarity
     assert state_eval(st) == state_eval(out)
+
+
+def _sign_of(clause, var, side):
+    for p in clause:
+        if p >> 2 == var:
+            return (p >> side) & 1
+    raise AssertionError(f"variable {var} not in {clause}")
+
+
+def _hand_pair_action(ci, cj):
+    """Case (iv) by a polarity case analysis, independent of the clauses'
+    solutions: the forces as a set, and the link of w and z."""
+    vi, vj = clause_vars(ci), clause_vars(cj)
+    shared = sorted(vi & vj)
+    (w,) = vi - vj
+    (z,) = vj - vi
+    forces = set()
+    pols = []
+    for side in (0, 1):
+        flips = [_sign_of(ci, v, side) != _sign_of(cj, v, side) for v in shared]
+        gw = _sign_of(ci, w, side)
+        gz = _sign_of(cj, z, side)
+        if flips[0] and flips[1]:
+            # both shared literals flipped: the two extra literals must be false
+            rel = 0
+            forces |= {(side, w, gw), (side, z, gz)}
+        elif not flips[0] and not flips[1]:
+            rel = 0
+        else:
+            # one flipped: the unflipped shared literal must be false
+            rel = 1
+            u = shared[0] if not flips[0] else shared[1]
+            forces.add((side, u, _sign_of(ci, u, side)))
+        pols.append(gw ^ gz ^ rel)
+    return forces, (*sorted((w, z)), *pols)
+
+
+class _RecordingWork(_Work):
+    """A working copy that records the forces and the link it is given."""
+
+    __slots__ = ("forced", "linked")
+
+    def force(self, forces):
+        self.forced = set(forces)
+        return True
+
+    def link(self, *link):
+        self.linked = link
+        return True
+
+
+def test_resolve_pair_matches_the_hand_polarity_analysis(monkeypatch):
+    # every shape of two 3-variable clauses sharing two variables with the
+    # first clause's literals in one order (all 147,456 shapes take about
+    # 10 s): the second clause's 6 literal orders times 4**3 sign pairs
+    # per clause. The variables are named so that the shared pair, and w
+    # against z, come in both orders
+    monkeypatch.setattr(x3hd.simplify, "_SHAPES", {})
+    weights = dict.fromkeys((2, 3, 4, 5, 7, 9), PRISTINE)
+    checked = 0
+    for k, order in enumerate(permutations(range(3))):
+        a, b, w, z = (7, 2, 9, 4) if k % 2 else (2, 5, 3, 9)
+        vars_i = (a, b, w)
+        vars_j = [(a, b, z)[t] for t in order]
+        for signs_i in product(range(4), repeat=3):
+            ci = tuple(4 * v + s for v, s in zip(vars_i, signs_i))
+            for signs_j in product(range(4), repeat=3):
+                cj = tuple(4 * v + s for v, s in zip(vars_j, signs_j))
+                work = _RecordingWork(PairState((ci, cj), ({}, {}), ONE, weights))
+                assert work.resolve_pair(0, 1)
+                assert (work.forced, work.linked) == _hand_pair_action(ci, cj), (ci, cj)
+                checked += 1
+    assert checked == 24576
 
 
 def test_resolve_shared_pair_conserves_value():
