@@ -37,7 +37,7 @@ off the maintained set, and searches for a shared pair only when no
 earlier rule fires. Variables in no clause fold into p_main in one step:
 grouped by weight table and forced values, each group's factor summed
 once, or for a table shared by many variables read from a table built at
-import (`_FACTORS`), and equal factors raised to a power at once.
+import (`_FACTORS`).
 Small clauses and shared pairs are classified once per shape, up to the
 names of their variables (`_SHAPES`), by one function (`_classify`) from
 each side's `side_solutions` rows, which read `model.true_positions`, the
@@ -239,9 +239,8 @@ class _Work:
         into p_main. Each contributes the sum of the weight entries its
         forced values allow; the variables are grouped by (table object,
         forced values) so each group's sum is taken once, or read from
-        `_FACTORS` for a shared table, and equal factors are merged and
-        raised to their multiplicity. `free` may be the copy's own free
-        set, which this empties."""
+        `_FACTORS` for a shared table, and raised to the group's size.
+        `free` may be the copy's own free set, which this empties."""
         f0, f1 = self.fixed
         weights = self.weights
         groups: dict[tuple[int, int | None, int | None], list] = {}
@@ -253,15 +252,8 @@ class _Work:
                 groups[key] = [table, 1]
             else:
                 group[1] += 1
-        powers: dict[HDPoly, int] = {}
         for key, (table, k) in groups.items():
             factor = _FACTORS.get(key) or _fold_factor(table, key[1], key[2])
-            if len(groups) == 1:
-                # no other factor to merge with
-                self.p_main = self.p_main * factor**k
-                break
-            powers[factor] = powers.get(factor, 0) + k
-        for factor, k in powers.items():
             self.p_main = self.p_main * factor**k
         self.free -= free
 

@@ -1,9 +1,10 @@
 """Recursion driver: priority dispatch over all rules, result assembly and
 search-tree instrumentation.
 
-Side-swap symmetry: a skipped mirror child's slot holds its twin's own
-entry (`branching` module docstring). `_sum_children` searches a state that
-fills several slots once and counts it once per slot, so `SolveStats` keeps
+Every rule that builds children hands them to `_branch`, which counts the
+rule and searches each child, dead (None) or not, through `_node`. A
+skipped mirror child's slot holds its twin's own entry (`branching` module
+docstring), searched once and counted once per slot, so `SolveStats` keeps
 counting the logical tree.
 """
 
@@ -68,9 +69,11 @@ class SolveStats:
     `nodes`, `leaves`, `max_depth`, `branched_vars` and `rules` describe
     the logical tree, the one the recursion defines, which is the same
     with or without reuse: a child answered by its mirror twin counts as
-    if it had been built and searched. `mirrored` counts the slots answered
-    by an earlier sibling's search (a dead twin's mirror needs none and is
-    not counted); it is not a rule.
+    if it had been built and searched. `max_depth` is the depth of the
+    deepest node counted in `nodes`, the root at 0 and a dead child
+    included. `mirrored` counts the slots answered by an earlier sibling's
+    search (a dead twin's mirror needs none and is not counted); it is not
+    a rule.
 
     `leaves` counts the leaves of the sequentialised search tree: sums add
     child leaf counts, independent component factors multiply them (as if
@@ -112,22 +115,22 @@ class SolveReport:
     stats: SolveStats
 
 
-def _sum_children(children, opts, stats, depth) -> tuple[HDPoly, int]:
-    """The sum of the children's polynomials and leaf counts. A state that
-    fills more than one slot is searched once into its own `SolveStats`,
-    and each further slot adds its polynomial, leaves and counts again;
-    debug mode searches its mirror as well and raises InternalError unless
-    all three match."""
+def _branch(rule, branched, children, opts, stats, depth) -> tuple[HDPoly, int]:
+    """Count `rule` and the `branched` variables it branched on, then search
+    the children it built and return the sum of their polynomials and leaf
+    counts. Every child goes through `_node` one depth below, a dead one
+    (None) included. A state that fills more than one slot is searched once
+    into its own `SolveStats`, and each further slot adds its polynomial,
+    leaves and counts again; debug mode searches its mirror as well and
+    raises InternalError unless all three match."""
+    stats.rules[rule] += 1
+    stats.branched_vars += branched
     total = ZERO
     leaves = 0
     slots = Counter(children)
     results: dict[PairState, tuple[HDPoly, int, SolveStats]] = {}
     for child in children:
-        if child is None:
-            stats.nodes += 1
-            leaves += 1
-            continue
-        if slots[child] == 1:
+        if child is None or slots[child] == 1:
             poly, sub_leaves = _node(child, opts, stats, depth + 1)
         elif child in results:
             poly, sub_leaves, sub = results[child]
@@ -155,18 +158,18 @@ def _node(
     st: PairState | None, opts: SolveOptions, stats: SolveStats, depth: int, part: bool = False
 ) -> tuple[HDPoly, int]:
     """One search node: apply the first rule that fires to a state at its
-    fixpoint, or None for a state that evaluates to zero; returns the
-    polynomial and the leaf count. Every state arrives simplified: the
-    root through a fixpoint call here, a branch child and the block
-    elimination of case1_vi1 as the result of one, and a part of a
-    component split as a subset of the clauses of a state at its fixpoint,
-    with their variables. A part (`part=True`) goes straight to `_case2`:
-    it holds whole classes of a state on which no rule fired, each of its
-    variables with all its classes and each class with all its neighbours,
-    and it is connected, so `pick_high_degree_var`, `find_config` and
-    `connected_components` would find nothing on it either. Debug mode
-    checks the fixpoint at every node and re-runs those three on every
-    part."""
+    fixpoint; returns the polynomial and the leaf count. A dead child
+    (None, a state that evaluates to zero) is a leaf, counted in `nodes`
+    and `max_depth` like any other. Every state arrives simplified: the
+    root through a fixpoint call here, a child of `_branch` as the result
+    of one, and a part of a component split as a subset of the clauses of
+    a state at its fixpoint, with their variables. A part (`part=True`)
+    goes straight to `_case2`: it holds whole classes of a state on which
+    no rule fired, each of its variables with all its classes and each
+    class with all its neighbours, and it is connected, so
+    `pick_high_degree_var`, `find_config` and `connected_components` would
+    find nothing on it either. Debug mode checks the fixpoint at every node
+    and re-runs those three on every part."""
     stats.nodes += 1
     if depth > stats.max_depth:
         stats.max_depth = depth
@@ -189,40 +192,23 @@ def _node(
 
     x = pick_high_degree_var(st)
     if x is not None:
-        stats.rules["case1_v"] += 1
-        stats.branched_vars += 1
-        return _sum_children(
-            branch_high_degree_var(st, x, stats.rules, opts.debug), opts, stats, depth
-        )
+        children = branch_high_degree_var(st, x, stats.rules, opts.debug)
+        return _branch("case1_v", 1, children, opts, stats, depth)
 
     config = find_config(st)
     if isinstance(config, SemiIsolated):
         if len(config.J) <= 1:
-            stats.rules["case1_vi1"] += 1
-            child = eliminate_semiisolated_1(st, config, stats.rules)
-            return _node(child, opts, stats, depth + 1)
+            children = [eliminate_semiisolated_1(st, config, stats.rules)]
+            return _branch("case1_vi1", 0, children, opts, stats, depth)
         if len(config.J) == 2:
-            stats.rules["case1_vi2"] += 1
-            stats.branched_vars += 1
-            return _sum_children(
-                branch_semiisolated_2(st, config, stats.rules, opts.debug),
-                opts, stats, depth,
-            )
-        stats.rules["case1_vi3"] += 1
-        stats.branched_vars += 3
-        return _sum_children(
-            branch_semiisolated_3(st, config, stats.rules, opts.debug),
-            opts, stats, depth,
-        )
+            children = branch_semiisolated_2(st, config, stats.rules, opts.debug)
+            return _branch("case1_vi2", 1, children, opts, stats, depth)
+        children = branch_semiisolated_3(st, config, stats.rules, opts.debug)
+        return _branch("case1_vi3", 3, children, opts, stats, depth)
     if isinstance(config, SevenNeighbourPattern):
-        if config.generic:
-            stats.rules["prop3_fallback"] += 1
-        stats.rules["case1_vii"] += 1
-        stats.branched_vars += 3
-        return _sum_children(
-            branch_four_neighbour(st, config, stats.rules, opts.debug),
-            opts, stats, depth,
-        )
+        stats.rules["prop3_fallback"] += config.generic
+        children = branch_four_neighbour(st, config, stats.rules, opts.debug)
+        return _branch("case1_vii", 3, children, opts, stats, depth)
 
     components = connected_components(st)
     if len(components) > 1:
@@ -241,21 +227,17 @@ def _node(
 
 
 def _case2(st: PairState, opts: SolveOptions, stats: SolveStats, depth: int) -> tuple[HDPoly, int]:
-    """A connected state on which no Case 1 rule fires: base case or cut branch."""
-    if len(st.V) <= opts.base_threshold:
-        stats.rules["base"] += 1
-        return brute_force_base(st), 1
-    graph = build_clause_graph(st, opts.debug)
-    if graph.n_vertices < 2:
-        stats.rules["base"] += 1
-        return brute_force_base(st), 1
-    stats.rules["case2_split"] += 1
-    bisection = balanced_bisection(graph, opts.seed)
-    stats.branched_vars += len(bisection.cut_vars)
-    return _sum_children(
-        branch_cut_variables(st, bisection, stats.rules, opts.debug),
-        opts, stats, depth,
-    )
+    """A connected state on which no Case 1 rule fires: cut branch above
+    `base_threshold` variables when its clause graph has two vertices to
+    bisect, else base case."""
+    if len(st.V) > opts.base_threshold:
+        graph = build_clause_graph(st, opts.debug)
+        if graph.n_vertices >= 2:
+            bisection = balanced_bisection(graph, opts.seed)
+            children = branch_cut_variables(st, bisection, stats.rules, opts.debug)
+            return _branch("case2_split", len(bisection.cut_vars), children, opts, stats, depth)
+    stats.rules["base"] += 1
+    return brute_force_base(st), 1
 
 
 def mhd(st: PairState, opts: SolveOptions | None = None) -> tuple[HDPoly, SolveStats]:

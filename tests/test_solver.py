@@ -187,6 +187,18 @@ def test_solve_restores_recursion_limit():
         sys.setrecursionlimit(saved)
 
 
+def test_dead_child_is_a_node_at_its_depth():
+    # the root fires case1_vii once and all six children are dead: each is
+    # a leaf one level below the root, counted in nodes and max_depth
+    f = Formula.from_dimacs([[4, -5, 9], [8, -5, 2], [3, 2, -9], [-6, -9, 1], [3, 7, -1],
+                             [9, 6, -1]], 9)
+    report = solve(f)
+    assert report.poly.is_zero() and hd_oracle(f).is_zero()
+    stats = report.stats
+    assert (stats.nodes, stats.leaves, stats.max_depth) == (7, 6, 1)
+    assert stats.rules["case1_vii"] == 1
+
+
 def test_free_variables_fold_in_closed_form():
     # 1997 variables in no clause: each contributes 2 + 2u, folded in one step
     report = solve(Formula.from_dimacs([[1, 2, 3]], 2000))
@@ -195,15 +207,23 @@ def test_free_variables_fold_in_closed_form():
     assert report.stats.rules["case1_ii"] == 1997
 
 
-# Summed search counts over a seeded random sample. They pin the search tree:
-# a change that only lowers the cost per node keeps every one of them.
+# Every `SolveStats` field summed over a seeded random sample (max_depth
+# too). They pin the search tree: a change that only lowers the cost per
+# node keeps every one of them.
 SEARCH_COUNTS = {
-    "nodes": 573, "leaves": 411,
+    "nodes": 573, "leaves": 411, "max_depth": 72, "branched_vars": 61, "mirrored": 33,
     "case1_i": 91, "dedup": 175, "case1_ii": 3164, "case1_iii": 2371,
     "case1_iv": 322, "case1_v": 10, "case1_vi1": 0, "case1_vi2": 0,
     "case1_vi3": 0, "case1_vii": 17, "prop3_fallback": 0, "case2_split": 0,
     "component_split": 63, "base": 280,
 }
+
+
+def _add_stats(totals, stats):
+    """Add every `SolveStats` field, the rule counts one key each."""
+    counts = stats.as_dict()
+    for key, value in [*counts.pop("rules").items(), *counts.items()]:
+        totals[key] += value
 
 
 def test_search_counts_are_pinned():
@@ -212,11 +232,7 @@ def test_search_counts_are_pinned():
     for seed in range(300):
         n = rng.randint(6, 30)
         m = rng.randint(1, n)
-        stats = solve(generate(n, m, seed=seed, planted=seed % 2 == 0).formula).stats
-        totals["nodes"] += stats.nodes
-        totals["leaves"] += stats.leaves
-        for key, value in stats.rules.items():
-            totals[key] += value
+        _add_stats(totals, solve(generate(n, m, seed=seed, planted=seed % 2 == 0).formula).stats)
     assert totals == SEARCH_COUNTS
 
 
@@ -224,7 +240,7 @@ def test_search_counts_are_pinned():
 # one digest of the polynomials: clause lists longer than the benchmark
 # pools' keep the same search tree and answers.
 SCALE_COUNTS = {
-    "nodes": 514, "leaves": 161,
+    "nodes": 514, "leaves": 161, "max_depth": 14, "branched_vars": 122, "mirrored": 11,
     "case1_i": 83, "dedup": 4, "case1_ii": 509, "case1_iii": 900,
     "case1_iv": 6, "case1_v": 8, "case1_vi1": 0, "case1_vi2": 0,
     "case1_vi3": 0, "case1_vii": 38, "prop3_fallback": 0, "case2_split": 0,
@@ -238,10 +254,7 @@ def test_search_counts_are_pinned_at_scale():
     polys = []
     for seed in range(5):
         report = solve(generate(70, 28, seed=seed, planted=True).formula)
-        totals["nodes"] += report.stats.nodes
-        totals["leaves"] += report.stats.leaves
-        for key, value in report.stats.rules.items():
-            totals[key] += value
+        _add_stats(totals, report.stats)
         polys.append(report.poly.to_pairs())
     assert totals == SCALE_COUNTS
     assert hashlib.sha256(json.dumps(polys).encode()).hexdigest() == SCALE_DIGEST
