@@ -131,6 +131,20 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
+def _add_solve_options(parser: argparse.ArgumentParser) -> None:
+    defaults = SolveOptions()
+    parser.add_argument("--base-threshold", type=_non_negative, default=defaults.base_threshold,
+                        help="Case 2 cuts above this many variables")
+    parser.add_argument("--seed", type=int, default=defaults.seed)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="x3hd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -139,8 +153,7 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("file")
     p_solve.add_argument("--json", action="store_true")
     p_solve.add_argument("--stats", action="store_true")
-    p_solve.add_argument("--base-threshold", type=int, default=16)
-    p_solve.add_argument("--seed", type=int, default=0)
+    _add_solve_options(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_oracle = sub.add_parser("oracle", help="brute-force reference solver")
@@ -152,8 +165,7 @@ def _build_parser() -> _Parser:
 
     p_diff = sub.add_parser("diff", help="run solver and oracle, compare")
     p_diff.add_argument("file")
-    p_diff.add_argument("--base-threshold", type=int, default=16)
-    p_diff.add_argument("--seed", type=int, default=0)
+    _add_solve_options(p_diff)
     p_diff.set_defaults(func=_cmd_diff)
 
     p_gen = sub.add_parser("gen", help="generate a random instance")

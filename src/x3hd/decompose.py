@@ -7,7 +7,8 @@ The clause graph and the component split read the state's class index
 graph. `ClauseGraph` adds only what the index lacks, the variables each
 edge's two classes share. Like the branching rules, the cut branch builds
 each child with one `simplify_fixpoint` call, and the base case rewrites
-nothing: it takes one `pair_sum` over all of V.
+nothing: it takes one `pair_sum` over all of V, on the solution rows the
+solver may already have enumerated.
 """
 
 from __future__ import annotations
@@ -174,8 +175,10 @@ def branch_cut_variables(
     return build_children(simplify_fixpoint, st, lists, counts, debug)
 
 
-def brute_force_base(st: PairState) -> HDPoly:
-    """Exact evaluation of a small state: p_main times the weighted
-    `pair_sum` over the side solutions on V, in which a variable in no
-    clause takes every value its forced values allow."""
-    return st.p_main * pair_sum(st.clauses, st.fixed, sorted(st.V), st.weights)
+def brute_force_base(st: PairState, rows: list[list[int]] | None = None) -> HDPoly:
+    """Exact evaluation of a state with few solutions: p_main times the
+    weighted `pair_sum` over the side solutions on sorted(V), in which a
+    variable in no clause takes every value its forced values allow.
+    `rows` are those solutions as `model.solution_rows` lists them, when
+    the caller has enumerated them already to see whether they are few."""
+    return st.p_main * pair_sum(st.clauses, st.fixed, sorted(st.V), st.weights, rows)

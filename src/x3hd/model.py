@@ -21,11 +21,14 @@ other reader goes through one of the two: `pair_sum`, the shape table in
 clause-splitting branches in `branching`, and `clause_unsatisfiable` on a
 clause that repeats a free variable.
 `pair_sum` is the one weighted sum over solution pairs, for the base case
-and for case (vi) block elimination. It enumerates side 0, and side 1
-only when the two sides differ in a sign, a constant or a forced value;
-it adds every pair's weight, as ints, into one degree -> coefficient dict
-and builds one polynomial from it at the end. With one enumeration for
-both sides it measures each unordered pair of solutions once.
+and for case (vi) block elimination. Its rows come from `solution_rows`:
+side 0's, and side 1's only when the two sides differ in a sign, a
+constant or a forced value. The solver enumerates them itself, with a
+limit on the rows per side, to see whether a state is worth finishing,
+and hands them on. `pair_sum` adds every pair's weight, as ints, into
+one degree -> coefficient dict and builds one polynomial from it at the
+end. With one enumeration for both sides it measures each unordered pair
+of solutions once.
 
 Class index: every branching case and the Case 2 decomposition read one
 structure of a state, its dissimilar clause classes and the variables
@@ -91,6 +94,16 @@ def true_positions(
     None are the clause's local solutions, each given once. An entry may be
     0: test entries with `is not None`, never for truth.
     """
+    seen = negated = 0
+    for p in clause:
+        if p < 4 or p >> 2 in fixed or seen & bit[p >> 2]:
+            break
+        seen |= bit[p >> 2]
+        if p >> side & 1:
+            negated |= bit[p >> 2]
+    else:
+        # distinct free variables: position pos flips its own literal's bit
+        return [negated ^ bit[p >> 2] for p in clause]
     out: list[int | None] = []
     for pos in range(len(clause)):
         cc = vv = 0
@@ -164,8 +177,12 @@ def clause_unsatisfiable(
 
 
 def side_solutions(
-    clauses: Sequence[Clause], fixed: Mapping[int, int], variables: Sequence[int], side: int
-) -> list[int]:
+    clauses: Sequence[Clause],
+    fixed: Mapping[int, int],
+    variables: Sequence[int],
+    side: int,
+    limit: int | None = None,
+) -> list[int] | None:
     """Assignments to `variables` that satisfy every clause on `side` and
     agree with `fixed`, each produced once as an int mask whose bit t holds
     the value of variables[t]. `variables` must cover every clause variable
@@ -177,7 +194,12 @@ def side_solutions(
     variables) and the value masks of its true positions
     (`true_positions`). The clauses fold left to right: a partial row v
     joins a clause value vv exactly when they agree on the bits both care
-    about: (v ^ vv) & care & clause_care == 0.
+    about, v & shared == vv & shared with shared = care & clause_care, so
+    each row looks its partners up among the values grouped by those bits.
+
+    With a `limit`, the enumeration stops and returns None as soon as a
+    partial fold, or the rows with the free variables added, hold more
+    than `limit` rows; otherwise the rows are those returned without it.
     """
     bit = {v: 1 << t for t, v in enumerate(variables)}
     care = 0
@@ -187,11 +209,18 @@ def side_solutions(
         for p in clause:
             if p >= 4:
                 clause_care |= bit.get(p >> 2, 0)
-        options = [vv for vv in true_positions(clause, fixed, side, bit) if vv is not None]
         shared = care & clause_care
-        rows = [v | vv for v in rows for vv in options if not (v ^ vv) & shared]
+        joins: dict[int, list[int]] = {}
+        for vv in true_positions(clause, fixed, side, bit):
+            if vv is not None:
+                joins.setdefault(vv & shared, []).append(vv)
+        if limit is not None and not shared and len(rows) * len(joins.get(0, ())) > limit:
+            return None
+        rows = [v | vv for v in rows for vv in joins.get(v & shared, ())]
         if not rows:
             return []
+        if limit is not None and len(rows) > limit:
+            return None
         care |= clause_care
     for v, m in bit.items():
         if care & m:
@@ -200,7 +229,29 @@ def side_solutions(
             rows += [row | m for row in rows]
         elif fixed[v]:
             rows = [row | m for row in rows]
+    if limit is not None and len(rows) > limit:
+        return None
     return rows
+
+
+def solution_rows(
+    clauses: Sequence[Clause],
+    fixed: tuple[Mapping[int, int], Mapping[int, int]],
+    variables: Sequence[int],
+    limit: int | None = None,
+) -> list[list[int]] | None:
+    """Each side's `side_solutions` on `variables`, as the list `pair_sum`
+    reads: side 0's rows alone when the sides agree (`sides_agree`), else
+    side 0's and side 1's. None as soon as a side holds more than `limit`
+    rows; side 1 is then not enumerated, nor are the sides compared."""
+    out = [side_solutions(clauses, fixed[0], variables, 0, limit)]
+    if out[0] is None:
+        return None
+    if not sides_agree(clauses, fixed):
+        out.append(side_solutions(clauses, fixed[1], variables, 1, limit))
+        if out[1] is None:
+            return None
+    return out
 
 
 @dataclass(frozen=True)
@@ -271,10 +322,13 @@ def pair_sum(
     fixed: tuple[Mapping[int, int], Mapping[int, int]],
     variables: Sequence[int],
     weights: Mapping[int, WeightTable],
+    rows: list[list[int]] | None = None,
 ) -> HDPoly:
     """The sum, over every pair of a side-0 and a side-1 solution b0, b1 on
     `variables` (see `side_solutions`), of the product over v of
-    weights[v][2*b0[v] + b1[v]].
+    weights[v][2*b0[v] + b1[v]]. `rows` are the solutions as
+    `solution_rows` lists them, passed by a caller that has enumerated them
+    already; by default they are enumerated here.
 
     The solutions are int masks with bit t holding variables[t]. A variable
     whose table is PRISTINE (the object itself) contributes u exactly where
@@ -308,11 +362,13 @@ def pair_sum(
         else:
             tabled.append((t, [tuple(entry.terms().items()) for entry in table]))
             transposable = transposable and table[1] == table[2]
-    symmetric = sides_agree(clauses, fixed)
+    if rows is None:
+        rows = solution_rows(clauses, fixed, variables)
+    symmetric = len(rows) == 1
     groups: list[list[tuple[int, list[int]]]] = []
-    for side in (0,) if symmetric else (0, 1):
+    for side_rows in rows:
         grouped: dict[int, list[int]] = {}
-        for row in side_solutions(clauses, fixed[side], variables, side):
+        for row in side_rows:
             grouped.setdefault(row & ~plain_mask, []).append(row & plain_mask)
         groups.append(list(grouped.items()))
     halve = symmetric and transposable

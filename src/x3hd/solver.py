@@ -6,6 +6,13 @@ rule and searches each child, dead (None) or not, through `_node`. A
 skipped mirror child's slot holds its twin's own entry (`branching` module
 docstring), searched once and counted once per slot, so `SolveStats` keeps
 counting the logical tree.
+
+A state that would branch (`case1_v`, `case1_vi2`, `case1_vi3`,
+`case1_vii`, or a Case 2 cut above `base_threshold` variables) is first
+offered to `_finish`: when each side has at most `FINISH_ROWS` solutions,
+one `pair_sum` over them costs less than building and searching the
+children, whatever the number of variables. A finished state is a base
+case of the tree.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .decompose import (
     connected_components,
 )
 from .errors import InternalError
-from .model import Formula, PairState, check_state, initial_state, mirror
+from .model import Formula, PairState, check_state, initial_state, mirror, solution_rows
 from .poly import ZERO, HDPoly
 from .simplify import simplify_fixpoint
 
@@ -54,9 +61,23 @@ RULE_KEYS = (
     "base",
 )
 
+# The most solutions a side may have for `_finish` to sum a state that
+# would branch. Timed per node both ways, one `pair_sum` beat the branch
+# up to about 90 rows a side (70 x 70 rows: 0.77 vs 1.83 ms) and lost from
+# about 124 (374 x 374: 15.5 vs 2.2 ms), whatever the variable count.
+# 0 turns the finish off, which leaves the paper's recursion alone.
+FINISH_ROWS = 90
+
 
 @dataclass
 class SolveOptions:
+    """A connected state on which no Case 1 rule fires is cut (Case 2)
+    only above `base_threshold` variables, and is a base case otherwise; a
+    state that would branch may also be finished as a base case by its
+    solution count (`FINISH_ROWS`), whatever the threshold. `seed` seeds
+    the bisection; `debug` turns on the internal checks, which raise
+    InternalError."""
+
     base_threshold: int = 16
     seed: int = 0
     debug: bool = False
@@ -74,6 +95,10 @@ class SolveStats:
     included. `mirrored` counts the slots answered by an earlier sibling's
     search (a dead twin's mirror needs none and is not counted); it is not
     a rule.
+
+    A state finished by its few solutions instead of branched on is a base
+    case: it counts in `rules["base"]` and as one leaf, and the children it
+    was not branched into are not in the tree.
 
     `leaves` counts the leaves of the sequentialised search tree: sums add
     child leaf counts, independent component factors multiply them (as if
@@ -154,6 +179,35 @@ def _branch(rule, branched, children, opts, stats, depth) -> tuple[HDPoly, int]:
     return total, max(leaves, 1)
 
 
+def _finish(
+    st: PairState, opts: SolveOptions, stats: SolveStats, depth: int
+) -> tuple[HDPoly, int] | None:
+    """Finish a state that would branch as a base case when each side has
+    at most `FINISH_ROWS` solutions: the rows enumerated to see that they
+    fit go to `brute_force_base`, so nothing is enumerated twice, and the
+    state counts as `base`. None when a partial fold of a side exceeds the
+    cap; side 1 is enumerated only when the sides differ. Debug mode also
+    searches the state with the finish off, the paper's recursion below
+    it, and raises InternalError unless its polynomial is the same."""
+    global FINISH_ROWS
+    if not FINISH_ROWS:
+        return None
+    rows = solution_rows(st.clauses, st.fixed, sorted(st.V), FINISH_ROWS)
+    if rows is None:
+        return None
+    stats.rules["base"] += 1
+    poly = brute_force_base(st, rows)
+    if opts.debug:
+        cap, FINISH_ROWS = FINISH_ROWS, 0
+        try:
+            branched = _node(st, opts, SolveStats(), depth)[0]
+        finally:
+            FINISH_ROWS = cap
+        if branched != poly:
+            raise InternalError("a finished state's branch gives another polynomial")
+    return poly, 1
+
+
 def _node(
     st: PairState | None, opts: SolveOptions, stats: SolveStats, depth: int, part: bool = False
 ) -> tuple[HDPoly, int]:
@@ -168,8 +222,9 @@ def _node(
     no rule fired, each of its variables with all its classes and each
     class with all its neighbours, and it is connected, so
     `pick_high_degree_var`, `find_config` and `connected_components` would
-    find nothing on it either. Debug mode checks the fixpoint at every node
-    and re-runs those three on every part."""
+    find nothing on it either. Once detection has found a rule that builds
+    children, the state is offered to `_finish` first. Debug mode checks
+    the fixpoint at every node and re-runs those three on every part."""
     stats.nodes += 1
     if depth > stats.max_depth:
         stats.max_depth = depth
@@ -191,15 +246,18 @@ def _node(
         return _case2(st, opts, stats, depth)
 
     x = pick_high_degree_var(st)
+    config = find_config(st) if x is None else None
+    if isinstance(config, SemiIsolated) and len(config.J) <= 1:
+        children = [eliminate_semiisolated_1(st, config, stats.rules)]
+        return _branch("case1_vi1", 0, children, opts, stats, depth)
+    if x is not None or config is not None:
+        finished = _finish(st, opts, stats, depth)
+        if finished is not None:
+            return finished
     if x is not None:
         children = branch_high_degree_var(st, x, stats.rules, opts.debug)
         return _branch("case1_v", 1, children, opts, stats, depth)
-
-    config = find_config(st)
     if isinstance(config, SemiIsolated):
-        if len(config.J) <= 1:
-            children = [eliminate_semiisolated_1(st, config, stats.rules)]
-            return _branch("case1_vi1", 0, children, opts, stats, depth)
         if len(config.J) == 2:
             children = branch_semiisolated_2(st, config, stats.rules, opts.debug)
             return _branch("case1_vi2", 1, children, opts, stats, depth)
@@ -227,10 +285,13 @@ def _node(
 
 
 def _case2(st: PairState, opts: SolveOptions, stats: SolveStats, depth: int) -> tuple[HDPoly, int]:
-    """A connected state on which no Case 1 rule fires: cut branch above
-    `base_threshold` variables when its clause graph has two vertices to
-    bisect, else base case."""
+    """A connected state on which no Case 1 rule fires: above
+    `base_threshold` variables, `_finish`, else a cut branch when its
+    clause graph has two vertices to bisect; else the base case."""
     if len(st.V) > opts.base_threshold:
+        finished = _finish(st, opts, stats, depth)
+        if finished is not None:
+            return finished
         graph = build_clause_graph(st, opts.debug)
         if graph.n_vertices >= 2:
             bisection = balanced_bisection(graph, opts.seed)

@@ -174,6 +174,31 @@ def test_side_solutions_match_brute_force():
             assert _decoded_side_solutions(clauses, fixed, [2, 3], side) == expected
 
 
+def test_side_solutions_stop_past_their_limit():
+    # a limit gives the same rows when no partial fold, nor the rows with
+    # the free variables added, holds more; None from one row fewer
+    rng = random.Random(17)
+    for seed in range(40):
+        st = initial_state(generate(rng.randint(4, 12), rng.randint(1, 6), seed=seed).formula)
+        clauses = [tuple(p ^ rng.choice((0, 3)) for p in cl) for cl in st.clauses]
+        variables = sorted(st.V)
+        forced = {v: rng.randrange(2) for v in variables if rng.random() < 0.2}
+        for side in (0, 1):
+            rows = side_solutions(clauses, forced, variables, side)
+            # a partial fold holds the solutions of the clauses folded so
+            # far on the variables they hold
+            folds = [
+                len(side_solutions(clauses[:k], forced,
+                                   [v for v in variables if any(v in clause_vars(cl)
+                                                                for cl in clauses[:k])], side))
+                for k in range(1, len(clauses) + 1)
+            ]
+            widest = max(folds + [len(rows)])
+            for limit in range(widest + 2):
+                capped = side_solutions(clauses, forced, variables, side, limit)
+                assert capped == (rows if limit >= widest else None), (seed, side, limit)
+
+
 def test_pair_sum_conditions_on_a_forced_variable_left_out():
     # x1 forced to 1 on side 0 and 0 on side 1 but not listed: side 0 has
     # only x2 = x3 = 0, side 1 has (1, 0) and (0, 1), each one flip away
@@ -190,9 +215,9 @@ def test_pair_sum_enumerates_one_side_when_the_sides_agree(monkeypatch):
     # same side solutions, so one enumeration serves both
     sides = []
 
-    def counted(clauses, fixed, variables, side):
+    def counted(clauses, fixed, variables, side, *limit):
         sides.append(side)
-        return real(clauses, fixed, variables, side)
+        return real(clauses, fixed, variables, side, *limit)
 
     real = model.side_solutions
     monkeypatch.setattr(model, "side_solutions", counted)

@@ -187,9 +187,11 @@ def test_solve_restores_recursion_limit():
         sys.setrecursionlimit(saved)
 
 
-def test_dead_child_is_a_node_at_its_depth():
-    # the root fires case1_vii once and all six children are dead: each is
-    # a leaf one level below the root, counted in nodes and max_depth
+def test_dead_child_is_a_node_at_its_depth(monkeypatch):
+    # in the paper's recursion the root fires case1_vii once and all six
+    # children are dead: each is a leaf one level below the root, counted
+    # in nodes and max_depth
+    monkeypatch.setattr(x3hd.solver, "FINISH_ROWS", 0)
     f = Formula.from_dimacs([[4, -5, 9], [8, -5, 2], [3, 2, -9], [-6, -9, 1], [3, 7, -1],
                              [9, 6, -1]], 9)
     report = solve(f)
@@ -211,11 +213,11 @@ def test_free_variables_fold_in_closed_form():
 # too). They pin the search tree: a change that only lowers the cost per
 # node keeps every one of them.
 SEARCH_COUNTS = {
-    "nodes": 573, "leaves": 411, "max_depth": 72, "branched_vars": 61, "mirrored": 33,
-    "case1_i": 91, "dedup": 175, "case1_ii": 3164, "case1_iii": 2371,
-    "case1_iv": 322, "case1_v": 10, "case1_vi1": 0, "case1_vi2": 0,
-    "case1_vi3": 0, "case1_vii": 17, "prop3_fallback": 0, "case2_split": 0,
-    "component_split": 63, "base": 280,
+    "nodes": 419, "leaves": 315, "max_depth": 43, "branched_vars": 9, "mirrored": 5,
+    "case1_i": 68, "dedup": 173, "case1_ii": 2756, "case1_iii": 1730,
+    "case1_iv": 312, "case1_v": 0, "case1_vi1": 0, "case1_vi2": 0,
+    "case1_vi3": 0, "case1_vii": 3, "prop3_fallback": 0, "case2_split": 0,
+    "component_split": 46, "base": 217,
 }
 
 
@@ -240,11 +242,11 @@ def test_search_counts_are_pinned():
 # one digest of the polynomials: clause lists longer than the benchmark
 # pools' keep the same search tree and answers.
 SCALE_COUNTS = {
-    "nodes": 514, "leaves": 161, "max_depth": 14, "branched_vars": 122, "mirrored": 11,
-    "case1_i": 83, "dedup": 4, "case1_ii": 509, "case1_iii": 900,
+    "nodes": 504, "leaves": 157, "max_depth": 14, "branched_vars": 116, "mirrored": 11,
+    "case1_i": 81, "dedup": 4, "case1_ii": 499, "case1_iii": 880,
     "case1_iv": 6, "case1_v": 8, "case1_vi1": 0, "case1_vi2": 0,
-    "case1_vi3": 0, "case1_vii": 38, "prop3_fallback": 0, "case2_split": 0,
-    "component_split": 74, "base": 311,
+    "case1_vi3": 0, "case1_vii": 36, "prop3_fallback": 0, "case2_split": 0,
+    "component_split": 72, "base": 307,
 }
 SCALE_DIGEST = "d2ab285aa80eb054018ce3b27b63e130ea5ca89e1a8bd93672259447152994a2"
 
@@ -261,8 +263,9 @@ def test_search_counts_are_pinned_at_scale():
 
 
 # Inputs on which a rule that neither benchmark pool fires is reached
-# through solve(); the first two are generate(13, 9, seed=2452,
-# planted=True) and generate(13, 8, seed=2874, planted=True), the
+# through solve() in the paper's recursion (`solver.FINISH_ROWS` = 0); the
+# first two are generate(13, 9, seed=2452, planted=True) and
+# generate(13, 8, seed=2874, planted=True), the
 # case1_vi2 ones generate(9, 6, seed=170, planted=True) and
 # generate(10, 7, seed=59, planted=False). The case1_vi3 one is built by
 # hand: class {1, 2, 3} has four neighbour classes and matches no case
@@ -283,7 +286,8 @@ RARE_RULE_INSTANCES = [
 ]
 
 
-def test_rare_rules_reached_through_solve():
+def test_rare_rules_reached_through_solve(monkeypatch):
+    monkeypatch.setattr(x3hd.solver, "FINISH_ROWS", 0)
     for rule, n, clauses in RARE_RULE_INSTANCES:
         f = Formula.from_dimacs(clauses, n)
         report = solve(f)
@@ -291,24 +295,97 @@ def test_rare_rules_reached_through_solve():
         assert report.poly == hd_oracle(f), (rule, clauses)
 
 
-def test_debug_mode_confirms_skipped_fixpoints():
+def test_debug_mode_confirms_skipped_fixpoints(monkeypatch):
     # _node takes every state at its fixpoint; debug mode re-runs the
-    # fixpoint at each node and raises if one was not at its fixpoint
+    # fixpoint at each node and raises if one was not at its fixpoint. The
+    # paper's recursion (`FINISH_ROWS` = 0) reaches the branching rules,
+    # and the default cap reaches the finish as well
     formulas = [Formula.from_dimacs(clauses, n) for _, n, clauses in RARE_RULE_INSTANCES]
     formulas += [generate(n, m, seed=s, planted=True).formula
                  for n in range(12, 22) for m in range(5, 11) for s in range(3)]
     reached = mirrored = 0
     for f in formulas:
-        debug = solve(f, SolveOptions(debug=True))
-        release = solve(f)
-        assert debug.poly == release.poly
-        assert debug.stats.as_dict() == release.stats.as_dict()
+        for rows in (x3hd.solver.FINISH_ROWS, 0):
+            monkeypatch.setattr(x3hd.solver, "FINISH_ROWS", rows)
+            debug = solve(f, SolveOptions(debug=True))
+            release = solve(f)
+            assert debug.poly == release.poly
+            assert debug.stats.as_dict() == release.stats.as_dict()
         rules = debug.stats.rules
         reached += any(rules[k] for k in ("case1_v", "case1_vi2", "case1_vii", "component_split"))
         mirrored += debug.stats.mirrored
     assert reached >= 30
     # debug mode also built every skipped child and searched its twin's mirror
     assert mirrored > 0
+
+
+def _count_finishes(monkeypatch, perturb=ZERO):
+    """Wrap the solver's `brute_force_base` to count the calls a finish
+    makes, the ones given the rows it enumerated, and add `perturb` to
+    their results; returns the one-item count list."""
+    real = x3hd.solver.brute_force_base
+    finished = [0]
+
+    def counting(st, rows=None):
+        if rows is None:
+            return real(st)
+        finished[0] += 1
+        return real(st, rows) + perturb
+
+    monkeypatch.setattr(x3hd.solver, "brute_force_base", counting)
+    return finished
+
+
+def _finish_formulas():
+    return [Formula.from_dimacs(clauses, n) for _, n, clauses in RARE_RULE_INSTANCES] + [
+        generate(n, n // 3, seed=s, planted=s % 2 == 0).formula
+        for n in range(12, 25) for s in range(8)
+    ]
+
+
+def test_finish_equals_the_oracle(monkeypatch):
+    finished = _count_finishes(monkeypatch)
+    for f in _finish_formulas():
+        assert solve(f).poly == hd_oracle(f)
+    assert finished[0] >= 25
+
+
+def test_finish_keeps_the_papers_polynomial(monkeypatch):
+    finished = _count_finishes(monkeypatch)
+    formulas = [generate(n, n // 3, seed=s, planted=True).formula
+                for n in range(24, 37) for s in range(3)]
+    polys = [solve(f).poly for f in formulas]
+    assert finished[0] >= 10
+    monkeypatch.setattr(x3hd.solver, "FINISH_ROWS", 0)
+    assert [solve(f).poly for f in formulas] == polys
+
+
+def test_the_row_cap_alone_turns_the_finish_on(monkeypatch):
+    # the cap does not depend on base_threshold: the finish fires at every
+    # threshold, and at none once the cap is 0
+    finished = _count_finishes(monkeypatch)
+    formulas = _finish_formulas()[:12]
+    expected = [hd_oracle(f) for f in formulas]
+    for base_threshold in (0, 3, 16):
+        opts = SolveOptions(base_threshold=base_threshold)
+        finished[0] = 0
+        assert [solve(f, opts).poly for f in formulas] == expected
+        assert finished[0] > 0, base_threshold
+    monkeypatch.setattr(x3hd.solver, "FINISH_ROWS", 0)
+    finished[0] = 0
+    for base_threshold in (0, 3, 16):
+        opts = SolveOptions(base_threshold=base_threshold)
+        assert [solve(f, opts).poly for f in formulas] == expected
+    assert finished[0] == 0
+
+
+def test_debug_mode_catches_a_wrong_finish(monkeypatch):
+    # release mode returns what the finish gives; debug mode also searches
+    # the state with the finish off and objects
+    _count_finishes(monkeypatch, perturb=U)
+    f = next(f for f in _finish_formulas() if solve(f).poly != hd_oracle(f))
+    with pytest.raises(InternalError, match="finished"):
+        solve(f, SolveOptions(debug=True))
 
 
 def test_debug_mode_checks_every_part(monkeypatch):
@@ -346,6 +423,7 @@ def _perturbed_mirror(state):
 def test_debug_mode_catches_a_wrong_mirror(monkeypatch, module):
     # branching checks each skipped child against its twin's mirror, and
     # the solver searches that mirror against the twin
+    monkeypatch.setattr(x3hd.solver, "FINISH_ROWS", 0)
     f = next(f for f in (generate(n, n // 3, seed=s, planted=True).formula
                          for n in range(24, 37) for s in range(5))
              if solve(f).stats.mirrored > 0)

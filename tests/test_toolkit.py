@@ -214,6 +214,33 @@ def test_cli_usage_errors_exit_one():
     assert code == 1 and "cannot read" in err
 
 
+def test_cli_base_threshold_defaults_to_the_library_and_is_not_negative(tmp_path, monkeypatch):
+    import x3hd.cli as cli
+    from x3hd.solver import SolveOptions
+
+    path = tmp_path / "example.x3s"
+    path.write_text(EXAMPLE_TEXT)
+    seen = []
+
+    def recording_solve(f, opts=None):
+        seen.append(opts)
+        return solve(f, opts)
+
+    solve = cli.solve
+    monkeypatch.setattr(cli, "solve", recording_solve)
+    for command in ("solve", "diff"):
+        seen.clear()
+        assert run_cli([command, str(path)])[0] == 0
+        assert seen == [SolveOptions()]
+        seen.clear()
+        assert run_cli([command, str(path), "--base-threshold", "0"])[0] == 0
+        assert seen == [SolveOptions(base_threshold=0)]
+        code, out, err = run_cli([command, str(path), "--base-threshold", "-1"])
+        assert code == 1 and not out and "--base-threshold: -1 is negative" in err
+        code, _, err = run_cli([command, str(path), "--base-threshold", "x"])
+        assert code == 1 and "--base-threshold" in err
+
+
 def test_cli_parse_error_reports_line(tmp_path):
     path = tmp_path / "broken.x3s"
     path.write_text("p x3sat 2 1\n1 2 3 4 0\n")
