@@ -9,17 +9,17 @@ counting the logical tree.
 
 A state that would branch (`case1_v`, `case1_vi2`, `case1_vi3`,
 `case1_vii`, or a Case 2 cut above `base_threshold` variables) is first
-offered to `_finish`: when each side has at most `FINISH_ROWS` solutions,
-one `pair_sum` over them costs less than building and searching the
-children, whatever the number of variables. A finished state is a base
-case of the tree.
+offered to `_finish`: when each side has at most
+`SolveOptions.finish_rows` solutions, one `pair_sum` over them costs less
+than building and searching the children, whatever the number of
+variables. A finished state is a base case of the tree.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .branching import (
     SemiIsolated,
@@ -61,26 +61,25 @@ RULE_KEYS = (
     "base",
 )
 
-# The most solutions a side may have for `_finish` to sum a state that
-# would branch. Timed per node both ways, one `pair_sum` beat the branch
-# up to about 90 rows a side (70 x 70 rows: 0.77 vs 1.83 ms) and lost from
-# about 124 (374 x 374: 15.5 vs 2.2 ms), whatever the variable count.
-# 0 turns the finish off, which leaves the paper's recursion alone.
-FINISH_ROWS = 90
 
-
-@dataclass
+@dataclass(frozen=True)
 class SolveOptions:
     """A connected state on which no Case 1 rule fires is cut (Case 2)
     only above `base_threshold` variables, and is a base case otherwise; a
-    state that would branch may also be finished as a base case by its
-    solution count (`FINISH_ROWS`), whatever the threshold. `seed` seeds
-    the bisection; `debug` turns on the internal checks, which raise
-    InternalError."""
+    state that would branch may also be finished as a base case when each
+    side has at most `finish_rows` solutions, whatever the threshold, and
+    `finish_rows=0` leaves the paper's recursion alone. `seed` seeds the
+    bisection; `debug` turns on the internal checks, which raise
+    InternalError. Frozen: no solve and no caller changes an option in the
+    middle of a search."""
 
     base_threshold: int = 16
     seed: int = 0
     debug: bool = False
+    # Timed per node both ways, one `pair_sum` beat the branch up to about
+    # 90 rows a side (70 x 70 rows: 0.77 vs 1.83 ms) and lost from about
+    # 124 (374 x 374: 15.5 vs 2.2 ms), whatever the variable count.
+    finish_rows: int = 90
 
 
 @dataclass
@@ -183,26 +182,22 @@ def _finish(
     st: PairState, opts: SolveOptions, stats: SolveStats, depth: int
 ) -> tuple[HDPoly, int] | None:
     """Finish a state that would branch as a base case when each side has
-    at most `FINISH_ROWS` solutions: the rows enumerated to see that they
-    fit go to `brute_force_base`, so nothing is enumerated twice, and the
-    state counts as `base`. None when a partial fold of a side exceeds the
-    cap; side 1 is enumerated only when the sides differ. Debug mode also
-    searches the state with the finish off, the paper's recursion below
-    it, and raises InternalError unless its polynomial is the same."""
-    global FINISH_ROWS
-    if not FINISH_ROWS:
+    at most `opts.finish_rows` solutions: the rows enumerated to see that
+    they fit go to `brute_force_base`, so nothing is enumerated twice, and
+    the state counts as `base`. None when a partial fold of a side exceeds
+    the cap; side 1 is enumerated only when the sides differ. Debug mode
+    also searches the state with the finish off, through a copy of `opts`,
+    the paper's recursion below it, and raises InternalError unless its
+    polynomial is the same."""
+    if not opts.finish_rows:
         return None
-    rows = solution_rows(st.clauses, st.fixed, sorted(st.V), FINISH_ROWS)
+    rows = solution_rows(st.clauses, st.fixed, sorted(st.V), opts.finish_rows)
     if rows is None:
         return None
     stats.rules["base"] += 1
     poly = brute_force_base(st, rows)
     if opts.debug:
-        cap, FINISH_ROWS = FINISH_ROWS, 0
-        try:
-            branched = _node(st, opts, SolveStats(), depth)[0]
-        finally:
-            FINISH_ROWS = cap
+        branched = _node(st, replace(opts, finish_rows=0), SolveStats(), depth)[0]
         if branched != poly:
             raise InternalError("a finished state's branch gives another polynomial")
     return poly, 1
@@ -303,8 +298,10 @@ def _case2(st: PairState, opts: SolveOptions, stats: SolveStats, depth: int) -> 
 
 def mhd(st: PairState, opts: SolveOptions | None = None) -> tuple[HDPoly, SolveStats]:
     """Evaluate a recursion state exactly; returns the polynomial together
-    with the search statistics. The recursion limit is raised for the
-    search and restored on return."""
+    with the search statistics. The interpreter's recursion limit is raised
+    to at least 20000 for the search and restored on return. That limit is
+    process-wide: while a solve runs, every thread of the process sees the
+    raised value."""
     opts = opts or SolveOptions()
     stats = SolveStats()
     limit = sys.getrecursionlimit()

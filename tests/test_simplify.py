@@ -443,7 +443,7 @@ def _snapshot(st):
 def _fixpoint_inputs(monkeypatch, seeds):
     """Every state the solver hands to `simplify_fixpoint` while solving
     `generate(n, n // 3 + s % 5, seed=s)` for s in `seeds` with the
-    paper's recursion alone (`solver.FINISH_ROWS` = 0); each call is
+    paper's recursion alone (`finish_rows=0`); each call is
     checked to leave its input unchanged."""
     inputs = []
 
@@ -457,10 +457,10 @@ def _fixpoint_inputs(monkeypatch, seeds):
     with monkeypatch.context() as patch:
         for module in (x3hd.solver, x3hd.branching, x3hd.decompose):
             patch.setattr(module, "simplify_fixpoint", recording_fixpoint)
-        patch.setattr(x3hd.solver, "FINISH_ROWS", 0)
         for seed in seeds:
             n = 10 + seed % 12
-            x3hd.solver.solve(generate(n, n // 3 + seed % 5, seed=seed, planted=seed % 2 == 0).formula)
+            f = generate(n, n // 3 + seed % 5, seed=seed, planted=seed % 2 == 0).formula
+            x3hd.solver.solve(f, x3hd.solver.SolveOptions(finish_rows=0))
     return inputs
 
 

@@ -2,7 +2,8 @@ import hashlib
 import json
 import random
 import sys
-from dataclasses import replace
+from collections import Counter
+from dataclasses import FrozenInstanceError, replace
 from math import comb
 
 import pytest
@@ -187,14 +188,13 @@ def test_solve_restores_recursion_limit():
         sys.setrecursionlimit(saved)
 
 
-def test_dead_child_is_a_node_at_its_depth(monkeypatch):
+def test_dead_child_is_a_node_at_its_depth():
     # in the paper's recursion the root fires case1_vii once and all six
     # children are dead: each is a leaf one level below the root, counted
     # in nodes and max_depth
-    monkeypatch.setattr(x3hd.solver, "FINISH_ROWS", 0)
     f = Formula.from_dimacs([[4, -5, 9], [8, -5, 2], [3, 2, -9], [-6, -9, 1], [3, 7, -1],
                              [9, 6, -1]], 9)
-    report = solve(f)
+    report = solve(f, SolveOptions(finish_rows=0))
     assert report.poly.is_zero() and hd_oracle(f).is_zero()
     stats = report.stats
     assert (stats.nodes, stats.leaves, stats.max_depth) == (7, 6, 1)
@@ -263,7 +263,7 @@ def test_search_counts_are_pinned_at_scale():
 
 
 # Inputs on which a rule that neither benchmark pool fires is reached
-# through solve() in the paper's recursion (`solver.FINISH_ROWS` = 0); the
+# through solve() in the paper's recursion (`finish_rows=0`); the
 # first two are generate(13, 9, seed=2452, planted=True) and
 # generate(13, 8, seed=2874, planted=True), the
 # case1_vi2 ones generate(9, 6, seed=170, planted=True) and
@@ -286,29 +286,27 @@ RARE_RULE_INSTANCES = [
 ]
 
 
-def test_rare_rules_reached_through_solve(monkeypatch):
-    monkeypatch.setattr(x3hd.solver, "FINISH_ROWS", 0)
+def test_rare_rules_reached_through_solve():
     for rule, n, clauses in RARE_RULE_INSTANCES:
         f = Formula.from_dimacs(clauses, n)
-        report = solve(f)
+        report = solve(f, SolveOptions(finish_rows=0))
         assert report.stats.rules[rule] >= 1, (rule, clauses)
         assert report.poly == hd_oracle(f), (rule, clauses)
 
 
-def test_debug_mode_confirms_skipped_fixpoints(monkeypatch):
+def test_debug_mode_confirms_skipped_fixpoints():
     # _node takes every state at its fixpoint; debug mode re-runs the
     # fixpoint at each node and raises if one was not at its fixpoint. The
-    # paper's recursion (`FINISH_ROWS` = 0) reaches the branching rules,
+    # paper's recursion (`finish_rows=0`) reaches the branching rules,
     # and the default cap reaches the finish as well
     formulas = [Formula.from_dimacs(clauses, n) for _, n, clauses in RARE_RULE_INSTANCES]
     formulas += [generate(n, m, seed=s, planted=True).formula
                  for n in range(12, 22) for m in range(5, 11) for s in range(3)]
     reached = mirrored = 0
     for f in formulas:
-        for rows in (x3hd.solver.FINISH_ROWS, 0):
-            monkeypatch.setattr(x3hd.solver, "FINISH_ROWS", rows)
-            debug = solve(f, SolveOptions(debug=True))
-            release = solve(f)
+        for rows in (SolveOptions().finish_rows, 0):
+            debug = solve(f, SolveOptions(debug=True, finish_rows=rows))
+            release = solve(f, SolveOptions(finish_rows=rows))
             assert debug.poly == release.poly
             assert debug.stats.as_dict() == release.stats.as_dict()
         rules = debug.stats.rules
@@ -356,8 +354,7 @@ def test_finish_keeps_the_papers_polynomial(monkeypatch):
                 for n in range(24, 37) for s in range(3)]
     polys = [solve(f).poly for f in formulas]
     assert finished[0] >= 10
-    monkeypatch.setattr(x3hd.solver, "FINISH_ROWS", 0)
-    assert [solve(f).poly for f in formulas] == polys
+    assert [solve(f, SolveOptions(finish_rows=0)).poly for f in formulas] == polys
 
 
 def test_the_row_cap_alone_turns_the_finish_on(monkeypatch):
@@ -371,10 +368,9 @@ def test_the_row_cap_alone_turns_the_finish_on(monkeypatch):
         finished[0] = 0
         assert [solve(f, opts).poly for f in formulas] == expected
         assert finished[0] > 0, base_threshold
-    monkeypatch.setattr(x3hd.solver, "FINISH_ROWS", 0)
     finished[0] = 0
     for base_threshold in (0, 3, 16):
-        opts = SolveOptions(base_threshold=base_threshold)
+        opts = SolveOptions(base_threshold=base_threshold, finish_rows=0)
         assert [solve(f, opts).poly for f in formulas] == expected
     assert finished[0] == 0
 
@@ -386,6 +382,34 @@ def test_debug_mode_catches_a_wrong_finish(monkeypatch):
     f = next(f for f in _finish_formulas() if solve(f).poly != hd_oracle(f))
     with pytest.raises(InternalError, match="finished"):
         solve(f, SolveOptions(debug=True))
+
+
+def test_solve_changes_no_module_global_and_no_option(monkeypatch):
+    # a finish's debug check searches the state again with the finish off
+    # through a copy of the options: every base case of a debug solve, the
+    # check's own included, sees the solver module and the caller's
+    # options as they were before the solve
+    real = x3hd.solver.brute_force_base
+    opts = SolveOptions(debug=True)
+
+    def module_globals():
+        return {k: v for k, v in vars(x3hd.solver).items() if k != "brute_force_base"}
+
+    before = module_globals()
+    calls = Counter()
+
+    def checking(st, rows=None):
+        assert module_globals() == before
+        assert opts == SolveOptions(debug=True)
+        calls["base" if rows is None else "finish"] += 1
+        return real(st, rows)
+
+    monkeypatch.setattr(x3hd.solver, "brute_force_base", checking)
+    for f in _finish_formulas():
+        solve(f, opts)
+    assert calls["finish"] >= 25 and calls["base"] > 0
+    with pytest.raises(FrozenInstanceError):
+        opts.finish_rows = 0
 
 
 def test_debug_mode_checks_every_part(monkeypatch):
@@ -423,13 +447,13 @@ def _perturbed_mirror(state):
 def test_debug_mode_catches_a_wrong_mirror(monkeypatch, module):
     # branching checks each skipped child against its twin's mirror, and
     # the solver searches that mirror against the twin
-    monkeypatch.setattr(x3hd.solver, "FINISH_ROWS", 0)
+    paper = SolveOptions(finish_rows=0)
     f = next(f for f in (generate(n, n // 3, seed=s, planted=True).formula
                          for n in range(24, 37) for s in range(5))
-             if solve(f).stats.mirrored > 0)
+             if solve(f, paper).stats.mirrored > 0)
     monkeypatch.setattr(module, "mirror", _perturbed_mirror)
     with pytest.raises(InternalError):
-        solve(f, SolveOptions(debug=True))
+        solve(f, replace(paper, debug=True))
 
 
 def test_reuse_keeps_every_count_but_mirrored(monkeypatch):
