@@ -57,12 +57,12 @@ def build_clause_graph(st: PairState, debug: bool = False) -> ClauseGraph:
 
 def connected_components(st: PairState) -> list[PairState]:
     """Split the state into variable-disjoint sub-states along the class
-    graph, each keeping its clauses in the parent's order. Sub-states start
-    with p_main = 1; the caller multiplies the sub-results with the
-    parent's p_main. Variables in no clause stay with the parent; a clause
-    with no variable (none is left at a fixpoint) is a sub-state of its
-    own."""
-    classes, class_vars, var_to_classes, neighbours = st.index()
+    graph, each a new state that keeps its clauses in the parent's order
+    and starts with p_main = 1; the caller multiplies the sub-results with
+    the parent's p_main. Variables in no clause stay with the parent; a
+    clause with no variable (none is left at a fixpoint) is a sub-state of
+    its own."""
+    classes, class_vars, _, neighbours = st.index()
     f0, f1 = st.fixed
     seen: set[int] = set()
     out = []
@@ -76,10 +76,6 @@ def connected_components(st: PairState) -> list[PairState]:
                 if q not in seen:
                     seen.add(q)
                     group.append(q)
-        if len(group) == len(classes) and var_to_classes and len(var_to_classes) == len(st.V):
-            # one component holding every variable: share the parent's
-            # clauses and dicts, which no state writes
-            return [PairState(st.clauses, st.fixed, ONE, st.weights)]
         order = sorted({v for k in group for v in class_vars[k]})
         indices = sorted(idx for k in group for idx in classes[k])
         for part in [indices] if order else [[idx] for idx in indices]:

@@ -8,8 +8,8 @@ to the zero polynomial.
 Priority inside the fixpoint: unsatisfiable clause detection, duplicate
 clause removal, elimination of variables (case1_ii: fix a variable
 forced on both sides, fold those in no clause into p_main),
-small-clause normalisation, then resolution of clause pairs sharing
-exactly two variables.
+resolution of a clause with at most two variables (case1_iii), then of
+clause pairs sharing exactly two variables (case1_iv).
 
 Every rewrite is a method of `_Work`: a mutable working copy of a
 `PairState` that the method edits in place. In the package,
@@ -38,10 +38,12 @@ earlier rule fires. Variables in no clause fold into p_main in one step:
 grouped by weight table and forced values, each group's factor summed
 once, or for a table shared by many variables read from a table built at
 import (`_FACTORS`).
-Small clauses and shared pairs are classified once per shape, up to the
-names of their variables (`_SHAPES`), by one function (`_classify`) from
-each side's `side_solutions` rows, which read `model.true_positions`, the
-one enumeration of a clause's true literal.
+Cases (iii) and (iv) take one path (`_Work.apply_shape`). The variables
+are renamed 1, 2, ... in naming order, the sorted variables of a small
+clause or a, b, w, z of a shared pair; each of the at most 149,340
+renamed shapes is classified once (`_SHAPES`) by `_classify` from each
+side's `side_solutions` rows, which read `model.true_positions`, the one
+enumeration of a clause's true literal.
 """
 
 from __future__ import annotations
@@ -63,10 +65,12 @@ from .model import (
 from .poly import ONE, ZERO, HDPoly
 
 
-def _values(forced: int | None) -> tuple[int, ...]:
-    """The values a variable may take on one side, given its forced value
-    there (None when free)."""
-    return (0, 1) if forced is None else (forced,)
+def _value_pairs(i: int | None, j: int | None) -> list[tuple[int, int]]:
+    """The (side 0, side 1) value pairs that forced values i and j (None
+    when free) allow, in the order (0,0), (0,1), (1,0), (1,1)."""
+    return [
+        (a, b) for a in ((0, 1) if i is None else (i,)) for b in ((0, 1) if j is None else (j,))
+    ]
 
 
 def _link_table(kept: WeightTable, dropped: WeightTable, pol1: int, pol2: int) -> WeightTable:
@@ -85,7 +89,7 @@ _PRISTINE_LINKS = tuple(_link_table(PRISTINE, PRISTINE, p1, p2) for p1 in (0, 1)
 
 def _fold_factor(table: WeightTable, i: int | None, j: int | None) -> HDPoly:
     """The sum of the table entries that forced values i and j allow."""
-    return sum(table[2 * a + b] for a in _values(i) for b in _values(j))
+    return sum(table[2 * a + b] for a, b in _value_pairs(i, j))
 
 
 # `fold`'s factor of each shared table (PRISTINE and the four link tables)
@@ -282,36 +286,35 @@ class _Work:
         self.substitute(drop, keep, pol1, pol2)
         return True
 
-    def apply_small(self, idx: int, action: SmallClauseAction) -> bool:
-        if action.unsat:
+    def apply_shape(self, clauses: Sequence[Clause], names: Sequence[int]) -> bool:
+        """Apply the action of `clauses` (`_shape`) under the real names:
+        the forces first, then the link, which keeps the smaller real
+        variable. False when unsatisfiable or on a contradiction."""
+        action = _shape(clauses, names)
+        real = (0, *names)
+        if action.unsat or not self.force([(side, real[v], val) for side, v, val in action.forces]):
             return False
+        link = action.link
+        return link is None or self.link(*sorted((real[link[0]], real[link[1]])), *link[2:])
+
+    def apply_small(self, idx: int) -> bool:
+        """Case (iii): drop slot idx, a clause with at most two variables,
+        and apply its action, its variables named in sorted order."""
+        clause, names = self.clauses[idx], sorted(self.varsets[idx])
         self.remove(idx)
-        return self.force(action.forces) and (action.link is None or self.link(*action.link))
+        return self.apply_shape((clause,), names)
 
     def resolve_pair(self, i: int, j: int) -> bool:
-        """Resolve two clauses (3 distinct variables each) sharing exactly
-        two variables, a < b: the clauses are renamed to one flat shape (a,
-        b, then the first clause's other variable w and the second's z, as
-        1, 2, 3, 4) and its action read from `_SHAPES`, classified from the
-        two clauses' solutions on a miss. The forces come first, then w and
-        z are always linked."""
-        ci, cj = self.clauses[i], self.clauses[j]
+        """Case (iv): resolve two clauses (3 distinct variables each) sharing
+        exactly two variables, a < b, by their action with the variables
+        named a, b, then the first clause's other variable w and the
+        second's z; the clauses stay."""
         vi, vj = self.varsets[i], self.varsets[j]
         shared = vi & vj
         if len(shared) != 2 or len(vi) != 3 or len(vj) != 3:
             raise InternalError("shared-pair resolution needs 3-variable clauses sharing 2")
-        a, b = sorted(shared)
-        (w,) = vi - shared
-        (z,) = vj - shared
-        names = {a: 4, b: 8, w: 12, z: 16}
-        shape = tuple([names[p >> 2] | p & 3 for p in ci + cj])
-        action = _SHAPES.get(shape)
-        if action is None:
-            action = _SHAPES[shape] = _classify((shape[:3], shape[3:]), True)
-        real = (0, a, b, w, z)
-        return self.force([(side, real[v], val) for side, v, val in action.forces]) and self.link(
-            *sorted((w, z)), *action.link[2:]
-        )
+        (w,), (z,) = vi - shared, vj - shared
+        return self.apply_shape((self.clauses[i], self.clauses[j]), (*sorted(shared), w, z))
 
     def shared_pair(self) -> tuple[int, int] | None:
         """The first slot pair (a, b), a < b, in lexicographic order whose
@@ -350,10 +353,9 @@ class _Work:
         else:
             old = weights[x]
             table = [ZERO] * 4
-            for i in _values(f0.get(x)):
-                for j in _values(f1.get(x)):
-                    total = pair_sum(touched, (f0 | {x: i}, f1 | {x: j}), ivars, weights)
-                    table[2 * i + j] = old[2 * i + j] * total
+            for i, j in _value_pairs(f0.get(x), f1.get(x)):
+                total = pair_sum(touched, (f0 | {x: i}, f1 | {x: j}), ivars, weights)
+                table[2 * i + j] = old[2 * i + j] * total
             weights[x] = tuple(table)
         for k in slots:
             self.remove(k)
@@ -367,34 +369,29 @@ class _Work:
 
 
 def value_combos(st: PairState, x: int) -> list[tuple[int, int]]:
-    """The (side 0, side 1) value pairs for x consistent with its forced
-    values, in the fixed order (0,0), (0,1), (1,0), (1,1)."""
-    f0, f1 = st.fixed
-    return [(i, j) for i in _values(f0.get(x)) for j in _values(f1.get(x))]
+    """The value pairs that x's forced values allow (`_value_pairs`)."""
+    return _value_pairs(st.fixed[0].get(x), st.fixed[1].get(x))
 
 
 class SmallClauseAction(NamedTuple):
-    """Joint effect of a pair clause with at most two distinct variables,
-    or of two clauses sharing two variables (case (iv)).
-
-    A small clause is always dropped unless unsat; a shared pair keeps its
-    clauses. Forces are (side, variable, value) records with side 0 or 1;
-    the link, when present, carries a per-side polarity (value(drop) =
-    value(keep) ^ pol).
-    """
+    """The joint action of a clause with at most two variables (case (iii))
+    or of two clauses sharing two (case (iv)): forces are (side, variable,
+    value) records, and the link, when present, carries a per-side
+    polarity (value(drop) = value(keep) ^ pol)."""
 
     unsat: bool
     forces: tuple[tuple[int, int, int], ...] = ()
     link: tuple[int, int, int, int] | None = None
 
 
-def _classify(clauses: Sequence[Clause], link: bool) -> SmallClauseAction:
+def _classify(clauses: Sequence[Clause]) -> SmallClauseAction:
     """The joint action of `clauses`, read off each side's `side_solutions`
     rows: a variable with one value in every row is forced, and the last
-    two variables are linked when `link` is set or some side leaves both of
-    them free. A side's link polarity is the XOR of their bits, which must
-    be the same in every row."""
+    two variables are linked when there are two clauses or some side
+    leaves both of them free. A side's link polarity is the XOR of their
+    bits, which must be the same in every row."""
     variables = sorted(set().union(*map(clause_vars, clauses)))
+    link = len(clauses) > 1
     forces = []
     sides = []
     for side in (0, 1):
@@ -419,33 +416,25 @@ def _classify(clauses: Sequence[Clause], link: bool) -> SmallClauseAction:
     return SmallClauseAction(False, tuple(forces), (*variables[t:], *pols[0], *pols[1]))
 
 
-# Actions by shape, filled on first sight of a shape. A small clause's
-# shape is the clause with its variables renamed to 1 and 2 in sorted
-# order: at most 12 + 12**2 + 12**3 of them (four constant pairs and two
-# variables with four sign pairs per literal position). A shared pair's is
-# the flat 6-literal shape of `_Work.resolve_pair`: at most 36 variable
-# orders times 4**6 sign pairs, 147,456. So at most 149,340 entries.
+# Actions by shape, filled on first sight. A shape is the clauses'
+# literals in one flat tuple, variable names[t] renamed t + 1, where names
+# are a small clause's sorted variables or a shared pair's a, b, w, z: at
+# most 12 + 12**2 + 12**3 small shapes (four constant pairs and two
+# variables with four sign pairs per literal position) and 36 variable
+# orders times 4**6 sign pairs, 147,456, pair shapes; 149,340 in all.
 _SHAPES: dict[Clause, SmallClauseAction] = {}
 
 
-def normalize_small_clause(clause: Clause) -> SmallClauseAction:
-    """Classify a pair clause with <= 2 distinct variables into the joint
-    action to apply to both sides."""
-    names = sorted(clause_vars(clause))
-    first = names[0] if names else 0
-    shape = tuple((4 if p >> 2 == first else 8) + (p & 3) if p >= 4 else p for p in clause)
-    action = _SHAPES.get(shape)
+def _shape(clauses: Sequence[Clause], names: Sequence[int]) -> SmallClauseAction:
+    """The action of `clauses`, `names` renamed 1, 2, ... and constants
+    kept: read from `_SHAPES`, classified on a miss."""
+    rename = dict(zip((0, *names), range(0, 20, 4)))
+    key = tuple([rename[p >> 2] | p & 3 for cl in clauses for p in cl])
+    action = _SHAPES.get(key)
     if action is None:
-        action = _SHAPES[shape] = _classify((shape,), False)
-    if not action.forces and action.link is None:  # names no variable
-        return action
-    real = (0, *names)
-    link = action.link
-    return SmallClauseAction(
-        action.unsat,
-        tuple((side, real[v], val) for side, v, val in action.forces),
-        link and (real[link[0]], real[link[1]], link[2], link[3]),
-    )
+        renamed = [tuple([rename[p >> 2] | p & 3 for p in cl]) for cl in clauses]
+        action = _SHAPES[key] = _classify(renamed)
+    return action
 
 
 def simplify_fixpoint(
@@ -512,9 +501,8 @@ def simplify_fixpoint(
             work.fold(free)
             continue
         if small:
-            idx = min(small)
             bump("case1_iii")
-            if not work.apply_small(idx, normalize_small_clause(clauses[idx])):
+            if not work.apply_small(min(small)):
                 return None
             continue
         pair = work.shared_pair()

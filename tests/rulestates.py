@@ -37,7 +37,7 @@ from x3hd.model import (
     from_dimacs,
 )
 from x3hd.poly import ONE, ZERO, HDPoly
-from x3hd.simplify import _Work, normalize_small_clause
+from x3hd.simplify import _Work
 
 
 def rewrite(st: PairState, method: str, *args) -> PairState | None:
@@ -280,8 +280,7 @@ def case1_iii(seed: int) -> RuleCase:
     st = fuzz_one_sided_values(st, rng)
     if detect_unsat(st):
         return RuleCase("case1_i", st, [], "sum")
-    action = normalize_small_clause(st.clauses[0])
-    child = rewrite(st, "apply_small", 0, action)
+    child = rewrite(st, "apply_small", 0)
     return RuleCase("case1_iii", st, [child] if child is not None else [], "sum")
 
 

@@ -90,11 +90,11 @@ def test_components_of_connected_state():
     st = mkstate([clause(1, 2, 3), clause(3, 4, 5)])
     assert len(connected_components(st)) == 1
     assert connected_components(mkstate([])) == []
-    # one component holding every variable shares the parent's clause
-    # tuple and dicts, with p_main = 1
+    # one component holding every variable has the parent's clauses and
+    # dicts, with p_main = 1
     st = replace(st, p_main=U)
     (comp,) = connected_components(st)
-    assert comp.clauses is st.clauses and comp.fixed is st.fixed and comp.weights is st.weights
+    assert comp.clauses == st.clauses and comp.fixed == st.fixed and comp.weights == st.weights
     assert comp.V == st.V and comp.p_main == ONE
     # a variable in no clause stays with the parent, so the clauses are copied
     st = mkstate([clause(1, 2, 3), clause(3, 4, 5)], extra_vars=(6,))

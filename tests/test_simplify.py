@@ -24,17 +24,11 @@ from x3hd.model import PRISTINE, Formula, PairState, clause_vars, initial_state
 from x3hd.oracle import state_eval
 from x3hd.poly import ONE, U, ZERO, HDPoly
 import x3hd.simplify
-from x3hd.simplify import (
-    _classify,
-    _Work,
-    normalize_small_clause,
-    simplify_fixpoint,
-    value_combos,
-)
+from x3hd.simplify import _classify, _Work, simplify_fixpoint, value_combos
 
 
 def classify(c1, c2=None):
-    return normalize_small_clause(pair_clause(c1, c2))
+    return _classify((pair_clause(c1, c2),))
 
 
 def test_detect_unsat_examples():
@@ -94,17 +88,6 @@ def test_small_clause_table():
     assert const_force.forces == ((0, 1, 0), (0, 2, 0), (1, 1, 0), (1, 2, 0))
 
 
-def test_small_clause_shape_table_matches_classification():
-    # every pair clause of arity 1..3 over the four constant pairs and two
-    # variables with any sign pair, the variables named (7, 3) and (3, 7)
-    # so that the table's names map back to the clause's
-    for a, b in ((7, 3), (3, 7)):
-        lits = [0, 1, 2, 3] + [4 * v + signs for v in (a, b) for signs in range(4)]
-        for arity in (1, 2, 3):
-            for cl in product(lits, repeat=arity):
-                assert normalize_small_clause(cl) == _classify((cl,), False), cl
-
-
 def test_small_clause_actions_conserve_the_state_value():
     # every small-clause shape, next to a clause that carries both of its
     # variables into the rest of the state, under distinct weight tables
@@ -120,8 +103,8 @@ def test_small_clause_actions_conserve_the_state_value():
     assert len(shapes) == 1884
     for cl in shapes:
         st = PairState((cl, rest), ({}, {}), HDPoly({0: 1}), dict(tables))
-        action = normalize_small_clause(cl)
-        out = rewrite(st, "apply_small", 0, action)
+        action = _classify((cl,))
+        out = rewrite(st, "apply_small", 0)
         assert (out is None) is action.unsat, cl
         expected = ZERO if out is None else state_eval(out)
         assert state_eval(st) == expected, (cl, action)
@@ -157,9 +140,8 @@ def test_link_spec_polarity_example():
     # clause (x, y) on side 1 with (x, ~y) on side 2:
     # p_x[i, j] picks up p_y[1 - i, j]
     st = mkstate([clause(1, 2)], [clause(1, -2)])
-    action = normalize_small_clause(st.clauses[0])
-    assert action.link == (1, 2, 1, 0)
-    out = rewrite(st, "apply_small", 0, action)
+    assert _classify(st.clauses[:1]).link == (1, 2, 1, 0)
+    out = rewrite(st, "apply_small", 0)
     assert out.weights[1] == (U, U, U, U)
     # conservation against direct enumeration
     assert state_eval(st) == state_eval(out) == HDPoly({1: 4})
@@ -274,6 +256,45 @@ def test_resolve_pair_matches_the_hand_polarity_analysis(monkeypatch):
                 assert (work.forced, work.linked) == _hand_pair_action(ci, cj), (ci, cj)
                 checked += 1
     assert checked == 24576
+
+
+def test_shape_table_matches_classification(monkeypatch):
+    # cases (iii) and (iv) rename, look up and map back to the real names;
+    # `_classify` on the real-named clauses must give the same forces and
+    # link. Every pair clause of arity 1..3 over the four constant pairs
+    # and two variables with any sign pair, the variables named (7, 3) and
+    # (3, 7), and a sample of shared pairs whose shared variables are the
+    # two smallest, so that sorted real names are the naming order up to
+    # the linked pair, with w < z and w > z. The table starts empty, so
+    # the second naming of a shape is a hit
+    monkeypatch.setattr(x3hd.simplify, "_SHAPES", {})
+    checked = []
+
+    def check(clauses, apply):
+        checked.append(clauses)
+        want = _classify(clauses)
+        weights = dict.fromkeys(set().union(*map(clause_vars, clauses)), PRISTINE)
+        work = _RecordingWork(PairState(clauses, ({}, {}), ONE, weights))
+        work.forced, work.linked = set(), None
+        assert apply(work) is not want.unsat, clauses
+        if not want.unsat:
+            assert (work.forced, work.linked) == (set(want.forces), want.link), clauses
+
+    for a, b in ((7, 3), (3, 7)):
+        lits = [0, 1, 2, 3] + [4 * v + signs for v in (a, b) for signs in range(4)]
+        for arity in (1, 2, 3):
+            for cl in product(lits, repeat=arity):
+                check((cl,), lambda work: work.apply_small(0))
+    rng = random.Random(5)
+    for _ in range(400):
+        order_i, order_j = rng.sample(range(3), 3), rng.sample(range(3), 3)
+        signs = [rng.randrange(4) for _ in range(6)]
+        for w, z in ((8, 11), (11, 8)):
+            ci = tuple(4 * (2, 5, w)[t] + s for t, s in zip(order_i, signs[:3]))
+            cj = tuple(4 * (2, 5, z)[t] + s for t, s in zip(order_j, signs[3:]))
+            check((ci, cj), lambda work: work.resolve_pair(0, 1))
+    assert len(checked) == 2 * (1884 + 400)
+    assert 2 * len(x3hd.simplify._SHAPES) <= len(checked)
 
 
 def test_resolve_shared_pair_conserves_value():
@@ -567,8 +588,7 @@ def _rewrites(st):
     varsets = [clause_vars(cl) for cl in st.clauses]
     small = next((k for k, vs in enumerate(varsets) if len(vs) <= 2), None)
     if small is not None:
-        action = normalize_small_clause(st.clauses[small])
-        calls.append(("apply_small", lambda: rewrite(st, "apply_small", small, action)))
+        calls.append(("apply_small", lambda: rewrite(st, "apply_small", small)))
     pair = _Work(st).shared_pair()
     if pair is not None and all(len(varsets[k]) == 3 for k in pair):
         calls.append(("resolve_pair", lambda: rewrite(st, "resolve_pair", *pair)))
@@ -660,7 +680,7 @@ def _random_step(work, rng):
         work.remove(rng.choice(live))
     elif name == "apply_small":
         k = rng.choice(sorted(work.small))
-        ok = work.apply_small(k, normalize_small_clause(work.clauses[k]))
+        ok = work.apply_small(k)
     elif name == "eliminate":
         x = rng.choice(sorted(part) + [None])
         work.eliminate(part - {x}, x)
