@@ -7,12 +7,12 @@ skipped mirror child's slot holds its twin's own entry (`branching` module
 docstring), searched once and counted once per slot, so `SolveStats` keeps
 counting the logical tree.
 
-A state that would branch (`case1_v`, `case1_vi2`, `case1_vi3`,
-`case1_vii`, or a Case 2 cut above `base_threshold` variables) is first
-offered to `_finish`: when each side has at most
-`SolveOptions.finish_rows` solutions, one `pair_sum` over them costs less
-than building and searching the children, whatever the number of
-variables. A finished state is a base case of the tree.
+The finish: a state that would branch (`case1_v`, `case1_vi2`,
+`case1_vi3`, `case1_vii`, or a Case 2 cut above `base_threshold`
+variables) is a base case instead when each side has at most
+`SolveOptions.finish_rows` solutions, since one `pair_sum` over them costs
+less than building and searching the children, whatever the number of
+variables. `_node` tries it at one place, before the branch rules.
 """
 
 from __future__ import annotations
@@ -66,12 +66,12 @@ RULE_KEYS = (
 class SolveOptions:
     """A connected state on which no Case 1 rule fires is cut (Case 2)
     only above `base_threshold` variables, and is a base case otherwise; a
-    state that would branch may also be finished as a base case when each
-    side has at most `finish_rows` solutions, whatever the threshold, and
-    `finish_rows=0` leaves the paper's recursion alone. `seed` seeds the
-    bisection; `debug` turns on the internal checks, which raise
-    InternalError. Frozen: no solve and no caller changes an option in the
-    middle of a search."""
+    state that would branch, by a Case 1 rule or that cut, is a base case
+    instead when each side has at most `finish_rows` solutions, whatever
+    the threshold, and `finish_rows=0` leaves the paper's recursion alone.
+    `seed` seeds the bisection; `debug` turns on the internal checks,
+    which raise InternalError. Frozen: no solve and no caller changes an
+    option in the middle of a search."""
 
     base_threshold: int = 16
     seed: int = 0
@@ -178,31 +178,6 @@ def _branch(rule, branched, children, opts, stats, depth) -> tuple[HDPoly, int]:
     return total, max(leaves, 1)
 
 
-def _finish(
-    st: PairState, opts: SolveOptions, stats: SolveStats, depth: int
-) -> tuple[HDPoly, int] | None:
-    """Finish a state that would branch as a base case when each side has
-    at most `opts.finish_rows` solutions: the rows enumerated to see that
-    they fit go to `brute_force_base`, so nothing is enumerated twice, and
-    the state counts as `base`. None when a partial fold of a side exceeds
-    the cap; side 1 is enumerated only when the sides differ. Debug mode
-    also searches the state with the finish off, through a copy of `opts`,
-    the paper's recursion below it, and raises InternalError unless its
-    polynomial is the same."""
-    if not opts.finish_rows:
-        return None
-    rows = solution_rows(st.clauses, st.fixed, sorted(st.V), opts.finish_rows)
-    if rows is None:
-        return None
-    stats.rules["base"] += 1
-    poly = brute_force_base(st, rows)
-    if opts.debug:
-        branched = _node(st, replace(opts, finish_rows=0), SolveStats(), depth)[0]
-        if branched != poly:
-            raise InternalError("a finished state's branch gives another polynomial")
-    return poly, 1
-
-
 def _node(
     st: PairState | None, opts: SolveOptions, stats: SolveStats, depth: int, part: bool = False
 ) -> tuple[HDPoly, int]:
@@ -213,13 +188,21 @@ def _node(
     root through a fixpoint call here, a child of `_branch` as the result
     of one, and a part of a component split as a subset of the clauses of
     a state at its fixpoint, with their variables. A part (`part=True`)
-    goes straight to `_case2`: it holds whole classes of a state on which
-    no rule fired, each of its variables with all its classes and each
-    class with all its neighbours, and it is connected, so
+    skips detection and the split: it holds whole classes of a state on
+    which no rule fired, each of its variables with all its classes and
+    each class with all its neighbours, and it is connected, so
     `pick_high_degree_var`, `find_config` and `connected_components` would
-    find nothing on it either. Once detection has found a rule that builds
-    children, the state is offered to `_finish` first. Debug mode checks
-    the fixpoint at every node and re-runs those three on every part."""
+    find nothing on it either. A state that would branch, by a Case 1 rule
+    other than (vi) with |J| <= 1 or by a Case 2 cut above
+    `base_threshold`, is a base case instead when each side has at most
+    `opts.finish_rows` solutions: the rows enumerated to see that they fit
+    go to `brute_force_base`, so nothing is enumerated twice. Otherwise the
+    rule branches, or the cut does when the clause graph has two vertices
+    to bisect; every base case leaves by the last line. Debug mode checks
+    the fixpoint at every node, re-runs the three detectors on every part,
+    and searches a finished state again with the finish off, through a
+    copy of `opts`, raising InternalError unless its polynomial is the
+    same."""
     stats.nodes += 1
     if depth > stats.max_depth:
         stats.max_depth = depth
@@ -237,63 +220,60 @@ def _node(
             raise InternalError("a rule fires on a part of a component split")
     if not st.V:
         return st.p_main, 1
-    if part:
-        return _case2(st, opts, stats, depth)
 
-    x = pick_high_degree_var(st)
-    config = find_config(st) if x is None else None
-    if isinstance(config, SemiIsolated) and len(config.J) <= 1:
-        children = [eliminate_semiisolated_1(st, config, stats.rules)]
-        return _branch("case1_vi1", 0, children, opts, stats, depth)
-    if x is not None or config is not None:
-        finished = _finish(st, opts, stats, depth)
-        if finished is not None:
-            return finished
-    if x is not None:
-        children = branch_high_degree_var(st, x, stats.rules, opts.debug)
-        return _branch("case1_v", 1, children, opts, stats, depth)
-    if isinstance(config, SemiIsolated):
-        if len(config.J) == 2:
-            children = branch_semiisolated_2(st, config, stats.rules, opts.debug)
-            return _branch("case1_vi2", 1, children, opts, stats, depth)
-        children = branch_semiisolated_3(st, config, stats.rules, opts.debug)
-        return _branch("case1_vi3", 3, children, opts, stats, depth)
-    if isinstance(config, SevenNeighbourPattern):
-        stats.rules["prop3_fallback"] += config.generic
-        children = branch_four_neighbour(st, config, stats.rules, opts.debug)
-        return _branch("case1_vii", 3, children, opts, stats, depth)
+    x = config = None
+    if not part:
+        x = pick_high_degree_var(st)
+        config = find_config(st) if x is None else None
+        if isinstance(config, SemiIsolated) and len(config.J) <= 1:
+            children = [eliminate_semiisolated_1(st, config, stats.rules)]
+            return _branch("case1_vi1", 0, children, opts, stats, depth)
+        if x is None and config is None:
+            components = connected_components(st)
+            if len(components) > 1:
+                stats.rules["component_split"] += 1
+                components.sort(key=lambda c: (len(c.V), min(c.V)))
+                poly = st.p_main
+                leaves = 1
+                for comp in components:
+                    sub_poly, sub_leaves = _node(comp, opts, stats, depth + 1, part=True)
+                    poly = poly * sub_poly
+                    leaves *= sub_leaves
+                    if poly.is_zero() and not opts.debug:
+                        break
+                return poly, leaves
 
-    components = connected_components(st)
-    if len(components) > 1:
-        stats.rules["component_split"] += 1
-        components.sort(key=lambda c: (len(c.V), min(c.V)))
-        poly = st.p_main
-        leaves = 1
-        for comp in components:
-            sub_poly, sub_leaves = _node(comp, opts, stats, depth + 1, part=True)
-            poly = poly * sub_poly
-            leaves *= sub_leaves
-            if poly.is_zero() and not opts.debug:
-                break
-        return poly, leaves
-    return _case2(st, opts, stats, depth)
-
-
-def _case2(st: PairState, opts: SolveOptions, stats: SolveStats, depth: int) -> tuple[HDPoly, int]:
-    """A connected state on which no Case 1 rule fires: above
-    `base_threshold` variables, `_finish`, else a cut branch when its
-    clause graph has two vertices to bisect; else the base case."""
-    if len(st.V) > opts.base_threshold:
-        finished = _finish(st, opts, stats, depth)
-        if finished is not None:
-            return finished
-        graph = build_clause_graph(st, opts.debug)
-        if graph.n_vertices >= 2:
-            bisection = balanced_bisection(graph, opts.seed)
-            children = branch_cut_variables(st, bisection, stats.rules, opts.debug)
-            return _branch("case2_split", len(bisection.cut_vars), children, opts, stats, depth)
+    branches = x is not None or config is not None or len(st.V) > opts.base_threshold
+    rows = None
+    if opts.finish_rows and branches:
+        rows = solution_rows(st.clauses, st.fixed, sorted(st.V), opts.finish_rows)
+    if rows is None:
+        if x is not None:
+            children = branch_high_degree_var(st, x, stats.rules, opts.debug)
+            return _branch("case1_v", 1, children, opts, stats, depth)
+        if isinstance(config, SemiIsolated):
+            if len(config.J) == 2:
+                children = branch_semiisolated_2(st, config, stats.rules, opts.debug)
+                return _branch("case1_vi2", 1, children, opts, stats, depth)
+            children = branch_semiisolated_3(st, config, stats.rules, opts.debug)
+            return _branch("case1_vi3", 3, children, opts, stats, depth)
+        if isinstance(config, SevenNeighbourPattern):
+            stats.rules["prop3_fallback"] += config.generic
+            children = branch_four_neighbour(st, config, stats.rules, opts.debug)
+            return _branch("case1_vii", 3, children, opts, stats, depth)
+        if len(st.V) > opts.base_threshold:
+            graph = build_clause_graph(st, opts.debug)
+            if graph.n_vertices >= 2:
+                bisection = balanced_bisection(graph, opts.seed)
+                children = branch_cut_variables(st, bisection, stats.rules, opts.debug)
+                branched = len(bisection.cut_vars)
+                return _branch("case2_split", branched, children, opts, stats, depth)
     stats.rules["base"] += 1
-    return brute_force_base(st), 1
+    poly = brute_force_base(st, rows)
+    if rows is not None and opts.debug:
+        if _node(st, replace(opts, finish_rows=0), SolveStats(), depth, part)[0] != poly:
+            raise InternalError("a finished state's branch gives another polynomial")
+    return poly, 1
 
 
 def mhd(st: PairState, opts: SolveOptions | None = None) -> tuple[HDPoly, SolveStats]:

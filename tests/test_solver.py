@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import random
 import sys
@@ -177,6 +178,29 @@ def test_deep_recursion_is_safe():
     assert report.max_hd == 200
 
 
+def test_a_search_path_deeper_than_the_callers_limit():
+    # k disjoint copies of a gadget: x is in four classes, so case1_v
+    # branches on it before any component split, and a child with x = 1 on
+    # a side kills [x+1, x+2, x+3] there. Each level has one live child,
+    # so the tree is a path k + 1 levels deep, which needs more frames
+    # than the limit set here leaves: `mhd` must raise it
+    k = 100
+    clauses = []
+    for x in range(1, 9 * k, 9):
+        clauses += [[x, x + i, x + 4 + i] for i in range(1, 5)] + [[x + 1, x + 2, x + 3]]
+    f = Formula.from_dimacs(clauses, 9 * k)
+    copy = HDPoly({0: 6, 2: 6, 4: 12, 6: 12})
+    assert hd_oracle(Formula.from_dimacs(clauses[:5], 9)) == copy
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + k)
+    try:
+        report = solve(f)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert (report.stats.max_depth, report.stats.nodes) == (101, 501)
+    assert report.poly == copy**k
+
+
 def test_solve_restores_recursion_limit():
     # start below the solver's own limit, which an earlier solve may have left
     saved = sys.getrecursionlimit()
@@ -221,6 +245,12 @@ SEARCH_COUNTS = {
 }
 
 
+# `SolveStats` counts a finish that fits as a base case; these pin the
+# attempts too, counted as calls of `solution_rows`, and the fits among
+# them: a failed attempt is the finish's cost
+SEARCH_FINISHES = {"attempts": 26, "fits": 23}
+
+
 def _add_stats(totals, stats):
     """Add every `SolveStats` field, the rule counts one key each."""
     counts = stats.as_dict()
@@ -228,7 +258,24 @@ def _add_stats(totals, stats):
         totals[key] += value
 
 
-def test_search_counts_are_pinned():
+def _count_attempts(monkeypatch):
+    """Wrap the solver's `solution_rows` to count finish attempts and the
+    ones that fit; returns the counting dict."""
+    real = x3hd.solver.solution_rows
+    finishes = {"attempts": 0, "fits": 0}
+
+    def counting(*args):
+        rows = real(*args)
+        finishes["attempts"] += 1
+        finishes["fits"] += rows is not None
+        return rows
+
+    monkeypatch.setattr(x3hd.solver, "solution_rows", counting)
+    return finishes
+
+
+def test_search_counts_are_pinned(monkeypatch):
+    finishes = _count_attempts(monkeypatch)
     rng = random.Random(2024)
     totals = dict.fromkeys(SEARCH_COUNTS, 0)
     for seed in range(300):
@@ -236,6 +283,7 @@ def test_search_counts_are_pinned():
         m = rng.randint(1, n)
         _add_stats(totals, solve(generate(n, m, seed=seed, planted=seed % 2 == 0).formula).stats)
     assert totals == SEARCH_COUNTS
+    assert finishes == SEARCH_FINISHES
 
 
 # The same sums over generate(70, 28, seed=s, planted=True), s = 0..4, and
@@ -249,9 +297,11 @@ SCALE_COUNTS = {
     "component_split": 72, "base": 307,
 }
 SCALE_DIGEST = "d2ab285aa80eb054018ce3b27b63e130ea5ca89e1a8bd93672259447152994a2"
+SCALE_FINISHES = {"attempts": 27, "fits": 1}
 
 
-def test_search_counts_are_pinned_at_scale():
+def test_search_counts_are_pinned_at_scale(monkeypatch):
+    finishes = _count_attempts(monkeypatch)
     totals = dict.fromkeys(SCALE_COUNTS, 0)
     polys = []
     for seed in range(5):
@@ -259,6 +309,7 @@ def test_search_counts_are_pinned_at_scale():
         _add_stats(totals, report.stats)
         polys.append(report.poly.to_pairs())
     assert totals == SCALE_COUNTS
+    assert finishes == SCALE_FINISHES
     assert hashlib.sha256(json.dumps(polys).encode()).hexdigest() == SCALE_DIGEST
 
 
