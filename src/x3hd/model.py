@@ -15,7 +15,8 @@ from it.
 
 Exactly-one enumeration: `true_positions` is the one enumeration of which
 literal of a clause is the true one, as value masks over a variable ->
-bit map. `side_solutions` folds those masks across clauses, and every
+bit map. `side_solutions` folds those masks across clauses, the clause
+sharing the most variables with those already folded first, and every
 other reader goes through one of the two: `pair_sum`, the shape table in
 `simplify` that gives the actions of case (iii) and case (iv), the
 clause-splitting branches in `branching`, and `clause_unsatisfiable` on a
@@ -25,10 +26,12 @@ and for case (vi) block elimination. Its rows come from `solution_rows`:
 side 0's, and side 1's only when the two sides differ in a sign, a
 constant or a forced value. The solver enumerates them itself, with a
 limit on the rows per side, to see whether a state is worth finishing,
-and hands them on. `pair_sum` adds every pair's weight, as ints, into
-one degree -> coefficient dict and builds one polynomial from it at the
-end. With one enumeration for both sides it measures each unordered pair
-of solutions once.
+and hands them on; since the fold order keeps the partial folds small,
+the limit bounds a state's solution count, not the order of its clauses.
+`pair_sum` adds every pair's weight, as ints, into one degree ->
+coefficient dict and builds one polynomial from it at the end. With one
+enumeration for both sides it measures each unordered pair of solutions
+once.
 
 Class index: every branching case and the Case 2 decomposition read one
 structure of a state, its dissimilar clause classes and the variables
@@ -192,23 +195,34 @@ def side_solutions(
 
     Each clause contributes one care mask (the bits of its listed
     variables) and the value masks of its true positions
-    (`true_positions`). The clauses fold left to right: a partial row v
-    joins a clause value vv exactly when they agree on the bits both care
-    about, v & shared == vv & shared with shared = care & clause_care, so
-    each row looks its partners up among the values grouped by those bits.
+    (`true_positions`). A partial row v joins a clause value vv exactly
+    when they agree on the bits both care about, v & shared == vv & shared
+    with shared = care & clause_care, so each row looks its partners up
+    among the values grouped by those bits.
+
+    The fold order keeps the partial rows small, as a join order does
+    (Selinger et al., SIGMOD 1979): the first clause, then each time the
+    clause whose care shares the most bits with `care`, the bits of the
+    clauses folded so far, ties to the lower index. A clause that shares
+    bits constrains the rows already built instead of multiplying them.
+    Any order gives the same set of rows; the order only sets how large
+    the partial folds grow.
 
     With a `limit`, the enumeration stops and returns None as soon as a
-    partial fold, or the rows with the free variables added, hold more
-    than `limit` rows; otherwise the rows are those returned without it.
+    partial fold in that order, or the rows with the free variables added,
+    hold more than `limit` rows; otherwise the rows are those returned
+    without it.
     """
     bit = {v: 1 << t for t, v in enumerate(variables)}
+    pending = list(clauses)
+    # a clause's care: the sum of its distinct variable bits (constants have none)
+    cares = [sum({bit.get(p >> 2, 0) for p in clause}) for clause in pending]
     care = 0
     rows = [0]
-    for clause in clauses:
-        clause_care = 0
-        for p in clause:
-            if p >= 4:
-                clause_care |= bit.get(p >> 2, 0)
+    while pending:
+        k = max(range(len(pending)), key=lambda i: (cares[i] & care).bit_count())
+        clause = pending.pop(k)
+        clause_care = cares.pop(k)
         shared = care & clause_care
         joins: dict[int, list[int]] = {}
         for vv in true_positions(clause, fixed, side, bit):

@@ -12,7 +12,10 @@ The finish: a state that would branch (`case1_v`, `case1_vi2`,
 variables) is a base case instead when each side has at most
 `SolveOptions.finish_rows` solutions, since one `pair_sum` over them costs
 less than building and searching the children, whatever the number of
-variables. `_node` tries it at one place, before the branch rules.
+variables. `_node` tries it at one place, before the branch rules. The
+cap bounds every partial fold of `model.side_solutions`, which folds the
+most-shared clause first, so it tests the state's solution count, not
+the order in which its clauses are listed.
 """
 
 from __future__ import annotations
@@ -78,7 +81,9 @@ class SolveOptions:
     debug: bool = False
     # Timed per node both ways, one `pair_sum` beat the branch up to about
     # 90 rows a side (70 x 70 rows: 0.77 vs 1.83 ms) and lost from about
-    # 124 (374 x 374: 15.5 vs 2.2 ms), whatever the variable count.
+    # 124 (374 x 374: 15.5 vs 2.2 ms), whatever the variable count. The
+    # cap also bounds the partial folds of the enumeration; folded
+    # most-shared-first, they rarely outgrow the rows themselves.
     finish_rows: int = 90
 
 

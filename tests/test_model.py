@@ -19,6 +19,7 @@ from rulestates import (
 from x3hd.model import (
     PRISTINE,
     Formula,
+    PairState,
     check_state,
     class_index,
     clause_satisfied,
@@ -174,9 +175,43 @@ def test_side_solutions_match_brute_force():
             assert _decoded_side_solutions(clauses, fixed, [2, 3], side) == expected
 
 
+def _fold_order(clauses, variables):
+    """The order in which `side_solutions` folds `clauses`, by its
+    docstring and with sets: the first clause, then each time the clause
+    sharing the most listed variables with the clauses folded so far, ties
+    to the lower index."""
+    listed = set(variables)
+    left = list(range(len(clauses)))
+    held: set[int] = set()
+    order = []
+    while left:
+        k = max(left, key=lambda i: len(clause_vars(clauses[i]) & listed & held))
+        left.remove(k)
+        order.append(clauses[k])
+        held |= clause_vars(clauses[k]) & listed
+    return order
+
+
+def _fold_sizes(clauses, fixed, variables, side):
+    """The rows each partial fold of `_fold_order` holds: by brute force,
+    the assignments to the listed variables of the clauses folded so far
+    that agree with `fixed` and satisfy those clauses on `side`."""
+    order = _fold_order(clauses, variables)
+    sizes = []
+    for k in range(1, len(order) + 1):
+        held = [v for v in variables if any(v in clause_vars(cl) for cl in order[:k])]
+        projected = [side_of(cl, side) for cl in order[:k]]
+        sizes.append(sum(
+            all(clause_satisfied(cl, values) for cl in projected)
+            for values in _assignments(held, fixed)
+        ))
+    return sizes
+
+
 def test_side_solutions_stop_past_their_limit():
-    # a limit gives the same rows when no partial fold, nor the rows with
-    # the free variables added, holds more; None from one row fewer
+    # a limit gives the same rows when no partial fold in the documented
+    # order, nor the rows with the free variables added, holds more; None
+    # from one row fewer
     rng = random.Random(17)
     for seed in range(40):
         st = initial_state(generate(rng.randint(4, 12), rng.randint(1, 6), seed=seed).formula)
@@ -185,18 +220,56 @@ def test_side_solutions_stop_past_their_limit():
         forced = {v: rng.randrange(2) for v in variables if rng.random() < 0.2}
         for side in (0, 1):
             rows = side_solutions(clauses, forced, variables, side)
-            # a partial fold holds the solutions of the clauses folded so
-            # far on the variables they hold
-            folds = [
-                len(side_solutions(clauses[:k], forced,
-                                   [v for v in variables if any(v in clause_vars(cl)
-                                                                for cl in clauses[:k])], side))
-                for k in range(1, len(clauses) + 1)
-            ]
+            folds = _fold_sizes(clauses, forced, variables, side)
             widest = max(folds + [len(rows)])
             for limit in range(widest + 2):
                 capped = side_solutions(clauses, forced, variables, side, limit)
                 assert capped == (rows if limit >= widest else None), (seed, side, limit)
+
+
+def _random_pair_clause(rng):
+    """A pair clause over variables 1..6 with independent signs per side,
+    a constant pair in about one literal position of ten."""
+    return tuple(
+        rng.randrange(4) if rng.random() < 0.1 else 4 * rng.randint(1, 6) + rng.randrange(4)
+        for _ in range(rng.randint(1, 3))
+    )
+
+
+def test_clause_order_changes_neither_the_rows_nor_the_pair_sum():
+    # seeded clause lists with constants, repeated variables, forced values
+    # and unsatisfiable lists among them: every sampled order of a list
+    # gives each side the same set of rows and the same pair_sum, and a
+    # limit gives those rows or None
+    rng = random.Random(29)
+    variables = list(range(1, 7))
+    seen = {"repeat": 0, "constant": 0, "forced": 0, "unsatisfiable": 0}
+    for _ in range(200):
+        clauses = [_random_pair_clause(rng) for _ in range(rng.randint(2, 7))]
+        fixed = tuple({v: rng.randrange(2) for v in variables if rng.random() < 0.15}
+                      for _ in range(2))
+        # a variable forced on both sides may be left out, as block
+        # elimination leaves its boundary out
+        listed = [v for v in variables
+                  if v not in fixed[0] or v not in fixed[1] or rng.random() < 0.5]
+        weights = fuzz_weights(
+            PairState(tuple(clauses), fixed, ONE, dict.fromkeys(listed, PRISTINE)), rng
+        ).weights
+        rows = [sorted(side_solutions(clauses, fixed[side], listed, side)) for side in (0, 1)]
+        total = pair_sum(clauses, fixed, listed, weights)
+        seen["repeat"] += any(len(clause_vars(cl)) < sum(p >= 4 for p in cl) for cl in clauses)
+        seen["constant"] += any(p < 4 for cl in clauses for p in cl)
+        seen["forced"] += bool(fixed[0] or fixed[1])
+        seen["unsatisfiable"] += not (rows[0] and rows[1])
+        for _ in range(6):
+            order = rng.sample(clauses, len(clauses))
+            for side in (0, 1):
+                assert sorted(side_solutions(order, fixed[side], listed, side)) == rows[side]
+                limit = rng.randrange(len(rows[side]) + 2)
+                capped = side_solutions(order, fixed[side], listed, side, limit)
+                assert capped is None or sorted(capped) == rows[side], (order, side, limit)
+            assert pair_sum(order, fixed, listed, weights) == total, order
+    assert min(seen.values()) >= 20, seen
 
 
 def test_pair_sum_conditions_on_a_forced_variable_left_out():

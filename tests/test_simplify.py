@@ -1,8 +1,10 @@
 import copy
+import hashlib
 import random
 from collections import Counter
 from dataclasses import replace
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -19,12 +21,13 @@ from rulestates import (
     pair_clause,
     rewrite,
 )
-from x3hd.instances import generate
+from x3hd.instances import generate, parse
 from x3hd.model import PRISTINE, Formula, PairState, clause_vars, initial_state
 from x3hd.oracle import state_eval
 from x3hd.poly import ONE, U, ZERO, HDPoly
 import x3hd.simplify
 from x3hd.simplify import _classify, _Work, simplify_fixpoint, value_combos
+from x3hd.solver import SolveOptions, solve
 
 
 def classify(c1, c2=None):
@@ -295,6 +298,32 @@ def test_shape_table_matches_classification(monkeypatch):
             check((ci, cj), lambda work: work.resolve_pair(0, 1))
     assert len(checked) == 2 * (1884 + 400)
     assert 2 * len(x3hd.simplify._SHAPES) <= len(checked)
+
+
+# The shape table after solving both benchmark pools in the paper's
+# recursion (`finish_rows=0`): sha256 of the repr of its 539 items, sorted.
+# `_classify` reads `side_solutions`, whose fold order must leave every
+# action as it was.
+POOL_SHAPES_DIGEST = "c003bff86e9be121924c4b0c78a00003b715a8932ca98004dc7032a6f4a78a01"
+
+
+def test_shape_table_of_both_pools_is_pinned(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import WORKLOADS, make_pool
+
+    formulas = [parse(item.text) for w in ("sparse-search", "small-batch")
+                for item in make_pool(WORKLOADS[w])]
+    monkeypatch.setattr(x3hd.simplify, "_SHAPES", {})
+    for f in formulas:
+        solve(f, SolveOptions(finish_rows=0))
+    paper = x3hd.simplify._SHAPES
+    assert len(paper) == 539
+    assert hashlib.sha256(repr(sorted(paper.items())).encode()).hexdigest() == POOL_SHAPES_DIGEST
+    # the default search simplifies a subset of the paper's states
+    monkeypatch.setattr(x3hd.simplify, "_SHAPES", {})
+    for f in formulas:
+        solve(f)
+    assert x3hd.simplify._SHAPES.items() <= paper.items()
 
 
 def test_resolve_shared_pair_conserves_value():

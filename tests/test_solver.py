@@ -27,7 +27,15 @@ from x3hd.branching import (
 from x3hd.errors import InternalError
 from x3hd.decompose import balanced_bisection, branch_cut_variables, build_clause_graph
 from x3hd.instances import generate
-from x3hd.model import Formula, PairState, initial_state, is_symmetric, mirror
+from x3hd.model import (
+    Formula,
+    PairState,
+    clause_vars,
+    initial_state,
+    is_symmetric,
+    mirror,
+    side_solutions,
+)
 from x3hd.oracle import hd_oracle, state_eval
 from x3hd.poly import ONE, U, ZERO, HDPoly
 from x3hd.solver import SolveOptions, mhd, solve
@@ -237,18 +245,18 @@ def test_free_variables_fold_in_closed_form():
 # too). They pin the search tree: a change that only lowers the cost per
 # node keeps every one of them.
 SEARCH_COUNTS = {
-    "nodes": 419, "leaves": 315, "max_depth": 43, "branched_vars": 9, "mirrored": 5,
-    "case1_i": 68, "dedup": 173, "case1_ii": 2756, "case1_iii": 1730,
+    "nodes": 403, "leaves": 305, "max_depth": 40, "branched_vars": 3, "mirrored": 2,
+    "case1_i": 66, "dedup": 173, "case1_ii": 2685, "case1_iii": 1642,
     "case1_iv": 312, "case1_v": 0, "case1_vi1": 0, "case1_vi2": 0,
-    "case1_vi3": 0, "case1_vii": 3, "prop3_fallback": 0, "case2_split": 0,
-    "component_split": 46, "base": 217,
+    "case1_vi3": 0, "case1_vii": 1, "prop3_fallback": 0, "case2_split": 0,
+    "component_split": 44, "base": 207,
 }
 
 
 # `SolveStats` counts a finish that fits as a base case; these pin the
 # attempts too, counted as calls of `solution_rows`, and the fits among
 # them: a failed attempt is the finish's cost
-SEARCH_FINISHES = {"attempts": 26, "fits": 23}
+SEARCH_FINISHES = {"attempts": 25, "fits": 24}
 
 
 def _add_stats(totals, stats):
@@ -424,6 +432,30 @@ def test_the_row_cap_alone_turns_the_finish_on(monkeypatch):
         opts = SolveOptions(base_threshold=base_threshold, finish_rows=0)
         assert [solve(f, opts).poly for f in formulas] == expected
     assert finished[0] == 0
+
+
+def test_the_row_cap_counts_solutions_not_clause_order(monkeypatch):
+    # a chain of nine clauses, each shared variable negated in the clause
+    # after it, listed every other clause first: the five disjoint clauses
+    # listed first hold 3**5 = 243 rows together, past the cap, but the
+    # chain has 11 solutions. Folded most-shared-first, no partial fold
+    # passes the cap, so the root is finished instead of branched
+    chain = [[1, 2, 3]] + [[-v, v + 1, v + 2] for v in range(3, 18, 2)]
+    f = Formula.from_dimacs(chain[0::2] + chain[1::2], 19)
+    st = initial_state(f)
+    variables = sorted(st.V)
+    cap = SolveOptions().finish_rows
+    first = st.clauses[:5]
+    held = sorted(set().union(*map(clause_vars, first)))
+    assert len(side_solutions(first, {}, held, 0)) == 243 > cap
+    rows = side_solutions(st.clauses, {}, variables, 0)
+    assert len(rows) == 11
+    assert side_solutions(st.clauses, {}, variables, 0, cap) == rows
+    finishes = _count_attempts(monkeypatch)
+    report = solve(f)
+    assert finishes == {"attempts": 1, "fits": 1}
+    assert (report.stats.nodes, report.stats.rules["base"]) == (1, 1)
+    assert report.poly == solve(f, SolveOptions(finish_rows=0)).poly == hd_oracle(f)
 
 
 def test_debug_mode_catches_a_wrong_finish(monkeypatch):
