@@ -28,10 +28,9 @@ constant or a forced value. The solver enumerates them itself, with a
 limit on the rows per side, to see whether a state is worth finishing,
 and hands them on; since the fold order keeps the partial folds small,
 the limit bounds a state's solution count, not the order of its clauses.
-`pair_sum` adds every pair's weight, as ints, into one degree ->
-coefficient dict and builds one polynomial from it at the end. With one
-enumeration for both sides it measures each unordered pair of solutions
-once.
+`pair_sum` adds every pair's weight, packed into one int, into one int
+and unpacks one polynomial from it at the end. With one enumeration for
+both sides it measures each unordered pair of solutions once.
 
 Class index: every branching case and the Case 2 decomposition read one
 structure of a state, its dissimilar clause classes and the variables
@@ -354,10 +353,18 @@ def pair_sum(
 
     A pair of groups contributes the histogram of its plain masks' Hamming
     distances, (a ^ b).bit_count(), times the product of its table entries;
-    a pair with a zero entry is skipped. The product is taken over the
-    entries' (degree, coefficient) items as plain ints, which for monomial
-    entries is one multiply and one add each, and every pair adds into one
-    degree -> coefficient dict, which becomes the one result polynomial.
+    a pair with a zero entry is skipped. With no tabled variable there is
+    one group a side and its histogram is the result. Otherwise the
+    polynomials are packed into ints (Kronecker substitution): the
+    coefficient of u^d sits in field d of `width` bits. Each table entry is
+    packed once per call, so a group pair costs one int multiply per table
+    and one for its histogram, itself summed packed from u^h read off a
+    list, and every pair adds into one int, unpacked once at the end. No
+    coefficient of a partial sum exceeds the sum of the result's
+    coefficients, which is at most R0 * R1 * the product over the tables
+    of their largest entry's coefficient sum (R0 and R1 the rows a side);
+    `width` is that bound's bit length plus one, so no field carries into
+    the next.
 
     With one enumeration for both sides, a group paired with itself
     measures each unordered pair of its masks once and counts it twice, and
@@ -368,50 +375,68 @@ def pair_sum(
     """
     plain_mask = 0
     tabled = []
-    transposable = True
     for t, v in enumerate(variables):
         table = weights[v]
         if table is PRISTINE:
             plain_mask |= 1 << t
         else:
-            tabled.append((t, [tuple(entry.terms().items()) for entry in table]))
-            transposable = transposable and table[1] == table[2]
+            tabled.append((t, table))
     if rows is None:
         rows = solution_rows(clauses, fixed, variables)
-    symmetric = len(rows) == 1
+    if not tabled:
+        hist: dict[int, int] = {}
+        if len(rows) == 1:
+            if rows[0]:
+                hist[0] = len(rows[0])
+            pairs, step = combinations(rows[0], 2), 2
+        else:
+            pairs, step = product(*rows), 1
+        for a, b in pairs:
+            h = (a ^ b).bit_count()
+            hist[h] = hist.get(h, 0) + step
+        return HDPoly._trusted(hist)
+    bound = len(rows[0]) * len(rows[-1])
+    for _, table in tabled:
+        bound *= max(entry.total() for entry in table)
+    width = bound.bit_length() + 1
+    packed = [
+        (t, [sum(c << width * d for d, c in entry.terms().items()) for entry in table])
+        for t, table in tabled
+    ]
+    # u**h packed, for every distance h two plain masks can be apart
+    power = [1 << width * h for h in range(len(variables) + 1)]
     groups: list[list[tuple[int, list[int]]]] = []
     for side_rows in rows:
         grouped: dict[int, list[int]] = {}
         for row in side_rows:
             grouped.setdefault(row & ~plain_mask, []).append(row & plain_mask)
         groups.append(list(grouped.items()))
-    halve = symmetric and transposable
-    total: dict[int, int] = {}
+    halve = len(rows) == 1 and all(table[1] == table[2] for _, table in tabled)
+    acc = 0
     for g, (key0, masks0) in enumerate(groups[0]):
         for key1, masks1 in groups[0][g:] if halve else groups[-1]:
-            weight = {0: 1}
-            for t, entries in tabled:
-                entry = entries[2 * (key0 >> t & 1) + (key1 >> t & 1)]
-                if not entry:
+            weight = 1
+            for t, entries in packed:
+                weight *= entries[2 * (key0 >> t & 1) + (key1 >> t & 1)]
+                if not weight:
                     break
-                prod: dict[int, int] = {}
-                for d, c in weight.items():
-                    for e, f in entry:
-                        prod[d + e] = prod.get(d + e, 0) + c * f
-                weight = prod
             else:
-                hist: dict[int, int] = {}
                 if masks0 is masks1:
-                    hist[0] = len(masks0)
-                    pairs, step = combinations(masks0, 2), 2
+                    pairs = combinations(masks0, 2)
+                    dist = len(masks0) + 2 * sum([power[(a ^ b).bit_count()] for a, b in pairs])
                 else:
-                    pairs, step = product(masks0, masks1), 2 if halve else 1
-                for a, b in pairs:
-                    h = (a ^ b).bit_count()
-                    hist[h] = hist.get(h, 0) + step
-                for d, c in weight.items():
-                    for h, n in hist.items():
-                        total[d + h] = total.get(d + h, 0) + c * n
+                    dist = sum([power[(a ^ b).bit_count()] for a in masks0 for b in masks1])
+                    if halve:
+                        dist *= 2
+                acc += weight * dist
+    total: dict[int, int] = {}
+    field_mask = (1 << width) - 1
+    d = 0
+    while acc:
+        if acc & field_mask:
+            total[d] = acc & field_mask
+        acc >>= width
+        d += 1
     return HDPoly._trusted(total)
 
 

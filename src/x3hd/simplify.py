@@ -20,6 +20,12 @@ rule that fires, and freezes one `PairState` when no rule fires any
 more; it returns the input itself when there was nothing to do. Every
 child a search node builds is one call, one thaw and one freeze.
 Thawing copies every dict and set, so no input state is ever written.
+One rewrite is not part of the fixpoint and not a `_Work` method:
+`sum_private_pairs`, which the solver applies only to a state it tries
+to finish. It sums out each clause's private variable pair (case (vi)
+with I = {y, z}, J = {x}) and builds the reduced state directly, each
+renamed shape's factors for x computed once (`_PAIR_SHAPES`) by
+`pair_sum`.
 
 A round of the fixpoint costs only what the last rule changed. The
 working copy keeps each clause in a fixed slot and maintains, as each
@@ -48,6 +54,7 @@ enumeration of a clause's true literal.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import count
 from typing import MutableMapping, NamedTuple, Sequence
 
@@ -435,6 +442,89 @@ def _shape(clauses: Sequence[Clause], names: Sequence[int]) -> SmallClauseAction
         renamed = [tuple([rename[p >> 2] | p & 3 for p in cl]) for cl in clauses]
         action = _SHAPES[key] = _classify(renamed)
     return action
+
+
+def _pair_factors(key: tuple) -> tuple[WeightTable, WeightTable]:
+    """x's factors for the `_PAIR_SHAPES` key (the clause over x, y, z
+    renamed 1, 2, 3, then the forced values of y and z on side 0 and on
+    side 1, None when free): per value pair (i, j) of x, by 2*i + j, the
+    `pair_sum` over the completions of y and z with x = i on side 0 and
+    x = j on side 1. Also the table they give a PRISTINE x, which most
+    summed-out pairs meet."""
+    clause, *forced = key
+    f0, f1 = (
+        {v: val for v, val in zip((2, 3), pair) if val is not None}
+        for pair in (forced[:2], forced[2:])
+    )
+    weights = {2: PRISTINE, 3: PRISTINE}
+    factors = tuple(
+        pair_sum((clause,), (f0 | {1: i}, f1 | {1: j}), (2, 3), weights)
+        for i in (0, 1)
+        for j in (0, 1)
+    )
+    return factors, tuple(map(HDPoly.__mul__, PRISTINE, factors))
+
+
+# `_pair_factors` by private-pair shape, filled on first sight: 3! orders
+# of x, y, z times 4**3 sign pairs times 3**4 forced patterns of y and z,
+# 31,104 keys at most.
+_PAIR_SHAPES: dict[tuple, tuple[WeightTable, WeightTable]] = {}
+
+
+def sum_private_pairs(st: PairState) -> PairState:
+    """`st` with every private pair summed out: a clause over three
+    distinct variables, of which exactly two, y < z, occur in no other
+    clause and have PRISTINE tables, is dropped with y and z, and entry
+    (i, j) of the third variable x's table is multiplied by its
+    `_pair_factors`; the entries x's forced values rule out become zero,
+    as in `_Work.eliminate`. This is case (vi) with I = {y, z}, J = {x},
+    the first step of bucket elimination (Dechter, AI 113, 1999): a
+    variable of degree one goes first. The state is built directly, with
+    no `_Work` thaw, because the solver calls this at every finish
+    attempt. Returns `st` itself when no clause qualifies."""
+    occurs = Counter(p >> 2 for cl in st.clauses for p in cl)
+    weights = st.weights
+    f0, f1 = st.fixed
+    kept = []
+    new_weights = None
+    dropped: set[int] = set()
+    for cl in st.clauses:
+        private = [p >> 2 for p in cl if occurs[p >> 2] == 1]
+        # three literals and no constant: x, the third, occurs elsewhere
+        if (
+            len(private) != 2
+            or len(cl) != 3
+            or min(cl) < 4
+            or weights[private[0]] is not PRISTINE
+            or weights[private[1]] is not PRISTINE
+        ):
+            kept.append(cl)
+            continue
+        y, z = sorted(private)
+        x = next(p >> 2 for p in cl if occurs[p >> 2] > 1)
+        rename = {x: 4, y: 8, z: 12}
+        shape = tuple([rename[p >> 2] | p & 3 for p in cl])
+        key = (shape, f0.get(y), f0.get(z), f1.get(y), f1.get(z))
+        cached = _PAIR_SHAPES.get(key)
+        if cached is None:
+            cached = _PAIR_SHAPES[key] = _pair_factors(key)
+        factors, pristine_x = cached
+        if new_weights is None:
+            new_weights = dict(weights)
+        table = new_weights[x]
+        entries = pristine_x if table is PRISTINE else tuple(map(HDPoly.__mul__, table, factors))
+        if x in f0 or x in f1:
+            allowed = {2 * i + j for i, j in _value_pairs(f0.get(x), f1.get(x))}
+            entries = tuple(e if k in allowed else ZERO for k, e in enumerate(entries))
+        new_weights[x] = entries
+        del new_weights[y], new_weights[z]
+        dropped.update(private)
+    if new_weights is None:
+        return st
+    fixed = st.fixed
+    if not dropped.isdisjoint(f0.keys() | f1.keys()):
+        fixed = tuple({v: val for v, val in s.items() if v not in dropped} for s in fixed)
+    return PairState(tuple(kept), fixed, st.p_main, new_weights)
 
 
 def simplify_fixpoint(

@@ -12,10 +12,16 @@ The finish: a state that would branch (`case1_v`, `case1_vi2`,
 variables) is a base case instead when each side has at most
 `SolveOptions.finish_rows` solutions, since one `pair_sum` over them costs
 less than building and searching the children, whatever the number of
-variables. `_node` tries it at one place, before the branch rules. The
-cap bounds every partial fold of `model.side_solutions`, which folds the
-most-shared clause first, so it tests the state's solution count, not
-the order in which its clauses are listed.
+variables. `_node` tries it at one place, before the branch rules. It
+first sums out each clause's private variable pair
+(`simplify.sum_private_pairs`): a clause whose other two variables occur
+nowhere else scales the third's table instead of doubling the rows where
+that variable's literal is false, so the cap counts the solutions of the
+reduced state, whose rows and state go to `brute_force_base`. A plain
+base case is summed as it is. The cap bounds every partial fold of
+`model.side_solutions`, which folds the most-shared clause first, so it
+tests the state's solution count, not the order in which its clauses are
+listed.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .decompose import (
 from .errors import InternalError
 from .model import Formula, PairState, check_state, initial_state, mirror, solution_rows
 from .poly import ZERO, HDPoly
-from .simplify import simplify_fixpoint
+from .simplify import simplify_fixpoint, sum_private_pairs
 
 RULE_KEYS = (
     "case1_i",
@@ -81,9 +87,12 @@ class SolveOptions:
     debug: bool = False
     # Timed per node both ways, one `pair_sum` beat the branch up to about
     # 90 rows a side (70 x 70 rows: 0.77 vs 1.83 ms) and lost from about
-    # 124 (374 x 374: 15.5 vs 2.2 ms), whatever the variable count. The
-    # cap also bounds the partial folds of the enumeration; folded
-    # most-shared-first, they rarely outgrow the rows themselves.
+    # 124 (374 x 374: 15.5 vs 2.2 ms), whatever the variable count. That
+    # was measured on raw rows; the cap now counts the rows left after the
+    # private pairs are summed out, whose tables make each pair of rows
+    # dearer (`pair_sum` packs them). The cap also bounds the partial
+    # folds of the enumeration; folded most-shared-first, they rarely
+    # outgrow the rows themselves.
     finish_rows: int = 90
 
 
@@ -199,15 +208,16 @@ def _node(
     `pick_high_degree_var`, `find_config` and `connected_components` would
     find nothing on it either. A state that would branch, by a Case 1 rule
     other than (vi) with |J| <= 1 or by a Case 2 cut above
-    `base_threshold`, is a base case instead when each side has at most
-    `opts.finish_rows` solutions: the rows enumerated to see that they fit
-    go to `brute_force_base`, so nothing is enumerated twice. Otherwise the
-    rule branches, or the cut does when the clause graph has two vertices
-    to bisect; every base case leaves by the last line. Debug mode checks
-    the fixpoint at every node, re-runs the three detectors on every part,
-    and searches a finished state again with the finish off, through a
-    copy of `opts`, raising InternalError unless its polynomial is the
-    same."""
+    `base_threshold`, is a base case instead when each side of the state
+    with its private pairs summed out (`sum_private_pairs`) has at most
+    `opts.finish_rows` solutions: that state and the rows enumerated to
+    see that they fit go to `brute_force_base`, so nothing is enumerated
+    twice. Otherwise the rule branches, or the cut does when the clause
+    graph has two vertices to bisect; every base case leaves by the last
+    line. Debug mode checks the fixpoint at every node, re-runs the three
+    detectors on every part, and searches a finished state again with the
+    finish off, through a copy of `opts`, raising InternalError unless its
+    polynomial is the same."""
     stats.nodes += 1
     if depth > stats.max_depth:
         stats.max_depth = depth
@@ -251,7 +261,8 @@ def _node(
     branches = x is not None or config is not None or len(st.V) > opts.base_threshold
     rows = None
     if opts.finish_rows and branches:
-        rows = solution_rows(st.clauses, st.fixed, sorted(st.V), opts.finish_rows)
+        reduced = sum_private_pairs(st)
+        rows = solution_rows(reduced.clauses, reduced.fixed, sorted(reduced.V), opts.finish_rows)
     if rows is None:
         if x is not None:
             children = branch_high_degree_var(st, x, stats.rules, opts.debug)
@@ -274,7 +285,7 @@ def _node(
                 branched = len(bisection.cut_vars)
                 return _branch("case2_split", branched, children, opts, stats, depth)
     stats.rules["base"] += 1
-    poly = brute_force_base(st, rows)
+    poly = brute_force_base(st if rows is None else reduced, rows)
     if rows is not None and opts.debug:
         if _node(st, replace(opts, finish_rows=0), SolveStats(), depth, part)[0] != poly:
             raise InternalError("a finished state's branch gives another polynomial")

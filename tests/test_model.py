@@ -1,6 +1,6 @@
 import random
 from dataclasses import replace
-from itertools import chain, product
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -270,6 +270,95 @@ def test_clause_order_changes_neither_the_rows_nor_the_pair_sum():
                 assert capped is None or sorted(capped) == rows[side], (order, side, limit)
             assert pair_sum(order, fixed, listed, weights) == total, order
     assert min(seen.values()) >= 20, seen
+
+
+def _dict_pair_sum(variables, weights, rows):
+    """`pair_sum` on given rows as it summed before packing: each group
+    pair's weight is multiplied out over the entries' (degree,
+    coefficient) items and added into one degree -> coefficient dict."""
+    plain_mask = 0
+    tabled = []
+    transposable = True
+    for t, v in enumerate(variables):
+        table = weights[v]
+        if table is PRISTINE:
+            plain_mask |= 1 << t
+        else:
+            tabled.append((t, [tuple(entry.terms().items()) for entry in table]))
+            transposable = transposable and table[1] == table[2]
+    groups = []
+    for side_rows in rows:
+        grouped = {}
+        for row in side_rows:
+            grouped.setdefault(row & ~plain_mask, []).append(row & plain_mask)
+        groups.append(list(grouped.items()))
+    halve = len(rows) == 1 and transposable
+    total = {}
+    for g, (key0, masks0) in enumerate(groups[0]):
+        for key1, masks1 in groups[0][g:] if halve else groups[-1]:
+            weight = {0: 1}
+            for t, entries in tabled:
+                entry = entries[2 * (key0 >> t & 1) + (key1 >> t & 1)]
+                if not entry:
+                    break
+                prod = {}
+                for d, c in weight.items():
+                    for e, f in entry:
+                        prod[d + e] = prod.get(d + e, 0) + c * f
+                weight = prod
+            else:
+                hist = {}
+                if masks0 is masks1:
+                    hist[0] = len(masks0)
+                    pairs, step = combinations(masks0, 2), 2
+                else:
+                    pairs, step = product(masks0, masks1), 2 if halve else 1
+                for a, b in pairs:
+                    h = (a ^ b).bit_count()
+                    hist[h] = hist.get(h, 0) + step
+                for d, c in weight.items():
+                    for h, n in hist.items():
+                        total[d + h] = total.get(d + h, 0) + c * n
+    return HDPoly(total)
+
+
+def test_packed_pair_sum_equals_the_dict_products():
+    # seeded rows, one list for both sides or one a side, and tables with
+    # zero entries, coefficients of 2**70 and more, and (0, 1) and (1, 0)
+    # entries equal or not: the packed sum must equal the dict reference
+    rng = random.Random(30)
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.15:
+            return HDPoly()
+        terms = {rng.randint(0, 4): rng.randint(1, 3) for _ in range(rng.randint(1, 3))}
+        if kind < 0.4:
+            terms[rng.randint(0, 4)] = rng.randint(2**70, 2**90)
+        return HDPoly(terms)
+
+    seen = {"halved": 0, "one list": 0, "two lists": 0, "zero": 0, "wide": 0}
+    for _ in range(300):
+        variables = list(range(1, rng.randint(1, 7) + 1))
+        weights = {}
+        for v in variables:
+            if rng.random() < 0.4:
+                weights[v] = PRISTINE
+            else:
+                table = [entry() for _ in range(4)]
+                if rng.random() < 0.3:
+                    table[2] = table[1]
+                weights[v] = tuple(table)
+        masks = range(1 << len(variables))
+        rows = [rng.sample(masks, rng.randint(0, len(masks))) for _ in range(rng.randint(1, 2))]
+        got = pair_sum((), ({}, {}), variables, weights, rows)
+        assert got == _dict_pair_sum(variables, weights, rows), (variables, weights, rows)
+        tables = [t for t in weights.values() if t is not PRISTINE]
+        seen["halved"] += len(rows) == 1 and bool(tables) and all(t[1] == t[2] for t in tables)
+        seen["one list" if len(rows) == 1 else "two lists"] += bool(tables)
+        seen["zero"] += got.is_zero()
+        seen["wide"] += max(got.terms().values(), default=0) >= 2**70
+    assert min(seen.values()) >= 10, seen
 
 
 def test_pair_sum_conditions_on_a_forced_variable_left_out():

@@ -26,7 +26,7 @@ from x3hd.model import PRISTINE, Formula, PairState, clause_vars, initial_state
 from x3hd.oracle import state_eval
 from x3hd.poly import ONE, U, ZERO, HDPoly
 import x3hd.simplify
-from x3hd.simplify import _classify, _Work, simplify_fixpoint, value_combos
+from x3hd.simplify import _classify, _Work, simplify_fixpoint, sum_private_pairs, value_combos
 from x3hd.solver import SolveOptions, solve
 
 
@@ -581,6 +581,63 @@ def test_block_child_equals_chained_rewrites():
     assert zero > 20 and checked - zero > 100, (zero, checked)
 
 
+def test_private_pair_sum_equals_eliminate_on_every_shape():
+    # every clause over x, y, z (3! orders, 4**3 sign pairs) and every
+    # forced pattern of y and z (3**4), x's table arbitrary: summing the
+    # private pair {y, z} out must give the x table that `_Work.eliminate`
+    # gives on the same state, and drop the clause, y and z. x also sits
+    # in an anchor clause whose other variables are tabled, so it is the
+    # only clause summed out. Each forced pattern of x is checked on every
+    # order and sign pair with y and z free
+    table = (HDPoly({0: 2}), HDPoly({1: 3}), HDPoly({2: 5}), HDPoly({0: 7, 3: 1}))
+    anchor = (4, 16, 20)
+    values = (None, 0, 1)
+    checked = 0
+    for order in permutations((1, 2, 3)):
+        for signs in product(range(4), repeat=3):
+            cl = tuple(4 * v + s for v, s in zip(order, signs))
+            patterns = [(None, None, *yz) for yz in product(values, repeat=4)]
+            patterns += [(x0, x1, None, None, None, None) for x0, x1 in product(values, repeat=2)]
+            for x0, x1, y0, z0, y1, z1 in patterns:
+                fixed = tuple(
+                    {v: val for v, val in zip((1, 2, 3), side) if val is not None}
+                    for side in ((x0, y0, z0), (x1, y1, z1))
+                )
+                weights = {1: table, 2: PRISTINE, 3: PRISTINE, 4: table, 5: table}
+                st = PairState((cl, anchor), fixed, ONE, weights)
+                got = sum_private_pairs(st)
+                work = _Work(st)
+                work.eliminate({2, 3}, 1)
+                assert got.weights == work.weights, (cl, fixed)
+                assert got.clauses == (anchor,)
+                assert got.fixed == work.fixed
+                assert got.p_main == ONE
+                checked += 1
+    assert checked == 6 * 4**3 * (3**4 + 3**2)
+
+
+def test_private_pairs_need_pristine_once_only_variables():
+    # a clause is summed out only when exactly two of its variables occur
+    # nowhere else and both tables are PRISTINE; the input is returned
+    # itself when none qualifies, and left unwritten when one does
+    def state(clauses, tables):
+        variables = set().union(*map(clause_vars, clauses))
+        return PairState(tuple(clauses), ({}, {}), ONE, {v: tables.get(v, PRISTINE) for v in variables})
+
+    table = (ONE, U * U, U, ONE)
+    star = [(4, 8, 12), (4, 16, 23), (4, 24, 28)]
+    st = state(star, {1: table})
+    got = sum_private_pairs(st)
+    assert got.clauses == () and sorted(got.V) == [1]
+    assert st.clauses == tuple(star) and len(st.V) == 7 and st.weights[1] is table
+    assert state_eval(got) == state_eval(st)
+    for blocked in (2, 7):
+        assert sum_private_pairs(state(star, {blocked: table})).clauses == (star[blocked // 3],)
+    for clauses in ([(4, 8, 12), (4, 8, 16)], [(4, 8, 12), (12, 16, 20), (20, 24, 4)]):
+        st = state(clauses, {})
+        assert sum_private_pairs(st) is st
+
+
 def _smallest_component(clauses):
     """The variable set of the smallest connected component of the
     clauses that are not None (clauses joined by a shared variable); empty
@@ -595,8 +652,9 @@ def _smallest_component(clauses):
 
 
 def _rewrites(st):
-    """(name, call) for the fixpoint and every `_Work` rewrite that
-    applies to st, the block elimination through the fixpoint."""
+    """(name, call) for the fixpoint, every `_Work` rewrite and
+    `sum_private_pairs` that apply to st, the block elimination through
+    the fixpoint."""
     calls = [("simplify_fixpoint", lambda: simplify_fixpoint(st, {}))]
     order = sorted(st.V)
     for x in {order[0], order[-1]} if order else ():
@@ -621,6 +679,8 @@ def _rewrites(st):
     pair = _Work(st).shared_pair()
     if pair is not None and all(len(varsets[k]) == 3 for k in pair):
         calls.append(("resolve_pair", lambda: rewrite(st, "resolve_pair", *pair)))
+    if sum_private_pairs(st) is not st:
+        calls.append(("sum_private_pairs", lambda: sum_private_pairs(st)))
     return calls
 
 
@@ -635,7 +695,7 @@ def test_rewrites_never_write_their_input(monkeypatch):
             call()
             assert _snapshot(st) == before, name
             fired.add(name)
-    assert len(fired) == 8, fired
+    assert len(fired) == 9, fired
 
 
 def _assert_indices(work):

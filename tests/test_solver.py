@@ -245,18 +245,18 @@ def test_free_variables_fold_in_closed_form():
 # too). They pin the search tree: a change that only lowers the cost per
 # node keeps every one of them.
 SEARCH_COUNTS = {
-    "nodes": 403, "leaves": 305, "max_depth": 40, "branched_vars": 3, "mirrored": 2,
-    "case1_i": 66, "dedup": 173, "case1_ii": 2685, "case1_iii": 1642,
+    "nodes": 383, "leaves": 300, "max_depth": 38, "branched_vars": 0, "mirrored": 0,
+    "case1_i": 66, "dedup": 173, "case1_ii": 2659, "case1_iii": 1611,
     "case1_iv": 312, "case1_v": 0, "case1_vi1": 0, "case1_vi2": 0,
-    "case1_vi3": 0, "case1_vii": 1, "prop3_fallback": 0, "case2_split": 0,
-    "component_split": 44, "base": 207,
+    "case1_vi3": 0, "case1_vii": 0, "prop3_fallback": 0, "case2_split": 0,
+    "component_split": 38, "base": 194,
 }
 
 
 # `SolveStats` counts a finish that fits as a base case; these pin the
 # attempts too, counted as calls of `solution_rows`, and the fits among
 # them: a failed attempt is the finish's cost
-SEARCH_FINISHES = {"attempts": 25, "fits": 24}
+SEARCH_FINISHES = {"attempts": 25, "fits": 25}
 
 
 def _add_stats(totals, stats):
@@ -298,14 +298,14 @@ def test_search_counts_are_pinned(monkeypatch):
 # one digest of the polynomials: clause lists longer than the benchmark
 # pools' keep the same search tree and answers.
 SCALE_COUNTS = {
-    "nodes": 504, "leaves": 157, "max_depth": 14, "branched_vars": 116, "mirrored": 11,
-    "case1_i": 81, "dedup": 4, "case1_ii": 499, "case1_iii": 880,
-    "case1_iv": 6, "case1_v": 8, "case1_vi1": 0, "case1_vi2": 0,
-    "case1_vi3": 0, "case1_vii": 36, "prop3_fallback": 0, "case2_split": 0,
-    "component_split": 72, "base": 307,
+    "nodes": 412, "leaves": 125, "max_depth": 7, "branched_vars": 86, "mirrored": 4,
+    "case1_i": 66, "dedup": 4, "case1_ii": 304, "case1_iii": 574,
+    "case1_iv": 6, "case1_v": 5, "case1_vi1": 0, "case1_vi2": 0,
+    "case1_vi3": 0, "case1_vii": 27, "prop3_fallback": 0, "case2_split": 0,
+    "component_split": 55, "base": 259,
 }
 SCALE_DIGEST = "d2ab285aa80eb054018ce3b27b63e130ea5ca89e1a8bd93672259447152994a2"
-SCALE_FINISHES = {"attempts": 27, "fits": 1}
+SCALE_FINISHES = {"attempts": 21, "fits": 3}
 
 
 def test_search_counts_are_pinned_at_scale(monkeypatch):
@@ -456,6 +456,32 @@ def test_the_row_cap_counts_solutions_not_clause_order(monkeypatch):
     assert finishes == {"attempts": 1, "fits": 1}
     assert (report.stats.nodes, report.stats.rules["base"]) == (1, 1)
     assert report.poly == solve(f, SolveOptions(finish_rows=0)).poly == hd_oracle(f)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_the_row_cap_counts_rows_after_private_pairs(monkeypatch, sign):
+    # a star: x1 in seven clauses 1 2k +-(2k+1), each of whose other two
+    # variables occurs nowhere else. Its 129 rows (x1 true: one; false:
+    # 2**7) pass the cap, but with the seven pairs summed out into x1's
+    # table the root has 2 rows, so it is finished instead of branched
+    f = Formula.from_dimacs([[1, 2 * k, sign * (2 * k + 1)] for k in range(1, 8)], 15)
+    st = initial_state(f)
+    assert len(side_solutions(st.clauses, {}, sorted(st.V), 0)) == 129
+    lengths = []
+    real = x3hd.solver.solution_rows
+
+    def recording(*args):
+        rows = real(*args)
+        lengths.append(rows and list(map(len, rows)))
+        return rows
+
+    monkeypatch.setattr(x3hd.solver, "solution_rows", recording)
+    report = solve(f)
+    assert lengths == [[2]]
+    assert (report.stats.nodes, report.stats.rules["base"]) == (1, 1)
+    paper = solve(f, SolveOptions(finish_rows=0))
+    assert paper.stats.nodes == 5
+    assert report.poly == paper.poly == hd_oracle(f)
 
 
 def test_debug_mode_catches_a_wrong_finish(monkeypatch):
