@@ -583,12 +583,12 @@ def test_block_child_equals_chained_rewrites():
 
 def test_private_pair_sum_equals_eliminate_on_every_shape():
     # every clause over x, y, z (3! orders, 4**3 sign pairs) and every
-    # forced pattern of y and z (3**4), x's table arbitrary: summing the
-    # private pair {y, z} out must give the x table that `_Work.eliminate`
-    # gives on the same state, and drop the clause, y and z. x also sits
-    # in an anchor clause whose other variables are tabled, so it is the
-    # only clause summed out. Each forced pattern of x is checked on every
-    # order and sign pair with y and z free
+    # forced pattern of y and z (3**4), x's table PRISTINE or arbitrary in
+    # turn: summing the private pair {y, z} out must give the x table that
+    # `_Work.eliminate` gives on the same state, and drop the clause, y
+    # and z. x also sits in an anchor clause whose other variables are
+    # tabled, so it is the only clause summed out. Each forced pattern of
+    # x is checked on every order and sign pair with y and z free
     table = (HDPoly({0: 2}), HDPoly({1: 3}), HDPoly({2: 5}), HDPoly({0: 7, 3: 1}))
     anchor = (4, 16, 20)
     values = (None, 0, 1)
@@ -598,12 +598,13 @@ def test_private_pair_sum_equals_eliminate_on_every_shape():
             cl = tuple(4 * v + s for v, s in zip(order, signs))
             patterns = [(None, None, *yz) for yz in product(values, repeat=4)]
             patterns += [(x0, x1, None, None, None, None) for x0, x1 in product(values, repeat=2)]
-            for x0, x1, y0, z0, y1, z1 in patterns:
+            for k, (x0, x1, y0, z0, y1, z1) in enumerate(patterns):
                 fixed = tuple(
                     {v: val for v, val in zip((1, 2, 3), side) if val is not None}
                     for side in ((x0, y0, z0), (x1, y1, z1))
                 )
-                weights = {1: table, 2: PRISTINE, 3: PRISTINE, 4: table, 5: table}
+                x_table = (table, PRISTINE)[k % 2]
+                weights = {1: x_table, 2: PRISTINE, 3: PRISTINE, 4: table, 5: table}
                 st = PairState((cl, anchor), fixed, ONE, weights)
                 got = sum_private_pairs(st)
                 work = _Work(st)
@@ -622,7 +623,8 @@ def test_private_pairs_need_pristine_once_only_variables():
     # itself when none qualifies, and left unwritten when one does
     def state(clauses, tables):
         variables = set().union(*map(clause_vars, clauses))
-        return PairState(tuple(clauses), ({}, {}), ONE, {v: tables.get(v, PRISTINE) for v in variables})
+        weights = {v: tables.get(v, PRISTINE) for v in variables}
+        return PairState(tuple(clauses), ({}, {}), ONE, weights)
 
     table = (ONE, U * U, U, ONE)
     star = [(4, 8, 12), (4, 16, 23), (4, 24, 28)]
