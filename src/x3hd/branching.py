@@ -228,8 +228,8 @@ def eliminate_semiisolated_1(
 ) -> PairState | None:
     """Sum out the block I through its single boundary variable x (or
     none), then simplify: one `simplify_fixpoint` call with the block
-    (`simplify._Work.eliminate`). None when the result evaluates to
-    zero."""
+    (`simplify._Work.eliminate`, x's factors by `simplify.sum_out`). None
+    when the result evaluates to zero."""
     if len(si.J) > 1:
         raise InternalError("single-boundary elimination needs |J| <= 1")
     return simplify_fixpoint(st, counts, block=(si.I, min(si.J, default=None)))

@@ -23,9 +23,9 @@ Thawing copies every dict and set, so no input state is ever written.
 One rewrite is not part of the fixpoint and not a `_Work` method:
 `sum_private_pairs`, which the solver applies only to a state it tries
 to finish. It sums out each clause's private variable pair (case (vi)
-with I = {y, z}, J = {x}) and builds the reduced state directly, each
-renamed shape's factors for x computed once (`_PAIR_SHAPES`) by
-`pair_sum`.
+with I = {y, z}, J = {x}) and builds the reduced state directly. It and
+`_Work.eliminate` share one elimination step, `sum_out`, whose factors
+for x it caches per renamed shape (`_PAIR_SHAPES`).
 
 A round of the fixpoint costs only what the last rule changed. The
 working copy keeps each clause in a fixed slot and maintains, as each
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import count
-from typing import MutableMapping, NamedTuple, Sequence
+from typing import Mapping, MutableMapping, NamedTuple, Sequence
 
 from .errors import InternalError
 from .model import (
@@ -107,6 +107,24 @@ _FACTORS = {
     for i in (None, 0, 1)
     for j in (None, 0, 1)
 }
+
+
+def sum_out(
+    clauses: Sequence[Clause],
+    fixed: Sequence[Mapping[int, int]],
+    block: Sequence[int],
+    weights: Mapping[int, WeightTable],
+    x: int,
+) -> WeightTable:
+    """One bucket-elimination step (case (vi); Dechter, AI 113, 1999): x's
+    factors, by 2*i + j, for summing `block` out of `clauses`, which hold
+    no variable outside it but x: the `pair_sum` over the block with x = i
+    on side 0 and j on side 1, ZERO where x's forced values rule it out."""
+    f0, f1 = fixed
+    factors = [ZERO] * 4
+    for i, j in _value_pairs(f0.get(x), f1.get(x)):
+        factors[2 * i + j] = pair_sum(clauses, (f0 | {x: i}, f1 | {x: j}), block, weights)
+    return tuple(factors)
 
 
 class _Work:
@@ -343,13 +361,12 @@ class _Work:
 
     def eliminate(self, block: set[int] | frozenset[int], x: int | None) -> None:
         """Sum out `block`, whose clauses hold no variable outside it but x
-        (case (vi)): for each value pair (i, j) that x's forced values
-        allow, the `pair_sum` over the block of those clauses with x forced
-        to i and j scales x's table entry 2*i + j, and the entries x cannot
-        take become zero; with no x the one `pair_sum` scales p_main. The
-        block's clauses and variables are then dropped, and x folds into
-        p_main when it occurs nowhere else. A zero entry evaluates the
-        affected branch to zero downstream."""
+        (case (vi)): x's table is scaled entry by entry by its `sum_out`
+        factors, zero where x's forced values rule the entry out; with no
+        x the one `pair_sum` over the block scales p_main. The block's
+        clauses and variables are then dropped, and x folds into p_main
+        when it occurs nowhere else. A zero entry evaluates the affected
+        branch to zero downstream."""
         slots = sorted(set().union(*(self.occ.get(v, ()) for v in block)))
         touched = [self.clauses[k] for k in slots]
         ivars = sorted(block)
@@ -358,12 +375,8 @@ class _Work:
         if x is None:
             self.p_main = self.p_main * pair_sum(touched, fixed, ivars, weights)
         else:
-            old = weights[x]
-            table = [ZERO] * 4
-            for i, j in _value_pairs(f0.get(x), f1.get(x)):
-                total = pair_sum(touched, (f0 | {x: i}, f1 | {x: j}), ivars, weights)
-                table[2 * i + j] = old[2 * i + j] * total
-            weights[x] = tuple(table)
+            factors = sum_out(touched, fixed, ivars, weights, x)
+            weights[x] = tuple(map(HDPoly.__mul__, weights[x], factors))
         for k in slots:
             self.remove(k)
         for v in ivars:
@@ -444,44 +457,23 @@ def _shape(clauses: Sequence[Clause], names: Sequence[int]) -> SmallClauseAction
     return action
 
 
-def _pair_factors(key: tuple) -> tuple[WeightTable, WeightTable]:
-    """x's factors for the `_PAIR_SHAPES` key (the clause over x, y, z
-    renamed 1, 2, 3, then the forced values of y and z on side 0 and on
-    side 1, None when free): per value pair (i, j) of x, by 2*i + j, the
-    `pair_sum` over the completions of y and z with x = i on side 0 and
-    x = j on side 1. Also the table they give a PRISTINE x, which most
-    summed-out pairs meet."""
-    clause, *forced = key
-    f0, f1 = (
-        {v: val for v, val in zip((2, 3), pair) if val is not None}
-        for pair in (forced[:2], forced[2:])
-    )
-    weights = {2: PRISTINE, 3: PRISTINE}
-    factors = tuple(
-        pair_sum((clause,), (f0 | {1: i}, f1 | {1: j}), (2, 3), weights)
-        for i in (0, 1)
-        for j in (0, 1)
-    )
-    return factors, tuple(map(HDPoly.__mul__, PRISTINE, factors))
-
-
-# `_pair_factors` by private-pair shape, filled on first sight: 3! orders
-# of x, y, z times 4**3 sign pairs times 3**4 forced patterns of y and z,
-# 31,104 keys at most.
+# x's `sum_out` factors by private-pair shape, and the table they give a
+# PRISTINE x, which most summed-out pairs meet; filled on first sight. The
+# key is the clause with x, y, z renamed 1, 2, 3, then the forced values of
+# x, y and z on side 0 and on side 1, None when free: 3! orders times 4**3
+# sign pairs times 3**6 forced patterns, 279,936 keys at most.
 _PAIR_SHAPES: dict[tuple, tuple[WeightTable, WeightTable]] = {}
 
 
 def sum_private_pairs(st: PairState) -> PairState:
     """`st` with every private pair summed out: a clause over three
     distinct variables, of which exactly two, y < z, occur in no other
-    clause and have PRISTINE tables, is dropped with y and z, and entry
-    (i, j) of the third variable x's table is multiplied by its
-    `_pair_factors`; the entries x's forced values rule out become zero,
-    as in `_Work.eliminate`. This is case (vi) with I = {y, z}, J = {x},
-    the first step of bucket elimination (Dechter, AI 113, 1999): a
-    variable of degree one goes first. The state is built directly, with
-    no `_Work` thaw, because the solver calls this at every finish
-    attempt. Returns `st` itself when no clause qualifies."""
+    clause and have PRISTINE tables, is dropped with y and z, and the
+    third variable x, which stays in V, has its table scaled by its
+    `sum_out` factors (case (vi) with I = {y, z}, J = {x}: a variable of
+    degree one goes first). The state is built directly, with no `_Work`
+    thaw, because the solver calls this at every finish attempt. Returns
+    `st` itself when no clause qualifies."""
     occurs = Counter(p >> 2 for cl in st.clauses for p in cl)
     weights = st.weights
     f0, f1 = st.fixed
@@ -504,19 +496,17 @@ def sum_private_pairs(st: PairState) -> PairState:
         x = next(p >> 2 for p in cl if occurs[p >> 2] > 1)
         rename = {x: 4, y: 8, z: 12}
         shape = tuple([rename[p >> 2] | p & 3 for p in cl])
-        key = (shape, f0.get(y), f0.get(z), f1.get(y), f1.get(z))
+        key = (shape, f0.get(x), f0.get(y), f0.get(z), f1.get(x), f1.get(y), f1.get(z))
         cached = _PAIR_SHAPES.get(key)
         if cached is None:
-            cached = _PAIR_SHAPES[key] = _pair_factors(key)
-        factors, pristine_x = cached
+            forced = [{t: s[v] for t, v in enumerate((x, y, z), 1) if v in s} for s in (f0, f1)]
+            factors = sum_out((shape,), forced, (2, 3), {2: PRISTINE, 3: PRISTINE}, 1)
+            cached = _PAIR_SHAPES[key] = factors, tuple(map(HDPoly.__mul__, PRISTINE, factors))
+        factors, plain = cached
         if new_weights is None:
             new_weights = dict(weights)
         table = new_weights[x]
-        entries = pristine_x if table is PRISTINE else tuple(map(HDPoly.__mul__, table, factors))
-        if x in f0 or x in f1:
-            allowed = {2 * i + j for i, j in _value_pairs(f0.get(x), f1.get(x))}
-            entries = tuple(e if k in allowed else ZERO for k, e in enumerate(entries))
-        new_weights[x] = entries
+        new_weights[x] = plain if table is PRISTINE else tuple(map(HDPoly.__mul__, table, factors))
         del new_weights[y], new_weights[z]
         dropped.update(private)
     if new_weights is None:

@@ -13,15 +13,15 @@ variables) is a base case instead when each side has at most
 `SolveOptions.finish_rows` solutions, since one `pair_sum` over them costs
 less than building and searching the children, whatever the number of
 variables. `_node` tries it at one place, before the branch rules. It
-first sums out each clause's private variable pair
-(`simplify.sum_private_pairs`): a clause whose other two variables occur
-nowhere else scales the third's table instead of doubling the rows where
-that variable's literal is false, so the cap counts the solutions of the
-reduced state, whose rows and state go to `brute_force_base`. A plain
-base case is summed as it is. The cap bounds every partial fold of
-`model.side_solutions`, which folds the most-shared clause first, so it
-tests the state's solution count, not the order in which its clauses are
-listed.
+first sums out each clause's private variable pair with case (vi)'s one
+elimination step (`simplify.sum_private_pairs`, `simplify.sum_out`): a
+clause whose other two variables occur nowhere else scales the third's
+table instead of doubling the rows where that variable's literal is
+false, so the cap counts the solutions of the reduced state, whose rows
+and state go to `brute_force_base`. A plain base case is summed as it
+is. The cap bounds every partial fold of `model.side_solutions`, which
+folds the most-shared clause first, so it tests the state's solution
+count, not the order in which its clauses are listed.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from itertools import permutations, product
 
 from x3hd.branching import (
     SemiIsolated,
@@ -36,8 +37,10 @@ from x3hd.model import (
     clause_unsatisfiable,
     from_dimacs,
 )
+from x3hd.oracle import state_eval
 from x3hd.poly import ONE, ZERO, HDPoly
-from x3hd.simplify import _Work
+import x3hd.simplify
+from x3hd.simplify import _Work, sum_private_pairs
 
 
 def rewrite(st: PairState, method: str, *args) -> PairState | None:
@@ -51,6 +54,41 @@ def detect_unsat(st: PairState) -> bool:
     """True iff some clause cannot be satisfied on some side by any
     assignment that is consistent with that side's forced values."""
     return any(clause_unsatisfiable(cl, st.fixed) for cl in st.clauses)
+
+
+def check_private_pair_sum(sample: int | None = None, seed: int = 0) -> int:
+    """Check that summing out a private pair keeps the state's value, by
+    `state_eval`, which shares no predicate with the solver. The clause
+    over x, y, z = 1, 2, 3 takes every shape (3! orders times 4**3 sign
+    pairs); for each, the forced values of x, y and z on both sides take
+    every pattern (3**6) or `sample` of them drawn at random, and x's table
+    is PRISTINE and tabled in turn. x also sits in an anchor clause with
+    two tabled variables, so the clause is the only one summed out. Each
+    shape starts from an empty `_PAIR_SHAPES`, so a key that left out a
+    forced value would reuse another pattern's factors. Returns the number
+    of states checked."""
+    rng = random.Random(seed)
+    table = (HDPoly({0: 2}), HDPoly({1: 3}), HDPoly({2: 5}), HDPoly({0: 7, 3: 1}))
+    anchor = (4, 16, 20)
+    patterns = list(product((None, 0, 1), repeat=6))
+    checked = 0
+    for order in permutations((1, 2, 3)):
+        for signs in product(range(4), repeat=3):
+            cl = tuple(4 * v + s for v, s in zip(order, signs))
+            x3hd.simplify._PAIR_SHAPES.clear()
+            for k, pattern in enumerate(patterns if sample is None else rng.sample(patterns, sample)):
+                fixed = tuple(
+                    {v: val for v, val in zip((1, 2, 3), side) if val is not None}
+                    for side in (pattern[:3], pattern[3:])
+                )
+                for x_table in ((PRISTINE, table), (table, PRISTINE))[k % 2]:
+                    weights = {1: x_table, 2: PRISTINE, 3: PRISTINE, 4: table, 5: table}
+                    st = PairState((cl, anchor), fixed, ONE, weights)
+                    got = sum_private_pairs(st)
+                    assert got.clauses == (anchor,) and sorted(got.V) == [1, 4, 5], (cl, fixed)
+                    assert state_eval(got) == state_eval(st), (cl, fixed, x_table)
+                    checked += 1
+    return checked
 
 
 def pristine_weights(variables) -> dict[int, WeightTable]:

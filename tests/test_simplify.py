@@ -14,6 +14,7 @@ import x3hd.solver
 from rulestates import (
     FAMILIES,
     build_paired,
+    check_private_pair_sum,
     clause,
     detect_unsat,
     fuzz_weights,
@@ -615,6 +616,13 @@ def test_private_pair_sum_equals_eliminate_on_every_shape():
                 assert got.p_main == ONE
                 checked += 1
     assert checked == 6 * 4**3 * (3**4 + 3**2)
+
+
+def test_private_pair_sum_keeps_the_state_value(monkeypatch):
+    # every clause shape, 12 seeded forced patterns of x, y and z together
+    # on both sides each; CI sweeps all 3**6 patterns
+    monkeypatch.setattr(x3hd.simplify, "_PAIR_SHAPES", {})
+    assert check_private_pair_sum(sample=12) == 6 * 4**3 * 12 * 2
 
 
 def test_private_pairs_need_pristine_once_only_variables():
