@@ -18,9 +18,9 @@ literal of a clause is the true one, as value masks over a variable ->
 bit map. `side_solutions` folds those masks across clauses, the clause
 sharing the most variables with those already folded first, and every
 other reader goes through one of the two: `pair_sum`, the shape table in
-`simplify` that gives the actions of case (iii) and case (iv), the
-clause-splitting branches in `branching`, and `clause_unsatisfiable` on a
-clause that repeats a free variable.
+`simplify` that gives the actions of case (iii) and case (iv), and the
+clause-splitting branches in `branching`. `clause_unsatisfiable` needs
+neither: it reads a clause in closed form, repeated variables included.
 `pair_sum` is the one weighted sum over solution pairs, for the base case
 and for case (vi) block elimination. Its rows come from `solution_rows`:
 side 0's, and side 1's only when the two sides differ in a sign, a
@@ -145,9 +145,9 @@ def clause_unsatisfiable(
     Both sides are read in one pass. With the free variables distinct,
     each free literal can be set either way, so a side is unsatisfiable
     iff more than one literal is pinned true there, or none is and no free
-    literal is left. A clause that repeats a free variable is unsatisfiable
-    on a side where `true_positions` leaves no position; a clause has at
-    most three literals, so a repeat is one of the two variables before it.
+    literal is left. A clause that repeats a free variable is read by
+    `_side_unsatisfiable`, side by side; a clause has at most three
+    literals, so a repeat is one of the two variables before it.
     """
     f0, f1 = fixed
     pinned0 = pinned1 = free0 = free1 = 0
@@ -169,13 +169,35 @@ def clause_unsatisfiable(
         else:
             pinned1 += val1 ^ (p >> 1 & 1)
         if (v == last or v == before) and (val0 is None or val1 is None):
-            bit = {u: 1 << t for t, u in enumerate(clause_vars(clause))}
-            return any(
-                all(vv is None for vv in true_positions(clause, forced, side, bit))
-                for side, forced in enumerate(fixed)
-            )
+            return _side_unsatisfiable(clause, f0, 0) or _side_unsatisfiable(clause, f1, 1)
         last, before = v, last
     return pinned0 > 1 or not (pinned0 or free0) or pinned1 > 1 or not (pinned1 or free1)
+
+
+def _side_unsatisfiable(clause: Clause, forced: Mapping[int, int], side: int) -> bool:
+    """`clause_unsatisfiable` on one side, a free variable possibly repeated.
+    A free variable in one literal makes it true or not at will. One in two
+    or three literals makes none of them true at some value when their
+    signs agree, and never when they differ, but then exactly one at some
+    value: it counts as one pinned true literal when they differ and as
+    none otherwise."""
+    pinned = free = 0
+    signs: dict[int, list[int]] = {}
+    for p in clause:
+        if p < 4:
+            pinned += p >> side & 1
+            continue
+        val = forced.get(p >> 2)
+        if val is None:
+            signs.setdefault(p >> 2, []).append(p >> side & 1)
+        else:
+            pinned += val ^ (p >> side & 1)
+    for own in signs.values():
+        if len(own) == 1:
+            free += 1
+        elif min(own) != max(own):
+            pinned += 1
+    return pinned > 1 or not (pinned or free)
 
 
 def side_solutions(

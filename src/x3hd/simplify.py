@@ -21,8 +21,9 @@ more; it returns the input itself when there was nothing to do. Every
 child a search node builds is one call, one thaw and one freeze.
 Thawing copies every dict and set, so no input state is ever written.
 One rewrite is not part of the fixpoint and not a `_Work` method:
-`sum_private_pairs`, which the solver applies only to a state it tries
-to finish. It sums out each clause's private variable pair (case (vi)
+`sum_private_pairs`, which the solver applies to the root before its
+fixpoint and to each state it tries to finish, both only with the
+finish on. It sums out each clause's private variable pair (case (vi)
 with I = {y, z}, J = {x}) and builds the reduced state directly. It and
 `_Work.eliminate` share one elimination step, `sum_out`, whose factors
 for x it caches per renamed shape (`_PAIR_SHAPES`).
@@ -36,11 +37,12 @@ and the variables in no clause. A substitution rewrites the slots in the
 replaced variable's occurrence list and nothing else, and a force marks
 the forced variable's occurrence list as the slots to recheck. A round
 checks for an unsatisfiable clause (closed form on both sides at once,
-`model.clause_unsatisfiable`) and for a duplicate only among the slots
-rewritten or marked since the last round; it reads its variable target
-off the free set and the variables forced on both sides, its small clause
-off the maintained set, and searches for a shared pair only when no
-earlier rule fires. Variables in no clause fold into p_main in one step:
+`model.clause_unsatisfiable`, skipped for three distinct variables none
+of which is forced, which always fit) and for a duplicate only among the
+slots rewritten or marked since the last round; it reads its variable
+target off the free set and the variables forced on both sides, its small
+clause off the maintained set, and searches for a shared pair only when
+no earlier rule fires. Variables in no clause fold into p_main in one step:
 grouped by weight table and forced values, each group's factor summed
 once, or for a table shared by many variables read from a table built at
 import (`_FACTORS`).
@@ -92,6 +94,17 @@ def _link_table(kept: WeightTable, dropped: WeightTable, pol1: int, pol2: int) -
 # most links join two of them, and one shared object per polarity pair
 # lets `fold` group the linked variables by table identity.
 _PRISTINE_LINKS = tuple(_link_table(PRISTINE, PRISTINE, p1, p2) for p1 in (0, 1) for p2 in (0, 1))
+
+# The table of every link between two shared tables (PRISTINE and the four
+# above), by (id(kept), id(dropped), pol1, pol2): most links that do not
+# join two PRISTINE variables join one of them to a linked one, or two
+# linked ones. Filled on first sight; 100 entries at most.
+_SHARED_IDS = frozenset(map(id, (PRISTINE, *_PRISTINE_LINKS)))
+_LINKS: dict[tuple[int, int, int, int], WeightTable] = {
+    (id(PRISTINE), id(PRISTINE), p1, p2): _PRISTINE_LINKS[2 * p1 + p2]
+    for p1 in (0, 1)
+    for p2 in (0, 1)
+}
 
 
 def _fold_factor(table: WeightTable, i: int | None, j: int | None) -> HDPoly:
@@ -296,10 +309,13 @@ class _Work:
             raise InternalError(f"bad link {keep}~{drop}")
         kept = weights[keep]
         dropped = weights.pop(drop)
-        if kept is PRISTINE and dropped is PRISTINE:
-            weights[keep] = _PRISTINE_LINKS[2 * pol1 + pol2]
-        else:
-            weights[keep] = _link_table(kept, dropped, pol1, pol2)
+        key = (id(kept), id(dropped), pol1, pol2)
+        table = _LINKS.get(key)
+        if table is None:
+            table = _link_table(kept, dropped, pol1, pol2)
+            if key[0] in _SHARED_IDS and key[1] in _SHARED_IDS:
+                _LINKS[key] = table
+        weights[keep] = table
         # drop's forced values move to keep
         moved = [
             (side, keep, s.pop(drop) ^ pol)
@@ -472,8 +488,8 @@ def sum_private_pairs(st: PairState) -> PairState:
     third variable x, which stays in V, has its table scaled by its
     `sum_out` factors (case (vi) with I = {y, z}, J = {x}: a variable of
     degree one goes first). The state is built directly, with no `_Work`
-    thaw, because the solver calls this at every finish attempt. Returns
-    `st` itself when no clause qualifies."""
+    thaw, because the solver calls this at the root and at every finish
+    attempt. Returns `st` itself when no clause qualifies."""
     occurs = Counter(p >> 2 for cl in st.clauses for p in cl)
     weights = st.weights
     f0, f1 = st.fixed
@@ -544,7 +560,7 @@ def simplify_fixpoint(
         work.eliminate(*block)
     clauses, fixed, keys, by_key = work.clauses, work.fixed, work.keys, work.by_key
     f0, f1 = fixed
-    dirty, free, small = work.dirty, work.free, work.small
+    dirty, free, small, varsets = work.dirty, work.free, work.small, work.varsets
     for rounds in count():
         # a verdict depends only on the clause and the forced values of its
         # variables, so only the dirty slots, those rewritten and those of a
@@ -553,7 +569,11 @@ def simplify_fixpoint(
         if dirty:
             dups: set[int] = set()
             for k in dirty:
-                if clause_unsatisfiable(clauses[k], fixed):
+                # three distinct variables, none forced, always fit
+                vs = varsets[k]
+                if (len(vs) < 3 or not vs.isdisjoint(f0) or not vs.isdisjoint(f1)) and (
+                    clause_unsatisfiable(clauses[k], fixed)
+                ):
                     bump("case1_i")
                     return None
                 same = by_key[keys[k]]

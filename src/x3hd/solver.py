@@ -22,6 +22,15 @@ and state go to `brute_force_base`. A plain base case is summed as it
 is. The cap bounds every partial fold of `model.side_solutions`, which
 folds the most-shared clause first, so it tests the state's solution
 count, not the order in which its clauses are listed.
+
+With the finish on, `mhd` also sums out the root's private pairs before
+the root's fixpoint, so the fixpoint, Case 1 detection, the component
+split and the finish all see the reduced formula: a clause whose other
+two variables occur nowhere else no longer puts its third variable in
+another class (`case1_v`) or its class next to another (`case1_vii`).
+Only the root is summed this way; a pair that becomes private deeper
+down is summed out by the finish alone. `finish_rows=0` leaves the root
+as it is and runs the paper's recursion exactly.
 """
 
 from __future__ import annotations
@@ -77,7 +86,9 @@ class SolveOptions:
     only above `base_threshold` variables, and is a base case otherwise; a
     state that would branch, by a Case 1 rule or that cut, is a base case
     instead when each side has at most `finish_rows` solutions, whatever
-    the threshold, and `finish_rows=0` leaves the paper's recursion alone.
+    the threshold. With a cap, the root's private pairs are summed out
+    before its fixpoint as well; `finish_rows=0` does neither and leaves
+    the paper's recursion alone.
     `seed` seeds the bisection; `debug` turns on the internal checks,
     which raise InternalError. Frozen: no solve and no caller changes an
     option in the middle of a search."""
@@ -92,7 +103,8 @@ class SolveOptions:
     # private pairs are summed out, whose tables make each pair of rows
     # dearer (`pair_sum` packs them). The cap also bounds the partial
     # folds of the enumeration; folded most-shared-first, they rarely
-    # outgrow the rows themselves.
+    # outgrow the rows themselves. 0 turns off the finish and the root's
+    # private-pair sum.
     finish_rows: int = 90
 
 
@@ -294,16 +306,18 @@ def _node(
 
 def mhd(st: PairState, opts: SolveOptions | None = None) -> tuple[HDPoly, SolveStats]:
     """Evaluate a recursion state exactly; returns the polynomial together
-    with the search statistics. The interpreter's recursion limit is raised
-    to at least 20000 for the search and restored on return. That limit is
-    process-wide: while a solve runs, every thread of the process sees the
-    raised value."""
+    with the search statistics. With the finish on, the state's private
+    pairs are summed out (`sum_private_pairs`) before its fixpoint. The
+    interpreter's recursion limit is raised to at least 20000 for the
+    search and restored on return. That limit is process-wide: while a
+    solve runs, every thread of the process sees the raised value."""
     opts = opts or SolveOptions()
     stats = SolveStats()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 20000))
     try:
-        poly, stats.leaves = _node(simplify_fixpoint(st, stats.rules), opts, stats, 0)
+        root = sum_private_pairs(st) if opts.finish_rows else st
+        poly, stats.leaves = _node(simplify_fixpoint(root, stats.rules), opts, stats, 0)
     finally:
         sys.setrecursionlimit(limit)
     return poly, stats

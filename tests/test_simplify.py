@@ -304,8 +304,11 @@ def test_shape_table_matches_classification(monkeypatch):
 # The shape table after solving both benchmark pools in the paper's
 # recursion (`finish_rows=0`): sha256 of the repr of its 539 items, sorted.
 # `_classify` reads `side_solutions`, whose fold order must leave every
-# action as it was.
+# action as it was. The same for the default options, 450 items: the
+# root's private pairs are summed out first, so that search meets states,
+# and two shapes, that the paper's does not.
 POOL_SHAPES_DIGEST = "c003bff86e9be121924c4b0c78a00003b715a8932ca98004dc7032a6f4a78a01"
+DEFAULT_SHAPES_DIGEST = "fd2a93ba7d761ff9467847967af826716ce6c8177e376f7021e595ad03cc00f9"
 
 
 def test_shape_table_of_both_pools_is_pinned(monkeypatch):
@@ -320,11 +323,15 @@ def test_shape_table_of_both_pools_is_pinned(monkeypatch):
     paper = x3hd.simplify._SHAPES
     assert len(paper) == 539
     assert hashlib.sha256(repr(sorted(paper.items())).encode()).hexdigest() == POOL_SHAPES_DIGEST
-    # the default search simplifies a subset of the paper's states
     monkeypatch.setattr(x3hd.simplify, "_SHAPES", {})
     for f in formulas:
         solve(f)
-    assert x3hd.simplify._SHAPES.items() <= paper.items()
+    default = x3hd.simplify._SHAPES
+    assert len(default) == 450
+    assert hashlib.sha256(repr(sorted(default.items())).encode()).hexdigest() == (
+        DEFAULT_SHAPES_DIGEST
+    )
+    assert all(default[k] == paper[k] for k in default.keys() & paper.keys())
 
 
 def test_resolve_shared_pair_conserves_value():

@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from x3hd.branching import (
 )
 from x3hd.errors import InternalError
 from x3hd.decompose import balanced_bisection, branch_cut_variables, build_clause_graph
-from x3hd.instances import generate
+from x3hd.instances import generate, parse
 from x3hd.model import (
     Formula,
     PairState,
@@ -187,11 +188,12 @@ def test_deep_recursion_is_safe():
 
 
 def test_a_search_path_deeper_than_the_callers_limit():
-    # k disjoint copies of a gadget: x is in four classes, so case1_v
-    # branches on it before any component split, and a child with x = 1 on
-    # a side kills [x+1, x+2, x+3] there. Each level has one live child,
-    # so the tree is a path k + 1 levels deep, which needs more frames
-    # than the limit set here leaves: `mhd` must raise it
+    # k disjoint copies of a gadget. In the paper's recursion (the finish
+    # off) x is in four classes, so case1_v branches on it before any
+    # component split, and a child with x = 1 on a side kills [x+1, x+2,
+    # x+3] there. Each level has one live child, so the tree is a path
+    # k + 1 levels deep, which needs more frames than the limit set here
+    # leaves: `mhd` must raise it
     k = 100
     clauses = []
     for x in range(1, 9 * k, 9):
@@ -202,10 +204,17 @@ def test_a_search_path_deeper_than_the_callers_limit():
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + k)
     try:
-        report = solve(f)
+        report = solve(f, SolveOptions(finish_rows=0))
     finally:
         sys.setrecursionlimit(saved)
     assert (report.stats.max_depth, report.stats.nodes) == (101, 501)
+    assert report.poly == copy**k
+    # by default the root sums out each copy's private pair x+4, x+8
+    # first, which leaves x in three classes: the root splits into the k
+    # copies, each a base case
+    report = solve(f)
+    assert (report.stats.max_depth, report.stats.nodes) == (1, 101)
+    assert report.stats.rules["component_split"] == 1
     assert report.poly == copy**k
 
 
@@ -245,18 +254,18 @@ def test_free_variables_fold_in_closed_form():
 # too). They pin the search tree: a change that only lowers the cost per
 # node keeps every one of them.
 SEARCH_COUNTS = {
-    "nodes": 383, "leaves": 300, "max_depth": 38, "branched_vars": 0, "mirrored": 0,
-    "case1_i": 66, "dedup": 173, "case1_ii": 2659, "case1_iii": 1611,
+    "nodes": 350, "leaves": 300, "max_depth": 24, "branched_vars": 0, "mirrored": 0,
+    "case1_i": 66, "dedup": 173, "case1_ii": 2648, "case1_iii": 1563,
     "case1_iv": 312, "case1_v": 0, "case1_vi1": 0, "case1_vi2": 0,
     "case1_vi3": 0, "case1_vii": 0, "prop3_fallback": 0, "case2_split": 0,
-    "component_split": 38, "base": 194,
+    "component_split": 24, "base": 145,
 }
 
 
 # `SolveStats` counts a finish that fits as a base case; these pin the
 # attempts too, counted as calls of `solution_rows`, and the fits among
 # them: a failed attempt is the finish's cost
-SEARCH_FINISHES = {"attempts": 25, "fits": 25}
+SEARCH_FINISHES = {"attempts": 16, "fits": 16}
 
 
 def _add_stats(totals, stats):
@@ -298,14 +307,14 @@ def test_search_counts_are_pinned(monkeypatch):
 # one digest of the polynomials: clause lists longer than the benchmark
 # pools' keep the same search tree and answers.
 SCALE_COUNTS = {
-    "nodes": 412, "leaves": 125, "max_depth": 7, "branched_vars": 86, "mirrored": 4,
-    "case1_i": 66, "dedup": 4, "case1_ii": 304, "case1_iii": 574,
-    "case1_iv": 6, "case1_v": 5, "case1_vi1": 0, "case1_vi2": 0,
-    "case1_vi3": 0, "case1_vii": 27, "prop3_fallback": 0, "case2_split": 0,
-    "component_split": 55, "base": 259,
+    "nodes": 35, "leaves": 15, "max_depth": 3, "branched_vars": 6, "mirrored": 4,
+    "case1_i": 0, "dedup": 4, "case1_ii": 182, "case1_iii": 124,
+    "case1_iv": 7, "case1_v": 0, "case1_vi1": 0, "case1_vi2": 0,
+    "case1_vi3": 0, "case1_vii": 2, "prop3_fallback": 0, "case2_split": 0,
+    "component_split": 9, "base": 24,
 }
 SCALE_DIGEST = "d2ab285aa80eb054018ce3b27b63e130ea5ca89e1a8bd93672259447152994a2"
-SCALE_FINISHES = {"attempts": 21, "fits": 3}
+SCALE_FINISHES = {"attempts": 5, "fits": 3}
 
 
 def test_search_counts_are_pinned_at_scale(monkeypatch):
@@ -319,6 +328,24 @@ def test_search_counts_are_pinned_at_scale(monkeypatch):
     assert totals == SCALE_COUNTS
     assert finishes == SCALE_FINISHES
     assert hashlib.sha256(json.dumps(polys).encode()).hexdigest() == SCALE_DIGEST
+
+
+# The deep instance, write_instance(400, 100, True, Random("deep:400")) from
+# the benchmark's generator: 400 variables, 100 clauses. Its digest (as
+# SCALE_DIGEST's, of one polynomial) was computed with the root left
+# unsummed, a search of 1,511,729 nodes and about three minutes; summing
+# the root's private pairs out first takes it to 14,327.
+DEEP_NODES = 14327
+DEEP_DIGEST = "4da76839fde723f82a56df79443244b3c7663a301e17db26d7f70446988661c3"
+
+
+def test_the_deep_instance_keeps_its_polynomial(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import write_instance
+
+    report = solve(parse(write_instance(400, 100, True, random.Random("deep:400"))))
+    assert report.stats.nodes == DEEP_NODES
+    assert hashlib.sha256(json.dumps(report.poly.to_pairs()).encode()).hexdigest() == DEEP_DIGEST
 
 
 # Inputs on which a rule that neither benchmark pool fires is reached
@@ -394,9 +421,14 @@ def _count_finishes(monkeypatch, perturb=ZERO):
 
 
 def _finish_formulas():
+    # m = 0.4n as well as n/3: once the root's private pairs are summed
+    # out, few n/3 formulas still reach a state that would branch
     return [Formula.from_dimacs(clauses, n) for _, n, clauses in RARE_RULE_INSTANCES] + [
         generate(n, n // 3, seed=s, planted=s % 2 == 0).formula
         for n in range(12, 25) for s in range(8)
+    ] + [
+        generate(n, int(0.4 * n), seed=s, planted=s % 2 == 0).formula
+        for n in range(12, 25) for s in range(16)
     ]
 
 
@@ -409,8 +441,8 @@ def test_finish_equals_the_oracle(monkeypatch):
 
 def test_finish_keeps_the_papers_polynomial(monkeypatch):
     finished = _count_finishes(monkeypatch)
-    formulas = [generate(n, n // 3, seed=s, planted=True).formula
-                for n in range(24, 37) for s in range(3)]
+    formulas = [generate(n, m, seed=s, planted=True).formula
+                for n in range(24, 37) for m in (n // 3, int(0.4 * n)) for s in range(3)]
     polys = [solve(f).poly for f in formulas]
     assert finished[0] >= 10
     assert [solve(f, SolveOptions(finish_rows=0)).poly for f in formulas] == polys
@@ -439,9 +471,12 @@ def test_the_row_cap_counts_solutions_not_clause_order(monkeypatch):
     # after it, listed every other clause first: the five disjoint clauses
     # listed first hold 3**5 = 243 rows together, past the cap, but the
     # chain has 11 solutions. Folded most-shared-first, no partial fold
-    # passes the cap, so the root is finished instead of branched
+    # passes the cap, so the root is finished instead of branched. Each
+    # clause is listed twice, so the end clauses' pairs become private only
+    # once the root's fixpoint has removed the duplicates: the root keeps
+    # its 19 variables, past base_threshold, and the finish is tried there
     chain = [[1, 2, 3]] + [[-v, v + 1, v + 2] for v in range(3, 18, 2)]
-    f = Formula.from_dimacs(chain[0::2] + chain[1::2], 19)
+    f = Formula.from_dimacs(2 * (chain[0::2] + chain[1::2]), 19)
     st = initial_state(f)
     variables = sorted(st.V)
     cap = SolveOptions().finish_rows
@@ -463,8 +498,13 @@ def test_the_row_cap_counts_rows_after_private_pairs(monkeypatch, sign):
     # a star: x1 in seven clauses 1 2k +-(2k+1), each of whose other two
     # variables occurs nowhere else. Its 129 rows (x1 true: one; false:
     # 2**7) pass the cap, but with the seven pairs summed out into x1's
-    # table the root has 2 rows, so it is finished instead of branched
-    f = Formula.from_dimacs([[1, 2 * k, sign * (2 * k + 1)] for k in range(1, 8)], 15)
+    # table the root has 2 rows, so it is finished instead of branched.
+    # Each clause is listed twice, so its pair becomes private only once
+    # the root's fixpoint has removed the duplicates, after the root's own
+    # private-pair sum: x1 would branch (case1_v), and the finish sums the
+    # pairs out
+    star = [[1, 2 * k, sign * (2 * k + 1)] for k in range(1, 8)]
+    f = Formula.from_dimacs(2 * star, 15)
     st = initial_state(f)
     assert len(side_solutions(st.clauses, {}, sorted(st.V), 0)) == 129
     lengths = []
